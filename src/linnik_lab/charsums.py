@@ -45,22 +45,19 @@ class SumReport:
 
 def class_weights(G: group_mod.UnitGroup, ns, weights=None) -> np.ndarray:
     """Collapse weighted integers onto unit classes (non-units dropped)."""
-    w = np.zeros(len(G.units), dtype=complex)
-    if weights is None:
-        weights = np.ones(len(ns))
-    q = G.q
-    for n, c in zip(ns, weights):
-        a = int(n) % q
-        if G.is_unit(a):
-            w[G.unit_pos[a]] += c
-    return w
+    pos = G.unit_pos[np.asarray(ns, dtype=np.int64).reshape(-1) % G.q]
+    keep = pos >= 0
+    w = (np.ones(len(pos)) if weights is None else np.asarray(weights))[keep]
+    out = np.bincount(pos[keep], weights=w.real, minlength=G.phi).astype(complex)
+    if np.iscomplexobj(w):
+        out.imag = np.bincount(pos[keep], weights=w.imag, minlength=G.phi)
+    return out
 
 
 def all_char_sums(G: group_mod.UnitGroup, ns, weights=None, conj: bool = True) -> np.ndarray:
-    """sum_i w_i chi~(n_i) for every character chi (chi~ = conj by default)."""
-    w = class_weights(G, ns, weights)
-    V = G.character_matrix()
-    return (V.conj() if conj else V) @ w
+    """sum_i w_i chi~(n_i) for every character chi (chi~ = conj by default),
+    aligned with G.characters(): one class collapse and one FFT."""
+    return group_mod.transform(G, class_weights(G, ns, weights), conj=conj)
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +308,8 @@ def halasz_montgomery_report(coeffs: dict[int, complex], chars, N: int, q: int,
         if not arith.is_rough(n, z):
             raise PreconditionError(f"coefficient at n={n} is not q^eps-rough")
     w = class_weights(G, list(coeffs), list(coeffs.values()))
-    V = G.character_matrix()
-    idx = [G.characters().index(c) for c in chars]
-    vals = V[idx] @ w
+    idx = [G.character_index(c) for c in chars]
+    vals = group_mod.transform(G, w, conj=False)[idx]
     lhs = float(np.sum(np.abs(vals) ** 2))
     l2 = sum(abs(c) ** 2 for n, c in coeffs.items() if math.gcd(n, q) == 1)
     rhs = (N / math.log(q) + N ** (2 / 3) * q ** (1 / 9 + 2 * eps) * len(idx)) * l2
@@ -349,24 +345,44 @@ def large_values_census(a_p, P: float, q: int, alpha: float, C: float = 1.0) -> 
 # ---------------------------------------------------------------------------
 # Polya-Vinogradov (asserted) and Burgess shapes (reported)
 
+def _diameter(points: np.ndarray) -> float:
+    """max |z - w| over complex points z, w: the convex hull by Andrew's
+    monotone chain, then every pair of hull vertices (Shamos 1978)."""
+    pts = np.unique(points)  # sorted by real part, then by imaginary part
+    xs, ys = pts.real.tolist(), pts.imag.tolist()
+
+    def chain(order):
+        out: list[int] = []
+        for i in order:
+            while len(out) >= 2:
+                j, k = out[-2], out[-1]
+                if (xs[k] - xs[j]) * (ys[i] - ys[j]) - (ys[k] - ys[j]) * (xs[i] - xs[j]) > 0:
+                    break
+                out.pop()
+            out.append(i)
+        return out
+
+    n = len(pts)
+    hull = pts[chain(range(n))[:-1] + chain(range(n - 1, -1, -1))[:-1]] if n > 2 else pts
+    return float(np.abs(hull[:, None] - hull[None, :]).max())
+
+
 def pv_max_window(chi) -> tuple[float, dict]:
     """Exact sup over all windows (M, M+N] of |sum chi(n)|.
 
     For non-principal chi the prefix sums are q-periodic with zero period
-    sum, so the sup equals max - min of one period of prefix values.
+    sum, so the sup is the diameter of one period of prefix values (for real
+    chi, max - min).  O(q) memory.
     """
     if chi.is_principal:
         raise DomainError("principal character excluded")
-    q = chi.group.q
-    vals = np.array([chi(n) for n in range(1, q + 1)])
+    vals = np.roll(chi.values(), -1)  # chi(1), ..., chi(q)
     prefix = np.concatenate([[0.0 + 0j], np.cumsum(vals)])
-    # complex values: sup |P[b]-P[a]| over a period; brute max over pairs
     if chi.is_real:
         re = prefix.real
         best = float(re.max() - re.min())
     else:
-        diffs = prefix[None, :] - prefix[:, None]
-        best = float(np.abs(diffs).max())
+        best = _diameter(prefix)
     return best, {"max_window_sum": best}
 
 
@@ -380,8 +396,7 @@ def pv_burgess_check(chi, M: int, N: int) -> SumReport:
     if chi.is_principal:
         raise DomainError("principal character excluded")
     q = chi.group.q
-    window = sum((chi(n) for n in range(M + 1, M + N + 1)), 0j)
-    value = abs(window)
+    value = abs(chi.values()[np.arange(M + 1, M + N + 1) % q].sum())
     pv = math.sqrt(q) * math.log(q)
     sup, _ = pv_max_window(chi)
     ok = value <= pv + 1e-9 and sup <= pv + 1e-9
@@ -461,8 +476,7 @@ def partition_characters(q: int, ladder: LadderSpec, H, h, eta: float) -> Charac
     if not 0 < eta <= 1 / 80:
         raise DomainError("eta must lie in (0, 1/80]")
     G = group_mod.build_unit_group(q)
-    chars = G.characters()
-    nchars = len(chars)
+    nchars = G.phi
     if H is None:
         cosets = [None]
     else:
@@ -572,7 +586,7 @@ def ramare_decompose(G: group_mod.UnitGroup, h, B, delta: int, v: int, j: int,
 
     # --- marked main term Mtilde ------------------------------------------
     primes_j = [int(p) for p in arith.primes_in(P_j, Q_j)]
-    Mtilde = np.zeros(len(G.characters()), dtype=complex)
+    Mtilde = np.zeros(G.phi, dtype=complex)
     r_cache: dict[tuple[int, int, int], np.ndarray] = {}
 
     def r_sum(w: int, delta2: int, coset_sign: int) -> np.ndarray:

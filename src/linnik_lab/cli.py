@@ -161,8 +161,8 @@ def report_for(args, audit_tag: str, result: dict, paramset: pipeline.ParamSet |
 # ---------------------------------------------------------------------------
 # shared argument helpers
 
-def _fn(args) -> multfunc.MultiplicativeFunction:
-    name = getattr(args, "h", "liouville")
+def _fn(name: str) -> multfunc.MultiplicativeFunction:
+    """h from its spec: a built-in name or character:q:i (i-th real character mod q)."""
     if name.startswith("character:"):
         _, qs, idx = name.split(":")
         chars = group_mod.real_characters(int(qs))
@@ -210,7 +210,7 @@ def cmd_factor(args):
 
 
 def cmd_rfunc(args):
-    h = _fn(args)
+    h = _fn(args.h)
     res = pipeline.R_of_h_q(h, args.q, args.cap)
     out = res.as_dict()
     out["witnesses_verified"] = pipeline.verify_witnesses(res, h, args.q)
@@ -218,7 +218,7 @@ def cmd_rfunc(args):
 
 
 def cmd_esets(args):
-    h = _fn(args)
+    h = _fn(args.h)
     plus, minus = pipeline.E_sets(h, args.q, args.x)
     phi = arith.euler_phi(args.q)
     return report_for(args, "sign-witness-classes",
@@ -227,7 +227,7 @@ def cmd_esets(args):
 
 
 def cmd_pretend(args):
-    h = _fn(args)
+    h = _fn(args.h)
     chi = _real_char(args.q, args.chi)
     s = multfunc.pretend_sum(h, chi, args.cutoff)
     res = {"sum": s, "character": chi.label()}
@@ -271,7 +271,7 @@ def cmd_rough(args):
 
 
 def cmd_densemodel(args):
-    h = _fn(args)
+    h = _fn(args.h)
     overrides = {}
     for name in ("R", "Q1", "z", "delta"):
         v = getattr(args, name, None)
@@ -383,7 +383,7 @@ def cmd_ladder(args):
 
 
 def cmd_ramare(args):
-    h = _fn(args)
+    h = _fn(args.h)
     G = group_mod.build_unit_group(args.q)
     lad = charsums.ladder_build(args.Q1, args.q, _overrides(args.overrides))
     B = _coset(args, args.q)
@@ -411,7 +411,7 @@ def _toy_params(q: int, variant: str) -> tuple[pipeline.ParamSet, tuple]:
 
 
 def cmd_stcompare(args):
-    h = _fn(args)
+    h = _fn(args.h)
     params, spec = _toy_params(args.q, args.variant)
     if args.variant == "easy":
         ctx = pipeline.build_context(h, args.q, params)
@@ -426,46 +426,47 @@ def cmd_stcompare(args):
 
 
 def cmd_audit(args):
-    h = _fn(args)
+    h = _fn(args.h)
     res = pipeline.theorem_audit(h, args.q, args.Q1, args.c)
     return report_for(args, "dichotomy-audit", res)
 
 
+def _worker_count(threads: int) -> int:
+    """Pool size for --threads: at least 1, at most the machine's CPU count."""
+    return max(1, min(threads, os.cpu_count() or 1))
+
+
 def cmd_batch(args):
-    h = _fn(args)
-    rows = []
     qs = list(range(args.qmin, args.qmax + 1))
-
-    def one(q):
-        if args.what == "rfunc":
-            cap = int(q * q * 20 * max(math.log(q), 1.0)) + 1
-            res = pipeline.R_of_h_q(h, q, cap)
-            return {"q": q, "R": res.R_value, "cap": cap,
-                    "verified": pipeline.verify_witnesses(res, h, q)}
-        res = pipeline.theorem_audit(h, q, args.Q1, args.c)
-        return {"q": q, "verdict": res["verdict"], "R": res["R"],
-                "min_pretend_sum": res["min_pretend_sum"]}
-
-    if args.threads > 1:
+    worker = _BatchWorker(args)
+    workers = _worker_count(args.threads)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            rows = sorted(pool.map(_BatchWorker(args), qs), key=lambda r: r["q"])
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = sorted(pool.map(worker, qs), key=lambda r: r["q"])
     else:
-        rows = [one(q) for q in qs]
+        rows = [worker(q) for q in qs]
     return report_for(args, "batch-thresholds", {"table": rows})
 
 
 class _BatchWorker:
-    """Picklable per-q worker for process pools."""
+    """One batch row per q, for the serial loop and for process pools alike.
+
+    It carries the h spec, so it pickles before its first call; h is built
+    through _fn on that call and reused by later calls on the same instance.
+    """
 
     def __init__(self, args):
-        self.h_name = args.h
+        self.h_spec = args.h
         self.what = args.what
-        self.Q1 = getattr(args, "Q1", 10.0)
-        self.c = getattr(args, "c", 1.0)
+        self.Q1 = args.Q1
+        self.c = args.c
+        self._h = None
 
     def __call__(self, q):
-        h = multfunc.builtin_function(self.h_name)
+        if self._h is None:
+            self._h = _fn(self.h_spec)
+        h = self._h
         if self.what == "rfunc":
             cap = int(q * q * 20 * max(math.log(q), 1.0)) + 1
             res = pipeline.R_of_h_q(h, q, cap)

@@ -29,15 +29,15 @@ class DenseModel:
     delta: float
     eta: float
     source: str
-    spectrum: tuple[int, ...]          # indices into group.characters()
+    spectrum: tuple[int, ...]          # indices into group.characters() (raveled dual vectors)
     f_hat: np.ndarray                  # E_{n in [I]_q} f(n) conj(chi(n))
     g_hat: np.ndarray                  # truncated coefficients
     g: np.ndarray                      # real values over group.units
     interval_count: int
 
     def spectrum_characters(self):
-        chars = self.group.characters()
-        return [chars[i] for i in self.spectrum]
+        G = self.group
+        return [group_mod.DirichletCharacter(G, G.dual_vector(i)) for i in self.spectrum]
 
     def g_at(self, a: int) -> float:
         return float(self.g[self.group.unit_pos[a % self.group.q]])
@@ -61,8 +61,7 @@ def interval_transform(G: group_mod.UnitGroup, interval: arith.IntegerInterval,
         v = fvals(n)
         if v:
             w[G.unit_pos[n % q]] += v
-    V = G.character_matrix()
-    f_hat = (V.conj() @ w) / len(members)
+    f_hat = group_mod.transform(G, w) / len(members)
     return f_hat, len(members), w
 
 
@@ -76,8 +75,7 @@ def build_dense_model(G: group_mod.UnitGroup, interval: arith.IntegerInterval,
     keep = np.abs(f_hat) >= delta
     keep[0] = True  # principal character always retained so means agree
     g_hat = np.where(keep, f_hat, 0.0)
-    V = G.character_matrix()
-    g_vals = g_hat @ V
+    g_vals = group_mod.fourier_inverse(G, g_hat)
     if np.abs(g_vals.imag).max() > 1e-9:
         raise AssertionError("dense model is not real; input f was not real?")
     spectrum = tuple(int(i) for i in np.nonzero(keep)[0])
@@ -118,8 +116,7 @@ def verify_model(model: DenseModel, nu: Callable[[int], float] | None = None,
         w = np.zeros(len(G.units), dtype=float)
         for n in members:
             w[G.unit_pos[n % G.q]] += nu(n)
-        V = G.character_matrix()
-        nu_hat = (V.conj() @ w) / max(len(members), 1)
+        nu_hat = group_mod.transform(G, w) / max(len(members), 1)
         max_nonprincipal = float(np.abs(nu_hat[1:]).max()) if len(nu_hat) > 1 else 0.0
         nu_report = {"dominates_f": dominated, "mean_nu": nu_mean,
                      "mean_gap": abs(nu_mean - 1.0),
@@ -130,7 +127,7 @@ def verify_model(model: DenseModel, nu: Callable[[int], float] | None = None,
     for psi in group_mod.real_characters(G.q, G):
         if psi.is_principal:
             continue
-        ipsi = G.characters().index(psi)
+        ipsi = G.character_index(psi)
         # E f 1_{bH} - E g 1_{bH} = psi(b)/2 * (F(psi) - G(psi)) for real psi
         gap = abs((model.f_hat[ipsi] - model.g_hat[ipsi]).real) / 2.0
         for b_sign in (+1, -1):
@@ -208,26 +205,24 @@ def aprop_check(sets: SignedLevelSets, G: group_mod.UnitGroup,
 # JSON dump (external interface)
 
 def model_to_json(model: DenseModel) -> dict:
-    chars = model.group.characters()
+    G = model.group
     return {
         "q": model.group.q,
         "delta": model.delta,
         "eta": model.eta,
         "source": model.source,
-        "spectrum": [list(chars[i].vector) for i in model.spectrum],
+        "spectrum": [list(G.dual_vector(i)) for i in model.spectrum],
         "g": {int(a): float(v) for a, v in zip(model.group.units, model.g)},
     }
 
 
 def model_from_json(data: dict) -> DenseModel:
     G = group_mod.build_unit_group(int(data["q"]))
-    chars = G.characters()
-    vec_index = {c.vector: i for i, c in enumerate(chars)}
-    spectrum = tuple(sorted(vec_index[tuple(v)] for v in data["spectrum"]))
+    spectrum = tuple(sorted(G.character_index(group_mod.DirichletCharacter(G, tuple(v)))
+                            for v in data["spectrum"]))
     g = np.array([float(data["g"][str(int(a))]) if str(int(a)) in data["g"]
                   else float(data["g"][int(a)]) for a in G.units])
-    V = G.character_matrix()
-    g_hat = (V.conj() @ g.astype(complex)) / G.phi
+    g_hat = group_mod.fourier_forward(G, g)
     f_hat = g_hat.copy()
     return DenseModel(G, float(data["delta"]), float(data["eta"]), data.get("source", ""),
                       spectrum, f_hat, g_hat, g, interval_count=0)

@@ -1,6 +1,13 @@
 """The unit group Z_q^x with its CRT cyclic decomposition, exact Dirichlet
-characters (values are rational rotations), real characters and index-2
-subgroups, and Fourier analysis / convolution on the group.
+characters (values are integer angles k/L, L the exponent of the group), real
+characters and index-2 subgroups, and Fourier analysis / convolution on the
+group.
+
+Every unit a has a discrete-log vector x = (x_1, ..., x_k) in the grid
+Z_{d_1} x ... x Z_{d_k}; a character is indexed by its dual vector t on the
+same grid, in C order (the order of UnitGroup.characters()).  Transforms are
+n-dimensional FFTs on that grid, O(phi log phi) time and O(phi) memory;
+exact integer convolution adds dlog vectors componentwise mod d_i.
 
 Normalizations, fixed once: the Fourier transform uses the expectation
 E_a over units; convolution uses plain counting sums (no 1/phi factor).
@@ -8,6 +15,7 @@ E_a over units; convolution uses plain counting sums (no 1/phi factor).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,12 +90,17 @@ class UnitGroup:
         order_prod = math.prod(c.order for c in comps) if comps else 1
         if order_prod != self.phi:
             raise AssertionError("component orders do not multiply to phi(q)")
+        # the dlog grid; a trivial group still gets one cell for its one unit
+        self.grid_shape = tuple(c.order for c in comps) or (1,)
+        self.angle_modulus = math.lcm(*(c.order for c in comps)) if comps else 1
         self._dlog_tables = self._build_dlog_tables()
         self._units: np.ndarray | None = None
         self._unit_pos: np.ndarray | None = None
+        self._unit_grid: np.ndarray | None = None
+        self._unit_dlogs: tuple[np.ndarray, ...] | None = None
+        self._roots: np.ndarray | None = None
         self._chars: tuple[DirichletCharacter, ...] | None = None
-        self._char_matrix: np.ndarray | None = None
-        self._mult_pos: np.ndarray | None = None
+        self._real_chars: tuple[DirichletCharacter, ...] | None = None
         if q <= _MATERIALIZE_LIMIT:
             self._materialize()
 
@@ -189,54 +202,99 @@ class UnitGroup:
         t = (comp.generator - 1) * pow(rest, -1, comp.modulus) % comp.modulus
         return (1 + rest * t) % self.q
 
+    # -- the dlog grid -------------------------------------------------------
+
+    @property
+    def unit_grid(self) -> np.ndarray:
+        """Flat C-order position of each unit on the dlog grid (d_1, ..., d_k),
+        aligned with self.units."""
+        if self._unit_grid is None:
+            units = self.units
+            pos = np.zeros(len(units), dtype=np.int64)
+            for comp, table in zip(self.components, self._dlog_tables):
+                pos = pos * comp.order + table[units % comp.modulus]
+            self._unit_grid = pos
+        return self._unit_grid
+
+    def to_grid(self, vec: np.ndarray) -> np.ndarray:
+        """Scatter a vector aligned with self.units onto the dlog grid."""
+        grid = np.zeros(self.phi, dtype=vec.dtype)
+        grid[self.unit_grid] = vec
+        return grid.reshape(self.grid_shape)
+
+    def from_grid(self, grid: np.ndarray) -> np.ndarray:
+        """Gather a function on the dlog grid back into unit order."""
+        return grid.reshape(-1)[self.unit_grid]
+
+    def unit_dlogs(self) -> tuple[np.ndarray, ...]:
+        """Per-component dlog exponents of every unit, aligned with self.units."""
+        if self._unit_dlogs is None:
+            self._unit_dlogs = (np.unravel_index(self.unit_grid, self.grid_shape)
+                                if self.components else ())
+        return self._unit_dlogs
+
+    def root_table(self) -> np.ndarray:
+        """e(k/L) for k = 0..L-1 (L = angle_modulus), exact at k = 0 and L/2."""
+        if self._roots is None:
+            L = self.angle_modulus
+            ang = 2 * np.pi * (np.arange(L) / L)
+            roots = np.cos(ang) + 1j * np.sin(ang)
+            roots[0] = 1
+            if L % 2 == 0:
+                roots[L // 2] = -1
+            self._roots = roots
+        return self._roots
+
     # -- characters ---------------------------------------------------------
 
     def characters(self) -> tuple["DirichletCharacter", ...]:
         if self._chars is None:
-            vecs = [()]
-            for comp in self.components:
-                vecs = [v + (t,) for v in vecs for t in range(comp.order)]
-            self._chars = tuple(DirichletCharacter(self, tuple(v)) for v in vecs)
+            self._chars = tuple(DirichletCharacter(self, v) for v in
+                                itertools.product(*(range(c.order) for c in self.components)))
         return self._chars
 
-    def character_matrix(self) -> np.ndarray:
-        """Complex matrix V[i, j] = chi_i(units[j])."""
-        if self._char_matrix is None:
-            units = self.units
-            chars = self.characters()
-            X = np.array([self.dlog(int(a)) for a in units], dtype=np.float64)
-            if X.size == 0:
-                X = X.reshape(len(units), 0)
-            T = np.array([c.vector for c in chars], dtype=np.float64)
-            if T.size == 0:
-                T = T.reshape(len(chars), 0)
-            orders = np.array([c.order for c in self.components], dtype=np.float64)
-            ang = (T / orders) @ X.T if len(self.components) else np.zeros((len(chars), len(units)))
-            self._char_matrix = np.exp(2j * np.pi * ang)
-        return self._char_matrix
+    def real_characters(self) -> tuple["DirichletCharacter", ...]:
+        """The characters of order <= 2, t_i in {0, d_i/2}, in characters() order."""
+        if self._real_chars is None:
+            choices = [(0, c.order // 2) if c.order % 2 == 0 else (0,)
+                       for c in self.components]
+            self._real_chars = tuple(DirichletCharacter(self, v)
+                                     for v in itertools.product(*choices))
+        return self._real_chars
 
-    def mult_pos(self) -> np.ndarray:
-        """Index table: mult_pos[i, j] = position of units[i]*units[j]."""
-        if self._mult_pos is None:
-            u = self.units
-            prod = (u[:, None] * u[None, :]) % self.q if self.q > 1 else np.zeros((1, 1), dtype=np.int64)
-            self._mult_pos = self.unit_pos[prod]
-        return self._mult_pos
+    def character_index(self, chi: "DirichletCharacter") -> int:
+        """Position of chi in characters(), i.e. its dual vector raveled in C order."""
+        pos = 0
+        for t, comp in zip(chi.vector, self.components):
+            pos = pos * comp.order + t
+        return pos
+
+    def dual_vector(self, i: int) -> tuple[int, ...]:
+        """The dual vector of characters()[i]."""
+        out = []
+        for comp in reversed(self.components):
+            i, t = divmod(int(i), comp.order)
+            out.append(t)
+        return tuple(reversed(out))
 
     def inverse_pos(self) -> np.ndarray:
-        u = self.units
-        if self.q == 1:
-            return np.zeros(1, dtype=np.int64)
-        inv = np.array([pow(int(a), -1, self.q) for a in u], dtype=np.int64)
-        return self.unit_pos[inv]
+        """Position in self.units of the inverse of each unit (negated dlogs)."""
+        xs = self.unit_dlogs()
+        if not xs:
+            return np.zeros(len(self.units), dtype=np.int64)
+        inv_grid = np.ravel_multi_index(tuple(-x % d for x, d in zip(xs, self.grid_shape)),
+                                        self.grid_shape)
+        unit_of_grid = np.empty(self.phi, dtype=np.int64)
+        unit_of_grid[self.unit_grid] = np.arange(self.phi)
+        return unit_of_grid[inv_grid]
 
 
 class DirichletCharacter:
     """A character mod q, represented by its dual exponent vector.
 
-    chi(a) = prod_i zeta_{d_i}^{t_i x_i} where x = dlog(a); values are exact
-    rational rotations, rendered to complex on demand.  chi(n) = 0 whenever
-    gcd(n, q) > 1.
+    chi(a) = prod_i zeta_{d_i}^{t_i x_i} = e(k/L) where x = dlog(a) and
+    k = sum_i t_i x_i (L/d_i) mod L is an exact integer angle, rendered to
+    complex on demand.  chi(n) = 0 whenever gcd(n, q) > 1.
     """
 
     __slots__ = ("group", "vector", "_order", "_sign_table")
@@ -279,49 +337,62 @@ class DirichletCharacter:
         return self._order <= 2
 
     def rotation(self, n: int) -> Fraction | None:
-        """Exact angle chi(n) = e^(2 pi i rotation); None off the units."""
-        a = n % self.group.q
-        if not self.group.is_unit(a):
+        """Exact angle chi(n) = e^(2 pi i rotation) as Fraction(k, L), L the
+        group's angle modulus; None off the units."""
+        G = self.group
+        a = n % G.q
+        if not G.is_unit(a):
             return None
-        x = self.group.dlog(a)
-        ang = Fraction(0)
-        for t, xi, c in zip(self.vector, x, self.group.components):
-            ang += Fraction(t * xi, c.order)
-        return ang % 1
+        L = G.angle_modulus
+        k = sum(t * x * (L // c.order) for t, x, c in zip(self.vector, G.dlog(a), G.components))
+        return Fraction(k % L, L)
 
     def __call__(self, n: int) -> complex:
         rot = self.rotation(n)
         if rot is None:
             return 0j
-        if rot == 0:
+        if rot.numerator == 0:
             return 1 + 0j
-        if 2 * rot == 1:
+        if rot.denominator == 2:
             return -1 + 0j
-        return complex(math.cos(2 * math.pi * rot), math.sin(2 * math.pi * rot))
+        ang = 2 * math.pi * (rot.numerator / rot.denominator)
+        return complex(math.cos(ang), math.sin(ang))
 
-    def values_on_units(self) -> np.ndarray:
+    def angles(self) -> np.ndarray:
+        """Integer angles k over residues 0..q-1, chi(n) = e(k/L) with
+        L = group.angle_modulus; -1 off the units."""
         G = self.group
-        return G.character_matrix()[G.characters().index(self)]
+        L = G.angle_modulus
+        acc = np.zeros(G.phi, dtype=np.int64)
+        for t, x, c in zip(self.vector, G.unit_dlogs(), G.components):
+            if t:
+                acc += (t * (L // c.order)) * x
+        k = np.full(max(G.q, 1), -1, dtype=np.int64)
+        k[G.units] = acc % L
+        return k
+
+    def values(self) -> np.ndarray:
+        """chi(n) over residues 0..q-1 (0 off the units)."""
+        k = self.angles()
+        unit = k >= 0
+        out = np.zeros(len(k), dtype=complex)
+        out[unit] = self.group.root_table()[k[unit]]
+        return out
 
     def real_sign_table(self) -> np.ndarray:
         """For real chi: int8 table over residues 0..q-1 with values in {0,+-1}."""
         if not self.is_real:
             raise DomainError("sign table only defined for real characters")
         if self._sign_table is None:
-            q = self.group.q
-            t = np.zeros(max(q, 1), dtype=np.int8)
-            if q == 1:
-                t[0] = 1
-            else:
-                for a in range(q):
-                    if self.group.is_unit(a):
-                        rot = self.rotation(a)
-                        t[a] = 1 if rot == 0 else -1
+            k = self.angles()
+            t = np.where(k == 0, 1, -1).astype(np.int8)
+            t[k < 0] = 0
             self._sign_table = t
         return self._sign_table
 
     def kernel(self) -> frozenset[int]:
-        return frozenset(int(a) for a in self.group.units if self.rotation(int(a)) == 0)
+        units = self.group.units
+        return frozenset(units[self.angles()[units] == 0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +426,7 @@ def evaluate(chi: DirichletCharacter, n: int) -> complex:
 
 
 def real_characters(q: int, G: UnitGroup | None = None) -> list[DirichletCharacter]:
-    return [c for c in characters(q, G) if c.is_real]
+    return list((G or build_unit_group(q)).real_characters())
 
 
 @dataclass(frozen=True)
@@ -402,7 +473,7 @@ class CosetSpec:
 
 def full_group_coset(q: int, G: UnitGroup | None = None) -> CosetSpec:
     G = G or build_unit_group(q)
-    return CosetSpec(G.characters()[0], 1 if q > 1 else 0)
+    return CosetSpec(G.real_characters()[0], 1 if q > 1 else 0)
 
 
 def index2_subgroups(q: int, G: UnitGroup | None = None) -> list[frozenset[int]]:
@@ -413,34 +484,40 @@ def index2_subgroups(q: int, G: UnitGroup | None = None) -> list[frozenset[int]]
 # ---------------------------------------------------------------------------
 # Fourier analysis on the group
 
-def _as_unit_vector(G: UnitGroup, f) -> np.ndarray:
+def _as_unit_vector(G: UnitGroup, f, dtype=complex) -> np.ndarray:
+    """f as a vector aligned with G.units; dtype None keeps an array's dtype."""
     units = G.units
     if isinstance(f, dict):
-        vec = np.zeros(len(units), dtype=complex)
+        vec = np.zeros(len(units), dtype=dtype or complex)
         for n, v in f.items():
             a = n % G.q
             if not G.is_unit(a):
                 raise DomainError(f"f is defined at non-unit {n} mod {G.q}")
             vec[G.unit_pos[a]] += v
         return vec
-    arr = np.asarray(f, dtype=complex)
+    arr = np.asarray(f, dtype=dtype)
     if arr.shape != units.shape:
         raise DomainError("array must align with group.units")
     return arr
 
 
+def transform(G: UnitGroup, f, conj: bool = True) -> np.ndarray:
+    """sum_a f(a) conj(chi(a)) (chi(a) when conj is False) for every chi,
+    aligned with G.characters(): one FFT on the dlog grid."""
+    grid = G.to_grid(_as_unit_vector(G, f))
+    out = np.fft.fftn(grid) if conj else np.fft.ifftn(grid, norm="forward")
+    return out.reshape(-1)
+
+
 def fourier_forward(G: UnitGroup, f) -> np.ndarray:
     """F(chi) = E_{a in Z_q^x} f(a) conj(chi(a)), aligned with G.characters()."""
-    vec = _as_unit_vector(G, f)
-    V = G.character_matrix()
-    return (V.conj() @ vec) / G.phi
+    return transform(G, f) / G.phi
 
 
 def fourier_inverse(G: UnitGroup, coeffs) -> np.ndarray:
     """f(a) = sum_chi F(chi) chi(a); inverse of fourier_forward."""
-    c = np.asarray(coeffs, dtype=complex)
-    V = G.character_matrix()
-    return c @ V
+    c = np.asarray(coeffs, dtype=complex).reshape(G.grid_shape)
+    return G.from_grid(np.fft.ifftn(c, norm="forward"))
 
 
 def parseval_gap(G: UnitGroup, f) -> float:
@@ -450,34 +527,51 @@ def parseval_gap(G: UnitGroup, f) -> float:
     return abs(float(np.mean(np.abs(vec) ** 2)) - float(np.sum(np.abs(coeffs) ** 2)))
 
 
+# pairs (x, y) of support points handled per vectorized step of convolve_group
+_PAIR_CHUNK = 1 << 20
+
+
 def convolve_group(G: UnitGroup, f, g) -> np.ndarray:
     """Counting convolution (f*g)(a) = sum_{xy=a} f(x) g(y) over Z_q^x.
 
-    Computed by the exact index-table route (no transforms), so integer
-    inputs stay exact.
+    Exact, with no transform: xy sits at the componentwise sum of the dlog
+    vectors mod d_i.  Each pair of support points is accumulated at the plain
+    sum on a grid of shape (2 d_i - 1), which is then folded mod d_i, so
+    integer inputs stay exact and keep their dtype.  Work |supp f| |supp g|,
+    memory O(2^k phi) for k cyclic components.
     """
-    fv = _as_unit_vector(G, f)
-    gv = _as_unit_vector(G, g)
-    if np.all(fv.imag == 0) and np.all(gv.imag == 0):
-        fv = fv.real
-        gv = gv.real
-    pos = G.mult_pos()
-    out = np.zeros(len(G.units), dtype=fv.dtype)
-    for i in range(len(G.units)):
-        if fv[i] != 0:
-            np.add.at(out, pos[i], fv[i] * gv)
-    return out
+    fv = _as_unit_vector(G, f, dtype=None)
+    gv = _as_unit_vector(G, g, dtype=None)
+    if np.iscomplexobj(fv) or np.iscomplexobj(gv):
+        if np.all(fv.imag == 0) and np.all(gv.imag == 0):
+            fv = fv.real
+            gv = gv.real
+    xs = np.flatnonzero(fv)
+    ys = np.flatnonzero(gv)
+    wide = tuple(2 * d - 1 for d in G.grid_shape)
+    px = np.zeros(len(xs), dtype=np.int64)
+    py = np.zeros(len(ys), dtype=np.int64)
+    for x, w in zip(G.unit_dlogs(), wide):
+        px = px * w + x[xs]
+        py = py * w + x[ys]
+    acc = np.zeros(math.prod(wide), dtype=np.result_type(fv, gv))
+    fx, gy = fv[xs], gv[ys]
+    step = max(1, _PAIR_CHUNK // max(len(ys), 1))
+    for s in range(0, len(xs), step):
+        np.add.at(acc, (px[s:s + step, None] + py[None, :]).reshape(-1),
+                  (fx[s:s + step, None] * gy[None, :]).reshape(-1))
+    acc = acc.reshape(wide)
+    for axis, d in enumerate(G.grid_shape):
+        head = (slice(None),) * axis
+        low = acc[head + (slice(0, d),)].copy()
+        low[head + (slice(0, d - 1),)] += acc[head + (slice(d, None),)]
+        acc = low
+    return G.from_grid(acc)
 
 
 def convolve_group_transform(G: UnitGroup, f, g) -> np.ndarray:
     """Same convolution through pointwise products of raw transforms."""
-    fv = _as_unit_vector(G, f)
-    gv = _as_unit_vector(G, g)
-    V = G.character_matrix()
-    Rf = V.conj() @ fv
-    Rg = V.conj() @ gv
-    out = (Rf * Rg) @ V / G.phi
-    return out
+    return fourier_inverse(G, transform(G, f) * transform(G, g)) / G.phi
 
 
 def orthogonality_exact(G: UnitGroup) -> bool:

@@ -190,14 +190,21 @@ def R_of_h_q(h, q: int, cap: int) -> RFunctionResult:
 
 
 def verify_witnesses(result: RFunctionResult, h, q: int) -> bool:
-    """Independent per-class re-scan: squarefree, class, sign, minimality."""
+    """Independent per-class re-scan: squarefree, class, sign, minimality.
+
+    A member where h vanishes is a witness of neither sign.
+    """
+    def sign_of(n: int) -> int:
+        v = h.value(n)
+        return (v > 0) - (v < 0)
+
     for a, d in result.witnesses.items():
         for s, n in d.items():
-            if not arith.is_squarefree(n) or (n - a) % q != 0 or h.sign(n) != s:
+            if not arith.is_squarefree(n) or (n - a) % q != 0 or sign_of(n) != s:
                 return False
             m = a if a > 0 else (1 if q == 1 else q)
             while m < n:
-                if m >= 1 and arith.is_squarefree(m) and h.sign(m) == s:
+                if m >= 1 and arith.is_squarefree(m) and sign_of(m) == s:
                     return False  # an earlier witness was missed
                 m += q
     return True
@@ -288,9 +295,8 @@ def build_context(h, q: int, params: ParamSet, ks=None) -> SignContext:
 
 def _project(G: group_mod.UnitGroup, a: int, prod_over_chars: np.ndarray) -> float:
     """(1/phi) sum_chi chi(a) prod(chi), the inverse transform at one class."""
-    V = G.character_matrix()
-    col = V[:, G.unit_pos[a % G.q]]
-    return float((col @ prod_over_chars).real / G.phi)
+    values = group_mod.fourier_inverse(G, prod_over_chars)
+    return float(values[G.unit_pos[a % G.q]].real / G.phi)
 
 
 def s_function_easy(ctx: SignContext, a: int, B2, B3, deltas: tuple[int, int, int],
@@ -476,7 +482,7 @@ def s_function_general_chars(ctx: SignContext, a: int, B4, B5, B6, deltas,
     G = ctx.G
     pm = ctx.params
     Qr = charsums.all_char_sums(G, charsums.q_set(G, ctx.h, pm.Q1, B4, d4))
-    acc = np.zeros(len(G.characters()), dtype=complex)
+    acc = np.zeros(G.phi, dtype=complex)
     for (k1, k2, k3) in kset:
         F1 = ctx.f_raw_sums(k1, d1) * ctx.norm
         F2 = ctx.f_raw_sums(k2, d2) * ctx.norm
@@ -496,7 +502,7 @@ def t_function_general(ctx: SignContext, a: int, B4, B5, B6, deltas, kset) -> fl
     G = ctx.G
     pm = ctx.params
     Qn = charsums.all_char_sums(G, charsums.q_set(G, ctx.h, pm.Q1, B4, d4)) / pm.Q1
-    acc = np.zeros(len(G.characters()), dtype=complex)
+    acc = np.zeros(G.phi, dtype=complex)
     for (k1, k2, k3) in kset:
         G1 = ctx.g_hat(k1, d1)
         G2 = ctx.g_hat(k2, d2)

@@ -2,9 +2,11 @@
 the popular-Kneser dichotomy, the small-product structure lemma, and the
 triple-convolution dichotomy classifier.
 
-Sets are frozensets (or iterables) of unit residues.  Every certificate a
-classifier returns is re-verified by direct recomputation before it is
-reported.
+Sets are frozensets (or iterables) of unit residues.  Convolutions are exact
+integer counts on the dlog grid of Z_q^x (group.convolve_group); product sets
+and stabilizers are supports and level sets of those counts.  Every
+certificate a classifier returns is re-verified by direct recomputation before
+it is reported.
 """
 
 from __future__ import annotations
@@ -30,76 +32,55 @@ class DichotomyOutcome:
     verified: bool = False
 
 
-def _unit_indices(G: group_mod.UnitGroup, A) -> np.ndarray:
-    idx = []
-    for a in A:
-        aa = a % G.q
-        if not G.is_unit(aa):
-            raise DomainError(f"{a} is not a unit mod {G.q}")
-        idx.append(int(G.unit_pos[aa]))
-    return np.array(sorted(set(idx)), dtype=np.int64)
-
-
-def _indicator(G, A) -> np.ndarray:
+def _indicator(G: group_mod.UnitGroup, A) -> np.ndarray:
+    """0/1 vector over unit positions; raises on a non-unit."""
+    q = G.q
+    res = np.fromiter((a % q for a in A), dtype=np.int64)
+    pos = G.unit_pos[res]
+    if np.any(pos < 0):
+        bad = next(a for a in A if G.unit_pos[a % q] < 0)
+        raise DomainError(f"{bad} is not a unit mod {q}")
     v = np.zeros(len(G.units), dtype=np.int64)
-    v[_unit_indices(G, A)] = 1
+    v[pos] = 1
     return v
 
 
+def _members(G: group_mod.UnitGroup, mask: np.ndarray) -> frozenset[int]:
+    return frozenset(G.units[mask].tolist())
+
+
 def product_set(G: group_mod.UnitGroup, A, B) -> frozenset[int]:
-    """A . B = {ab mod q}."""
-    q = G.q
-    out = set()
-    for a in A:
-        for b in B:
-            out.add(a * b % q)
-    return frozenset(out)
+    """A . B = {ab mod q}, the support of 1_A * 1_B."""
+    return _members(G, conv2(G, A, B) > 0)
 
 
 def stabilizer(G: group_mod.UnitGroup, S) -> frozenset[int]:
-    """{h : hS = S}; the full group for empty S (documented convention)."""
-    S = frozenset(s % G.q for s in S)
-    if not S:
-        return frozenset(int(a) for a in G.units)
-    q = G.q
-    out = []
-    for h in G.units:
-        h = int(h)
-        if all(h * s % q in S for s in S):
-            out.append(h)
-    return frozenset(out)
+    """{h : hS = S}; the full group for empty S (documented convention).
+
+    (1_S * 1_{S^-1})(h) counts the s in S with h^-1 s in S, so it equals |S|
+    exactly on the stabilizer.
+    """
+    ind = _indicator(G, S)
+    size = int(ind.sum())
+    if not size:
+        return _members(G, np.ones(len(G.units), dtype=bool))
+    return _members(G, group_mod.convolve_group(G, ind, ind[G.inverse_pos()]) == size)
 
 
 def conv2(G: group_mod.UnitGroup, A, B) -> np.ndarray:
     """(1_A * 1_B) over unit positions, exact integer counts."""
-    iA = _unit_indices(G, A)
-    vB = _indicator(G, B)
-    pos = G.mult_pos()
-    out = np.zeros(len(G.units), dtype=np.int64)
-    for i in iA:
-        out[pos[i]] += vB
-    return out
+    return group_mod.convolve_group(G, _indicator(G, A), _indicator(G, B))
 
 
 def conv3(G: group_mod.UnitGroup, A, B, C) -> np.ndarray:
     """(1_A * 1_B * 1_C) over unit positions, exact."""
-    c2 = conv2(G, A, B)
-    iC = _unit_indices(G, C)
-    pos = G.mult_pos()
-    out = np.zeros(len(G.units), dtype=np.int64)
-    for i in iC:
-        out[pos[i]] += c2
-    return out
+    return group_mod.convolve_group(G, conv2(G, A, B), _indicator(G, C))
 
 
 def conv3_transform(G: group_mod.UnitGroup, A, B, C) -> np.ndarray:
     """Triple convolution through the character transform (cross-check route)."""
-    V = G.character_matrix()
-    ra = V.conj() @ _indicator(G, A)
-    rb = V.conj() @ _indicator(G, B)
-    rc = V.conj() @ _indicator(G, C)
-    vals = (ra * rb * rc) @ V / G.phi
-    return vals.real
+    ra, rb, rc = (group_mod.transform(G, _indicator(G, S)) for S in (A, B, C))
+    return group_mod.fourier_inverse(G, ra * rb * rc).real / G.phi
 
 
 def kneser_check(G: group_mod.UnitGroup, A, B) -> dict:
@@ -253,10 +234,8 @@ def subgroups_of_index_below(G: group_mod.UnitGroup, bound: float) -> list[froze
             if key in seen:
                 continue
             seen.add(key)
-            kern = [int(a) for a in G.units
-                    if all(group_mod.DirichletCharacter(G, v).rotation(int(a)) == 0
-                           for v in vecs)]
-            out.append(frozenset(kern))
+            out.append(frozenset.intersection(
+                *(group_mod.DirichletCharacter(G, v).kernel() for v in vecs)))
     return out
 
 

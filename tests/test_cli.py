@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import sys
 
 import pytest
@@ -172,8 +173,32 @@ def test_batch_csv(capsys):
 
 
 def test_batch_threads_matches_serial(capsys):
-    serial = run_cli(capsys, "batch", "--qmin", "3", "--qmax", "10")
-    parallel = run_cli(capsys, "batch", "--qmin", "3", "--qmax", "10",
-                       "--threads", "2")
-    assert serial[0] == parallel[0] == 0
-    assert json.loads(serial[1])["result"] == json.loads(parallel[1])["result"]
+    for args in (("--qmin", "3", "--qmax", "10"),
+                 ("--h", "character:7:1", "--qmin", "3", "--qmax", "50")):
+        serial = run_cli(capsys, "batch", *args)
+        parallel = run_cli(capsys, "batch", *args, "--threads", "2")
+        assert serial[0] == parallel[0] == 0, parallel[2]
+        assert json.loads(serial[1])["result"] == json.loads(parallel[1])["result"]
+
+
+def test_worker_count_is_clamped_to_the_cpus():
+    cpus = os.cpu_count() or 1
+    assert cli._worker_count(10**6) == cpus
+    assert cli._worker_count(2) == min(2, cpus)
+    assert cli._worker_count(0) == cli._worker_count(-3) == 1
+
+
+def test_rfunc_character_vanishing_on_earlier_members(capsys):
+    # chi_7 vanishes on 7 and 21, squarefree members of the classes 7 and 5 mod 8
+    # below their witnesses 15, 31 and 29: no witness of either sign there
+    code, out, err = run_cli(capsys, "rfunc", "--h", "character:7:1", "--q", "8",
+                             "--cap", "1000")
+    assert code == 0, err
+    assert json.loads(out)["result"]["witnesses_verified"] is True
+
+
+def test_transforms_past_the_dense_matrix_scale(capsys):
+    # one phi x phi complex matrix at q = 20011 would take 6.4 GB
+    for argv in (("charsum", "large", "--q", "20011"), ("densemodel", "--q", "20011")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
