@@ -43,22 +43,6 @@ def primes_upto(n: int) -> np.ndarray:
     return _prime_array[: np.searchsorted(_prime_array, n, side="right")]
 
 
-def validate_prime_table(limit: int, primes) -> bool:
-    """Check an externally cached prime table against a rebuild.
-
-    Cached sieve entries are audit artifacts: they are only ever accepted
-    when they match a fresh rebuild exactly, so a damaged cache can never
-    change results (it merely costs the rebuild that would happen anyway).
-    """
-    try:
-        arr = np.asarray(primes, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        return False
-    if arr.ndim != 1 or (arr.size and (arr[0] != 2 or arr[-1] > limit)):
-        return False
-    return np.array_equal(primes_upto(int(limit)), arr)
-
-
 def primes_in(lo: float, hi: float) -> np.ndarray:
     """Primes p with lo < p <= hi."""
     ps = primes_upto(int(math.floor(hi + 1e-9 * max(1.0, abs(hi)))))

@@ -151,12 +151,11 @@ def _squarefree_signed(G, h, lo: int, hi: int, B, delta):
     ns = np.arange(lo + 1, hi + 1, dtype=np.int64)
     if ns.size == 0:
         return []
-    _, sqf = arith.liouville_squarefree_window(lo, hi)
-    signs = h.sign_window(lo, hi)
-    mask = sqf & _coset_mask(B, G, ns)
-    if delta is not None:
-        mask &= signs == delta
-    return ns[mask].tolist()
+    if delta is None:
+        _, keep = arith.liouville_squarefree_window(lo, hi)
+    else:
+        keep = h.squarefree_sign_window(lo, hi) == delta
+    return ns[keep & _coset_mask(B, G, ns)].tolist()
 
 
 def u_set_easy(G, h, R: float, B=None, delta=None) -> list[int]:
@@ -188,15 +187,6 @@ def m_set(G, h, M: float, v: int, ladder: "LadderSpec", B=None, delta=None) -> l
 def prime_sum_Q(chi, qset: list[int], Q1: float) -> complex:
     """Q_B^Delta(chi) = (1/Q1) sum over the prime set of conj(chi(p))."""
     return sum((chi(p).conjugate() for p in qset), 0j) / Q1
-
-
-def unit_sum_U(chi, uset: list[int], norm: float) -> complex:
-    """U-sum normalized by R (easy) or U e^v (general)."""
-    return sum((chi(u).conjugate() for u in uset), 0j) / norm
-
-
-def m_sum(chi, mset: list[int], norm: float) -> complex:
-    return sum((chi(m).conjugate() for m in mset), 0j) / norm
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +411,6 @@ def _H_j(j: int, Q1: float) -> float:
 
 def _w_of_p(p: int, H: float) -> int:
     return int(math.ceil(H * math.log(p) - 1e-12))
-
-
-def _w_range(j: int, ladder: LadderSpec) -> range:
-    P, Q = ladder.interval(j)
-    H = _H_j(j, ladder.Q1)
-    return range(int(math.ceil(H * math.log(P) - 1e-12)),
-                 int(math.ceil(H * math.log(Q))) + 1)
 
 
 def ladder_prime_sums(G, h, ladder: LadderSpec, j: int, B, delta: int) -> dict[int, np.ndarray]:

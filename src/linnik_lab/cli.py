@@ -1,10 +1,9 @@
-"""Command-line surface: JSON reports for every module, configuration file
-support, and a small JSON cache for character tables and prime lists.
+"""Command-line surface: JSON reports for every module and configuration file
+support.
 
 Reports are deterministic: a fixed seed and config produce byte-identical
-output (keys sorted, no timestamps).  Cache diagnostics go to stderr so cold
-and warm runs emit identical reports.  Exit codes: 0 success, 1 usage,
-2 precondition/domain error, 3 resource error.
+output (keys sorted, no timestamps); diagnostics go to stderr.  Exit codes:
+0 success, 1 usage, 2 precondition/domain error, 3 resource error.
 """
 
 from __future__ import annotations
@@ -26,83 +25,6 @@ from . import arith, charsums, densemodel, group as group_mod, multfunc, pipelin
 from .errors import DomainError, PreconditionError, ResourceError
 
 SCHEMA = "linnik-lab/1"
-
-
-# ---------------------------------------------------------------------------
-# cache
-
-class JsonCache:
-    """Directory-backed JSON cache; corrupt entries are recomputed, never used."""
-
-    def __init__(self, directory: str | None):
-        self.dir = Path(directory) if directory else None
-        self.stats = {"hits": 0, "misses": 0, "corrupt": 0, "writes": 0}
-        if self.dir is not None:
-            try:
-                self.dir.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                print(f"cache: directory unusable ({exc}); using memory only",
-                      file=sys.stderr)
-                self.dir = None
-        self._memory: dict[str, dict] = {}
-
-    def _path(self, key: str) -> Path:
-        return self.dir / f"{key}.json"
-
-    def get(self, key: str):
-        if self.dir is None:
-            hit = self._memory.get(key)
-            self.stats["hits" if hit is not None else "misses"] += 1
-            return hit
-        path = self._path(key)
-        if not path.exists():
-            self.stats["misses"] += 1
-            return None
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-            self.stats["hits"] += 1
-            print(f"cache: hit {key}", file=sys.stderr)
-            return data
-        except (json.JSONDecodeError, OSError):
-            self.mark_corrupt(key)
-            return None
-
-    def mark_corrupt(self, key: str):
-        self.stats["corrupt"] += 1
-        print(f"cache: corrupt entry {key}; recomputing", file=sys.stderr)
-
-    def put(self, key: str, data: dict):
-        self.stats["writes"] += 1
-        if self.dir is None:
-            self._memory[key] = data
-            return
-        try:
-            with open(self._path(key), "w") as fh:
-                json.dump(data, fh, sort_keys=True)
-        except OSError as exc:
-            print(f"cache: write failed ({exc})", file=sys.stderr)
-
-
-def _sync_prime_cache(cache: JsonCache, q: int) -> None:
-    """Load/store the prime sieve for the working range (keyed by range).
-
-    Entries are validated against a rebuild before acceptance, so they serve
-    as auditable artifacts; mismatches are reported as corrupt and replaced.
-    """
-    limit = max(2 * q, 1000)
-    key = f"primes-{limit}"
-    data = cache.get(key)
-    if isinstance(data, dict) and "primes" in data:
-        if not arith.validate_prime_table(data.get("limit", limit), data["primes"]):
-            cache.mark_corrupt(key)
-            data = None
-    elif data is not None:
-        cache.mark_corrupt(key)
-        data = None
-    if data is None:
-        cache.put(key, {"limit": limit,
-                        "primes": [int(p) for p in arith.primes_upto(limit)]})
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +73,7 @@ def emit(report: dict, args) -> None:
 
 def report_for(args, audit_tag: str, result: dict, paramset: pipeline.ParamSet | None = None) -> dict:
     resolved = {k: v for k, v in vars(args).items()
-                if k not in ("func", "out", "cache", "config") and v is not None}
+                if k not in ("func", "out", "config") and v is not None}
     if paramset is not None:
         resolved["paramset"] = paramset.as_dict()
     return {"schema": SCHEMA, "command": args.command, "audit": audit_tag,
@@ -161,12 +83,25 @@ def report_for(args, audit_tag: str, result: dict, paramset: pipeline.ParamSet |
 # ---------------------------------------------------------------------------
 # shared argument helpers
 
+def _pick(items, index, expects: str):
+    """items[index] for an integer index in [0, len(items)), else a DomainError."""
+    try:
+        i = int(index)
+    except (TypeError, ValueError):
+        i = -1
+    if not 0 <= i < len(items):
+        raise DomainError(f"{expects} in [0, {len(items)}), got {index!r}")
+    return items[i]
+
+
 def _fn(name: str) -> multfunc.MultiplicativeFunction:
     """h from its spec: a built-in name or character:q:i (i-th real character mod q)."""
     if name.startswith("character:"):
-        _, qs, idx = name.split(":")
-        chars = group_mod.real_characters(int(qs))
-        return multfunc.character_fn(chars[int(idx)])
+        parts = name.split(":")
+        if len(parts) != 3 or not parts[1].isdecimal():
+            raise DomainError(f"--h expects character:q:i with integers q and i, got {name!r}")
+        chars = group_mod.real_characters(int(parts[1]))
+        return multfunc.character_fn(_pick(chars, parts[2], "--h character:q:i expects i"))
     return multfunc.builtin_function(name)
 
 
@@ -174,10 +109,7 @@ def _real_char(q: int, spec: str):
     chars = group_mod.real_characters(q)
     if spec == "principal":
         return next(c for c in chars if c.is_principal)
-    try:
-        return chars[int(spec)]
-    except (ValueError, IndexError):
-        raise DomainError(f"--chi expects 'principal' or an index below {len(chars)}")
+    return _pick(chars, spec, "--chi expects 'principal' or an index")
 
 
 def _coset(args, q: int):
@@ -185,7 +117,7 @@ def _coset(args, q: int):
     if psi_idx is None:
         return None
     chars = [c for c in group_mod.real_characters(q) if not c.is_principal]
-    psi = chars[int(psi_idx)]
+    psi = _pick(chars, psi_idx, "--psi expects a non-principal real character index")
     return group_mod.CosetSpec(psi, getattr(args, "b", 1) or 1)
 
 
@@ -194,8 +126,15 @@ def _overrides(spec: str | None):
         return None
     out = []
     for part in spec.split(","):
-        a, b = part.split(":")
-        out.append((float(a), float(b)))
+        try:
+            a, b = map(float, part.split(":"))
+            ok = a < b
+        except ValueError:
+            ok = False
+        if not ok:
+            raise DomainError("--overrides expects lo:hi pairs with lo < hi, "
+                              f"comma-separated (e.g. 10:100,150:1500), got {spec!r}")
+        out.append((a, b))
     return out
 
 
@@ -404,9 +343,11 @@ def _toy_params(q: int, variant: str) -> tuple[pipeline.ParamSet, tuple]:
                                           R=20.0 if q == 35 else 30.0,
                                           Q1=16.0, z=3.0)
         return params, (None, None, (-1, -1, -1))
+    # m needs two primes >= 17, one of them in the ladder interval (16, 60],
+    # so M = 2000 makes the m sets, and with them S and T, non-empty
     params = pipeline.ParamSet.from_q(
-        q, 0.1, easy_mode=False, R=14.0, U=22.0, M=26.0, Q1=16.0, z=3.0, K=1,
-        ladder_overrides=None)
+        q, 0.1, easy_mode=False, R=14.0, U=22.0, M=2000.0, Q1=16.0, z=3.0, K=1,
+        ladder_overrides=[(16.0, 60.0)])
     return params, (None, None, None, (-1, -1, -1, -1, 1, 1))
 
 
@@ -437,6 +378,8 @@ def _worker_count(threads: int) -> int:
 
 
 def cmd_batch(args):
+    if not 1 <= args.qmin <= args.qmax:
+        raise DomainError(f"batch needs 1 <= --qmin <= --qmax, got {args.qmin} and {args.qmax}")
     qs = list(range(args.qmin, args.qmax + 1))
     worker = _BatchWorker(args)
     workers = _worker_count(args.threads)
@@ -499,7 +442,6 @@ def _common_flags(p, suppress: bool):
     p.add_argument("--out", default=d, help="write the report to this path instead of stdout")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=dflt("json"))
     p.add_argument("--seed", type=int, default=dflt(0))
-    p.add_argument("--cache", default=d, help="cache directory (or env LINNIK_CACHE_DIR)")
     p.add_argument("--threads", type=int, default=dflt(1))
 
 
@@ -616,15 +558,8 @@ def run(argv=None) -> int:
         if missing:
             raise _UsageError(f"missing required arguments for {args.command}: "
                               + ", ".join(f"--{m}" for m in missing))
-        cache_dir = args.cache or os.environ.get("LINNIK_CACHE_DIR")
-        cache = JsonCache(cache_dir) if cache_dir else None
-        if cache is not None and getattr(args, "q", None):
-            group_mod.build_unit_group(args.q, cache=cache)
-            _sync_prime_cache(cache, args.q)
         report = args.func(args)
         emit(report, args)
-        if cache is not None:
-            print(f"cache: {cache.stats}", file=sys.stderr)
         return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

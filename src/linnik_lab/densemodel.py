@@ -35,13 +35,6 @@ class DenseModel:
     g: np.ndarray                      # real values over group.units
     interval_count: int
 
-    def spectrum_characters(self):
-        G = self.group
-        return [group_mod.DirichletCharacter(G, G.dual_vector(i)) for i in self.spectrum]
-
-    def g_at(self, a: int) -> float:
-        return float(self.g[self.group.unit_pos[a % self.group.q]])
-
     def mean_g(self) -> float:
         return float(np.mean(self.g))
 

@@ -401,28 +401,18 @@ class DirichletCharacter:
 _group_cache: dict[int, UnitGroup] = {}
 
 
-def build_unit_group(q: int, cache=None) -> UnitGroup:
-    """Build (and memoize) Z_q^x.  `cache` may be a JsonCache for tables."""
+def build_unit_group(q: int) -> UnitGroup:
+    """Build (and memoize) Z_q^x."""
     if q == 0:
         raise DomainError("q must be >= 1")
     G = _group_cache.get(q)
     if G is None:
-        loaded = None
-        if cache is not None:
-            loaded = _from_cache(q, cache)
-        G = loaded if loaded is not None else UnitGroup(q)
-        if cache is not None and loaded is None:
-            cache.put(_cache_key(q), group_table_json(G))
-        _group_cache[q] = G
+        G = _group_cache[q] = UnitGroup(q)
     return G
 
 
 def characters(q: int, G: UnitGroup | None = None) -> tuple[DirichletCharacter, ...]:
     return (G or build_unit_group(q)).characters()
-
-
-def evaluate(chi: DirichletCharacter, n: int) -> complex:
-    return chi(n)
 
 
 def real_characters(q: int, G: UnitGroup | None = None) -> list[DirichletCharacter]:
@@ -583,54 +573,16 @@ def orthogonality_exact(G: UnitGroup) -> bool:
     is pairwise orthogonality of the full dual (differences of characters
     are characters).
     """
-    L = math.lcm(*(c.order for c in G.components)) if G.components else 1
-    mults = [L // c.order for c in G.components]
-    X = [G.dlog(int(a)) for a in G.units]
+    units = G.units
     for chi in G.characters():
         if chi.is_principal:
             continue
-        ks = [sum(t * x * m for t, x, m in zip(chi.vector, xs, mults)) % L for xs in X]
         m = chi.order
-        step = L // m
-        counts: dict[int, int] = {}
-        for k in ks:
-            if k % step:
-                return False
-            counts[k] = counts.get(k, 0) + 1
-        if len(counts) != m or len(set(counts.values())) != 1:
+        step = G.angle_modulus // m
+        ks = chi.angles()[units]
+        if np.any(ks % step):
+            return False
+        counts = np.bincount(ks // step, minlength=m)
+        if counts.min() != counts.max():
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# JSON character tables (external interface)
-
-def _cache_key(q: int) -> str:
-    return f"chartable-q{q}"
-
-
-def group_table_json(G: UnitGroup) -> dict:
-    return {
-        "modulus": G.q,
-        "phi": G.phi,
-        "components": [[c.modulus, c.generator, c.order] for c in G.components],
-        "dual_vectors": [list(c.vector) for c in G.characters()],
-    }
-
-
-def _from_cache(q: int, cache) -> UnitGroup | None:
-    data = cache.get(_cache_key(q))
-    if not isinstance(data, dict):
-        return None
-    try:
-        if data["modulus"] != q or data["phi"] != arith.euler_phi(q):
-            raise ValueError("inconsistent cached table")
-        G = UnitGroup(q)
-        cached = [tuple(c) for c in data["components"]]
-        built = [(c.modulus, c.generator, c.order) for c in G.components]
-        if cached != built:
-            raise ValueError("cached components disagree with rebuild")
-        return G
-    except Exception:
-        cache.mark_corrupt(_cache_key(q))
-        return None

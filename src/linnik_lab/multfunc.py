@@ -90,6 +90,16 @@ class MultiplicativeFunction:
             out[i] = 0 if v == 0 else (1 if v > 0 else -1)
         return out
 
+    def squarefree_sign_window(self, lo: int, hi: int) -> np.ndarray:
+        """sign_window(lo, hi) with 0 wherever n is not squarefree.
+
+        For liouville and mobius this is mu(n), so one window sieve serves
+        both the signs and the squarefree flags.
+        """
+        lam, sqf = arith.liouville_squarefree_window(lo, hi)
+        signs = lam if self.kind in ("liouville", "mobius") else self.sign_window(lo, hi)
+        return np.where(sqf, signs, 0)
+
 
 def liouville_fn() -> MultiplicativeFunction:
     return MultiplicativeFunction("liouville", lambda p, e: float((-1) ** e), kind="liouville")
@@ -171,11 +181,12 @@ def sign_density_counts(h: MultiplicativeFunction, q: int, y: int, delta: int,
     """
     if y < 1:
         raise DomainError("y must be >= 1")
-    signs = h.sign_window(0, y)
-    _, sqf = arith.liouville_squarefree_window(0, y)
+    if delta not in (PLUS, MINUS):
+        raise DomainError("delta must be +1 or -1")
+    signs = h.squarefree_sign_window(0, y)
     n = np.arange(1, y + 1, dtype=np.int64)
     coprime = np.gcd(n, q) == 1 if q > 1 else np.ones(y, dtype=bool)
-    count = int(np.sum(sqf & coprime & (signs == delta)))
+    count = int(np.sum(coprime & (signs == delta)))
     shape = arith.euler_phi(q) / q * y
     neg_cut = y / q ** (eps / 8) if q > 1 else float(y)
     neg_sum = 0.0

@@ -119,11 +119,10 @@ def _scan_witnesses(h, q: int, cap: int, stop_when_complete: bool = True):
     while lo < cap and (len(found) < want or not stop_when_complete):
         hi = min(cap, lo + chunk)
         ns = np.arange(lo + 1, hi + 1, dtype=np.int64)
-        _, sqf = arith.liouville_squarefree_window(lo, hi)
-        signs = h.sign_window(lo, hi)
+        signs = h.squarefree_sign_window(lo, hi)
         res = ns % q if q > 1 else np.zeros(len(ns), dtype=np.int64)
         unit = (np.gcd(res, q) == 1) if q > 1 else np.ones(len(ns), dtype=bool)
-        mask = sqf & unit & (signs != 0)
+        mask = unit & (signs != 0)
         if mask.any():
             keys = res[mask] * 2 + (signs[mask] < 0)
             sub_ns = ns[mask]

@@ -231,9 +231,11 @@ def _toy_easy(q):
     return pl.build_context(LAM, q, params)
 
 
-def _toy_general(q, M=26.0, ladder=None):
-    params = pl.ParamSet.from_q(q, 0.1, easy_mode=False, R=14.0, U=22.0, M=M,
-                                Q1=16.0, z=3.0, K=1, ladder_overrides=ladder)
+def _toy_general(q):
+    # m needs two primes >= 17, one of them in the ladder interval (16, 60],
+    # so M = 2000 makes the m sets non-empty and the S/T comparisons non-vacuous
+    params = pl.ParamSet.from_q(q, 0.1, easy_mode=False, R=14.0, U=22.0, M=2000.0,
+                                Q1=16.0, z=3.0, K=1, ladder_overrides=[(16.0, 60.0)])
     return pl.build_context(LAM, q, params, ks=(-1, 0, 1))
 
 
@@ -246,9 +248,7 @@ def test_criterion_09_dual_route_S():
                 chars = pl.s_function_easy_chars(ctx, a, None, None, deltas)
                 assert abs(direct - chars) <= max(1e-9 * abs(direct), 1e-12)
                 checked += 1
-    # m needs two primes >= 17, one of them in the ladder interval (16, 60],
-    # so M = 2000 makes the m sets non-empty and the comparison non-vacuous
-    ctx = _toy_general(35, M=2000.0, ladder=[(16.0, 60.0)])
+    ctx = _toy_general(35)
     kset = [(0, 0, 0), (1, 0, -1), (-1, 1, 0)]
     for a in (1, 2):
         for deltas in ((-1, -1, -1, -1, 1, 1), (-1, -1, 1, -1, 1, 1)):

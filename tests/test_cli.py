@@ -53,6 +53,19 @@ def test_exit_codes(capsys, monkeypatch):
     assert code == 3 and "resource" in err
     code, _, _ = run_cli(capsys)
     assert code == 1
+    # malformed h specs, character indices, ladder overrides and batch ranges
+    # are domain errors
+    for argv in (("rfunc", "--h", "character:7", "--q", "8", "--cap", "100"),
+                 ("rfunc", "--h", "character:7:9", "--q", "8", "--cap", "100"),
+                 ("rfunc", "--h", "character:7:-1", "--q", "8", "--cap", "100"),
+                 ("rough", "--q", "35", "--cap", "1000", "--z", "3", "--psi", "9"),
+                 ("rough", "--q", "35", "--cap", "1000", "--z", "3", "--psi", "-1"),
+                 ("pretend", "--q", "5", "--cutoff", "10", "--chi", "-1"),
+                 ("ladder", "--Q1", "10", "--q", "101", "--overrides", "10-100"),
+                 ("batch", "--qmin", "0", "--qmax", "3"),
+                 ("--format", "csv", "batch", "--qmin", "5", "--qmax", "3")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "Traceback" not in err, (argv, err)
 
 
 def test_determinism(capsys):
@@ -68,41 +81,6 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     data = json.loads(out_path.read_text())
     assert data["result"]["factors"] == [[97, 1], [103, 1]]
-
-
-def test_cache_cold_warm_and_corrupt(tmp_path, capsys):
-    # each run_cli models a separate process: drop the in-memory group memo
-    from linnik_lab import group as g
-    cache_args = ("--cache", str(tmp_path))
-    g._group_cache.pop(1009, None)
-    code, out1, err1 = run_cli(capsys, "charsum", "mvt", "--q", "1009", *cache_args)
-    assert code == 0
-    g._group_cache.pop(1009, None)
-    code, out2, err2 = run_cli(capsys, "charsum", "mvt", "--q", "1009", *cache_args)
-    assert code == 0
-    assert out1 == out2  # cold then warm: identical report
-    assert "cache: hit chartable-q1009" in err2
-    # a second subcommand reuses the same keyed entry
-    g._group_cache.pop(1009, None)
-    code, _, err3 = run_cli(capsys, "rfunc", "--q", "1009", "--cap", "40000", *cache_args)
-    assert code == 0 and "cache: hit chartable-q1009" in err3
-    # the prime sieve is cached keyed by range and validated on reuse
-    assert (tmp_path / "primes-2018.json").exists()
-    data = json.loads((tmp_path / "primes-2018.json").read_text())
-    assert data["primes"][0] == 2 and data["primes"][-1] == 2017
-    # corruption: recompute, warn, still correct
-    for f in tmp_path.iterdir():
-        f.write_text("{broken")
-    g._group_cache.pop(1009, None)
-    code, out3, err4 = run_cli(capsys, "charsum", "mvt", "--q", "1009", *cache_args)
-    assert code == 0 and "corrupt" in err4
-    assert out3 == out1
-    # a structurally valid but wrong prime table is rejected as corrupt
-    (tmp_path / "primes-2018.json").write_text(
-        json.dumps({"limit": 2018, "primes": [2, 3, 5, 9]}))
-    g._group_cache.pop(1009, None)
-    code, _, err5 = run_cli(capsys, "charsum", "mvt", "--q", "1009", *cache_args)
-    assert code == 0 and "corrupt entry primes-2018" in err5
 
 
 def test_config_file(tmp_path, capsys):
@@ -150,6 +128,8 @@ def test_more_subcommands_smoke(capsys):
         (("charsum", "moments", "--q", "35", "--N", "2000"),
          lambda d: d["result"]["squares"]["lhs"] >= 0),
         (("stcompare", "--q", "35", "--a", "1"), lambda d: d["result"]["lhs"] >= 0),
+        (("stcompare", "--q", "35", "--variant", "general"),
+         lambda d: d["result"]["extra"]["S"] > 0),
         (("audit", "--q", "3", "--Q1", "10"),
          lambda d: d["result"]["verdict"] in ("branch1", "both")),
         (("densemodel", "--q", "101", "--R", "101"),

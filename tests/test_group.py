@@ -158,22 +158,3 @@ def test_large_modulus_streams_without_element_list():
     assert chi(q) == 0
     with pytest.raises(DomainError):
         _ = G.units
-
-
-def test_json_table_cache_roundtrip(tmp_path):
-    from linnik_lab.cli import JsonCache
-    cache = JsonCache(str(tmp_path))
-    g._group_cache.pop(77, None)
-    G = g.build_unit_group(77, cache=cache)
-    assert cache.stats["writes"] == 1
-    g._group_cache.pop(77, None)
-    G2 = g.build_unit_group(77, cache=cache)
-    assert cache.stats["hits"] == 1
-    assert G2.phi == G.phi
-    # corrupt entry falls back to recompute
-    for f in tmp_path.iterdir():
-        f.write_text("{ not json")
-    g._group_cache.pop(77, None)
-    G3 = g.build_unit_group(77, cache=cache)
-    assert G3.phi == arith.euler_phi(77)
-    assert cache.stats["corrupt"] >= 1

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -51,6 +52,25 @@ def test_sign_windows_match_values():
     win = h.sign_window(0, 50)
     for i, n in enumerate(range(1, 51)):
         assert win[i] == (0 if n % 5 == 0 else (1 if quad(n).real > 0 else -1))
+
+
+SQUAREFREE_SIGN_FNS = (
+    mf.liouville_fn(), mf.mobius_fn(), mf.one_fn(),
+    mf.character_fn(group.real_characters(7)[1]),
+    # kind "generic": the factor_window route of sign_window
+    mf.MultiplicativeFunction("generic", lambda p, e: -1.0 if p % 4 == 3 else float(e % 3)),
+)
+
+
+@given(st.sampled_from(SQUAREFREE_SIGN_FNS), st.integers(min_value=0, max_value=10**5),
+       st.integers(min_value=0, max_value=500))
+@settings(max_examples=100, deadline=None)
+def test_squarefree_sign_window_masks_sign_window(h, lo, width):
+    hi = lo + width
+    sqf = np.array([arith.is_squarefree(n) for n in range(lo + 1, hi + 1)], dtype=bool)
+    got = h.squarefree_sign_window(lo, hi)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, np.where(sqf, h.sign_window(lo, hi), 0))
 
 
 def test_pretentious_distance():
