@@ -115,10 +115,6 @@ class Factorization:
             out *= math.comb(e + k - 1, k - 1)
         return out
 
-    def omega_in_range(self, lo: float, hi: float) -> int:
-        """Number of prime divisors p with lo < p <= hi."""
-        return sum(1 for p in self.primes if lo < p <= hi)
-
 
 _factor_memo: dict[int, Factorization] = {}
 
@@ -450,31 +446,92 @@ def liouville_squarefree_window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarra
     return lam, sqf
 
 
-def factor_window(lo: int, hi: int) -> list[list[tuple[int, int]]]:
-    """Factorizations of lo+1 .. hi via a segmented sieve (python lists)."""
+@dataclass(frozen=True, eq=False)
+class WindowFactors:
+    """Factorizations of the integers lo+1 .. hi as arrays.
+
+    The factors of the i-th integer n = lo + 1 + i are primes[start[i]:
+    start[i+1]] with exponents exps[start[i]:start[i+1]], primes increasing
+    (compressed sparse rows, sorted by n and then by p).  Per-n arrays:
+    omega (distinct primes), big_omega (with multiplicity), squarefree, and
+    spf, the smallest prime factor (0 for n = 1).
+    """
+
+    lo: int
+    hi: int
+    start: np.ndarray
+    primes: np.ndarray
+    exps: np.ndarray
+    omega: np.ndarray
+    big_omega: np.ndarray
+    squarefree: np.ndarray
+    spf: np.ndarray
+
+    @property
+    def ns(self) -> np.ndarray:
+        """The integers lo+1 .. hi."""
+        return np.arange(self.lo + 1, self.hi + 1, dtype=np.int64)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Position (n - lo - 1) of the integer each factor belongs to."""
+        return np.repeat(np.arange(self.hi - self.lo), self.omega)
+
+    def prod(self, values: np.ndarray) -> np.ndarray:
+        """Per n, the product of `values` (one per factor) over its factors,
+        taken left to right in increasing p; 1 for n = 1."""
+        out = np.ones(self.hi - self.lo, dtype=values.dtype)
+        has = self.omega > 0
+        if has.any():
+            out[has] = np.multiply.reduceat(values, self.start[:-1][has])
+        return out
+
+    def count_in(self, P: float, Q: float) -> np.ndarray:
+        """Per n, the number of its prime factors p with P < p <= Q."""
+        inside = (self.primes > P) & (self.primes <= Q)
+        return np.bincount(self.rows[inside], minlength=self.hi - self.lo)
+
+
+def factor_window(lo: int, hi: int) -> WindowFactors:
+    """Factorizations of lo+1 .. hi by one segmented sieve, as arrays."""
+    if lo < 0:
+        raise DomainError(f"factor_window needs lo >= 0, got {lo}")
     n0 = lo + 1
-    N = hi - lo
-    if N <= 0:
-        return []
-    rem = np.arange(n0, hi + 1, dtype=np.int64)
-    facs: list[list[tuple[int, int]]] = [[] for _ in range(N)]
-    for p in primes_upto(math.isqrt(max(hi, 0))):
-        p = int(p)
-        start = (-n0) % p
-        idx = np.arange(start, N, p)
+    N = max(hi - lo, 0)
+    rem = np.arange(n0, n0 + N, dtype=np.int64)
+    rows, ps, es = [], [], []
+    for p in primes_upto(math.isqrt(max(hi, 0))).tolist():
+        idx = np.arange((-n0) % p, N, p)
         if idx.size == 0:
             continue
-        exps = np.zeros(idx.size, dtype=np.int32)
+        exps = np.zeros(idx.size, dtype=np.int64)
         live = np.arange(idx.size)
-        cur = idx.copy()
+        cur = idx
         while cur.size:
             rem[cur] //= p
             exps[live] += 1
             keep = rem[cur] % p == 0
             cur = cur[keep]
             live = live[keep]
-        for pos, e in zip(idx, exps):
-            facs[pos].append((p, int(e)))
-    for pos in np.nonzero(rem > 1)[0]:
-        facs[pos].append((int(rem[pos]), 1))
-    return facs
+        rows.append(idx)
+        ps.append(np.full(idx.size, p, dtype=np.int64))
+        es.append(exps)
+    # what is left above 1 is a single prime larger than every sieving prime
+    big = np.nonzero(rem > 1)[0]
+    rows.append(big)
+    ps.append(rem[big])
+    es.append(np.ones(big.size, dtype=np.int64))
+    row = np.concatenate(rows)
+    order = np.argsort(row, kind="stable")
+    row = row[order]
+    primes = np.concatenate(ps)[order]
+    exps = np.concatenate(es)[order]
+    omega = np.bincount(row, minlength=N)
+    start = np.zeros(N + 1, dtype=np.int64)
+    np.cumsum(omega, out=start[1:])
+    big_omega = np.bincount(row, weights=exps, minlength=N).astype(np.int64)
+    squarefree = np.bincount(row, weights=exps > 1, minlength=N) == 0
+    spf = np.zeros(N, dtype=np.int64)
+    has = omega > 0
+    spf[has] = primes[start[:-1][has]]
+    return WindowFactors(lo, hi, start, primes, exps, omega, big_omega, squarefree, spf)

@@ -173,15 +173,19 @@ def m_set(G, h, M: float, v: int, ladder: "LadderSpec", B=None, delta=None) -> l
     """Squarefree m in I_M(v), m in the ladder set S, (m, P(Q1)) = 1, sign delta."""
     iv = arith.IntegerInterval.e_adic(M, v)
     lo, hi = iv.ilo, iv.ihi
-    base = _squarefree_signed(G, h, lo, hi, B, delta)
-    out = []
-    for m in base:
-        fac = arith.factorize(m)
-        if fac.primes and fac.primes[0] < ladder.Q1:
-            continue
-        if in_S(m, ladder, fac):
-            out.append(m)
-    return out
+    wf = arith.factor_window(lo, hi)
+    ns = wf.ns
+    keep = wf.squarefree & _rough_past(wf, ladder.Q1) & _coset_mask(B, G, ns)
+    if delta is not None:
+        keep &= h.sign_window(lo, hi) == delta
+    for P, Q in ladder.intervals:
+        keep &= wf.count_in(P, Q) > 0
+    return ns[keep].tolist()
+
+
+def _rough_past(wf: arith.WindowFactors, Q1: float) -> np.ndarray:
+    """No prime factor below Q1."""
+    return (wf.omega == 0) | (wf.spf >= Q1)
 
 
 def prime_sum_Q(chi, qset: list[int], Q1: float) -> complex:
@@ -236,23 +240,12 @@ def ladder_build(Q1: float, q: int, overrides=None) -> LadderSpec:
     return LadderSpec(Q1, 1 + len(ivs), tuple(ivs))
 
 
-def in_S(n: int, ladder: LadderSpec, fac: arith.Factorization | None = None) -> bool:
+def in_S(n: int, ladder: LadderSpec) -> bool:
     """True iff n has at least one prime factor in every ladder interval."""
     if not ladder.intervals:
         return True
-    if fac is None:
-        fac = arith.factorize(n)
-    return all(any(P < p <= Q for p in fac.primes) for P, Q in ladder.intervals)
-
-
-def _in_S_except(fac: arith.Factorization, ladder: LadderSpec, j: int) -> bool:
-    """Membership in S_j: a factor from every interval except the j-th."""
-    for jj, (P, Q) in enumerate(ladder.intervals, start=2):
-        if jj == j:
-            continue
-        if not any(P < p <= Q for p in fac.primes):
-            return False
-    return True
+    primes = arith.factorize(n).primes
+    return all(any(P < p <= Q for p in primes) for P, Q in ladder.intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +497,10 @@ def partition_characters(q: int, ladder: LadderSpec, H, h, eta: float) -> Charac
 # ---------------------------------------------------------------------------
 # Ramare-type decomposition (exact identity)
 
+def _joined(parts: list[np.ndarray], dtype=np.int64) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+
 def _psi_of(B):
     if B is None:
         return None, 1
@@ -519,7 +516,8 @@ def ramare_decompose(G: group_mod.UnitGroup, h, B, delta: int, v: int, j: int,
     E1 collects the squarefree-repair terms (products p^2 m), E2 the two
     edge windows created by snapping the cofactor interval.  All five arrays
     are indexed by G.characters(); the defect max_chi |M - Mt - E1 - E2| is
-    returned and must vanish to ~1e-12.
+    returned and must vanish to ~1e-12.  h must not vanish on a cofactor
+    candidate or a prime of (P_j, Q_j] (DomainError).
     """
     q = G.q
     Q1 = ladder.Q1
@@ -532,43 +530,33 @@ def ramare_decompose(G: group_mod.UnitGroup, h, B, delta: int, v: int, j: int,
     psi_table = psi.real_sign_table() if psi is not None else None
     target = psi_table[b % q] if psi is not None else 1
 
-    def in_B(n: int) -> bool:
-        return psi_table is None or psi_table[n % q] == target
-
-    # factorization data for the master window
-    facs = arith.factor_window(0, n_hi)
-
-    def fac_of(n: int) -> arith.Factorization:
-        return arith.Factorization(n, tuple(facs[n - 1]))
-
-    def m_conditions(m: int) -> bool:
-        # shared cofactor conditions: squarefree, rough past Q1, in S_j
-        if m < 1 or math.gcd(m, q) != 1:
-            return False
-        f = fac_of(m)
-        if not f.is_squarefree:
-            return False
-        if f.primes and f.primes[0] < Q1:
-            return False
-        return _in_S_except(f, ladder, j)
+    # factorization data for the master window; entry m - 1 describes m
+    wf = arith.factor_window(0, n_hi)
+    ns = wf.ns
+    sign = h.sign_window(0, n_hi)
+    coset = psi_table[ns % q] if psi_table is not None else np.ones(n_hi, dtype=np.int8)
+    marks = wf.count_in(P_j, Q_j)
+    weight = 1.0 / (marks + 1)
+    # shared cofactor conditions: squarefree, unit, rough past Q1, in S_j
+    cond = wf.squarefree & (np.gcd(ns, q) == 1) & _rough_past(wf, Q1)
+    for jj, (P, Q) in enumerate(ladder.intervals, start=2):
+        if jj != j:
+            cond &= wf.count_in(P, Q) > 0
+    if np.any(cond & (sign == 0)):
+        raise DomainError("h vanishes on a cofactor of the decomposition")
 
     # --- direct M sum ------------------------------------------------------
-    m_members = []
-    for n in range(n_lo + 1, n_hi + 1):
-        f = fac_of(n)
-        if not f.is_squarefree or math.gcd(n, q) != 1:
-            continue
-        if f.primes and f.primes[0] < Q1:
-            continue
-        if not in_S(n, ladder, f):
-            continue
-        if not in_B(n) or h.sign(n) != delta:
-            continue
-        m_members.append(n)
+    w0 = slice(n_lo, n_hi)
+    m_members = ns[w0][cond[w0] & (marks[w0] > 0) & (coset[w0] == target) & (sign[w0] == delta)]
     M_direct = all_char_sums(G, m_members) / norm
 
     # --- marked main term Mtilde ------------------------------------------
-    primes_j = [int(p) for p in arith.primes_in(P_j, Q_j)]
+    primes_j = [p for p in arith.primes_in(P_j, Q_j).tolist() if math.gcd(p, q) == 1]
+    # sign and coset of each prime; one above the factor table asks h directly
+    p_sign = {p: int(sign[p - 1]) if p <= n_hi else h.sign(p) for p in primes_j}
+    p_coset = {p: int(psi_table[p % q]) if psi_table is not None else 1 for p in primes_j}
+    if 0 in p_sign.values():
+        raise DomainError("h vanishes at a prime of the j-th ladder interval")
     Mtilde = np.zeros(G.phi, dtype=complex)
     r_cache: dict[tuple[int, int, int], np.ndarray] = {}
 
@@ -578,83 +566,56 @@ def ramare_decompose(G: group_mod.UnitGroup, h, B, delta: int, v: int, j: int,
             win = arith.IntegerInterval(norm * math.exp(-w / H - 1), norm * math.exp(-w / H))
             if win.ihi > n_hi:
                 raise AssertionError("cofactor window escaped the factor table")
-            terms, weights = [], []
-            for m in range(max(win.ilo, 0) + 1, win.ihi + 1):
-                if not m_conditions(m):
-                    continue
-                if h.sign(m) != delta2:
-                    continue
-                if psi_table is not None and psi_table[m % q] != coset_sign:
-                    continue
-                f = fac_of(m)
-                terms.append(m)
-                weights.append(1.0 / (f.omega_in_range(P_j, Q_j) + 1))
-            r_cache[key] = all_char_sums(G, terms, weights) / (norm * math.exp(-w / H))
+            sl = slice(max(win.ilo, 0), win.ihi)
+            keep = cond[sl] & (sign[sl] == delta2) & (coset[sl] == coset_sign)
+            r_cache[key] = all_char_sums(G, ns[sl][keep], weight[sl][keep]) \
+                / (norm * math.exp(-w / H))
         return r_cache[key]
 
     q_buckets: dict[tuple[int, int, int], list[int]] = {}
     for p in primes_j:
-        if math.gcd(p, q) != 1:
-            continue
         w = _w_of_p(p, H)
-        s1 = h.sign(p)
-        c1 = int(psi_table[p % q]) if psi_table is not None else 1
-        q_buckets.setdefault((w, s1, c1), []).append(p)
+        q_buckets.setdefault((w, p_sign[p], p_coset[p]), []).append(p)
     for (w, s1, c1), plist in q_buckets.items():
         qsum = all_char_sums(G, plist) * math.exp(-w / H)
         delta2 = delta * s1
         coset2 = target * c1  # need c1 * c2 = target
         Mtilde += qsum * r_sum(w, delta2, coset2)
 
-    # --- E1: squarefree repair (n = p^2 m0) --------------------------------
+    # --- E1: squarefree repair (n = p^2 m0, m = p m0) ----------------------
     e1_terms, e1_weights = [], []
     for p in primes_j:
-        if math.gcd(p, q) != 1:
-            continue
         p2 = p * p
-        for m0 in range(n_lo // p2 + 1, n_hi // p2 + 1):
-            m = p * m0
-            if not m_conditions(m):
-                continue
-            if h.sign(p) * h.sign(m) != delta:
-                continue
-            if psi_table is not None and psi_table[p % q] * psi_table[m % q] != target:
-                continue
-            f = fac_of(m)
-            e1_terms.append(p2 * m0)
-            e1_weights.append(-1.0 / (f.omega_in_range(P_j, Q_j) + 1))
+        m = p * np.arange(n_lo // p2 + 1, n_hi // p2 + 1)
+        i = m - 1
+        keep = cond[i] & (p_sign[p] * sign[i] == delta) & (p_coset[p] * coset[i] == target)
+        e1_terms.append(p * m[keep])
+        e1_weights.append(-weight[i[keep]])
+    e1_terms, e1_weights = _joined(e1_terms), _joined(e1_weights, float)
     E1 = all_char_sums(G, e1_terms, e1_weights) / norm
 
     # --- E2: interval-snapping edge terms ----------------------------------
     e2_terms, e2_weights = [], []
     for p in primes_j:
-        if math.gcd(p, q) != 1:
-            continue
         w = _w_of_p(p, H)
         fixed = arith.IntegerInterval(norm * math.exp(-w / H - 1), norm * math.exp(-w / H))
         true_lo, true_hi = n_lo // p, n_hi // p
         lo = min(fixed.ilo, true_lo)
         hi = max(fixed.ihi, true_hi)
-        s1 = h.sign(p)
-        c1 = int(psi_table[p % q]) if psi_table is not None else 1
-        for m in range(lo + 1, hi + 1):
-            ind_true = true_lo < m <= true_hi
-            ind_fixed = m in fixed
-            if ind_true == ind_fixed:
-                continue
-            if not m_conditions(m):
-                continue
-            if s1 * h.sign(m) != delta:
-                continue
-            if psi_table is not None and c1 * psi_table[m % q] != target:
-                continue
-            f = fac_of(m)
-            e2_terms.append(p * m)
-            e2_weights.append((1.0 if ind_true else -1.0) / (f.omega_in_range(P_j, Q_j) + 1))
+        if hi > n_hi:
+            raise AssertionError("cofactor window escaped the factor table")
+        m = ns[lo:hi]
+        ind_true = (m > true_lo) & (m <= true_hi)
+        ind_fixed = (m > fixed.ilo) & (m <= fixed.ihi)
+        keep = ((ind_true != ind_fixed) & cond[lo:hi] & (p_sign[p] * sign[lo:hi] == delta)
+                & (p_coset[p] * coset[lo:hi] == target))
+        e2_terms.append(p * m[keep])
+        e2_weights.append(np.where(ind_true[keep], 1.0, -1.0) / (marks[lo:hi][keep] + 1))
+    e2_terms, e2_weights = _joined(e2_terms), _joined(e2_weights, float)
     E2 = all_char_sums(G, e2_terms, e2_weights) / norm
 
     defect = float(np.abs(M_direct - Mtilde - E1 - E2).max()) if len(M_direct) else 0.0
-    max_coeff = max([abs(wgt) for wgt in e1_weights + e2_weights], default=0.0)
+    max_coeff = float(np.abs(np.concatenate([e1_weights, e2_weights])).max(initial=0.0))
     return {"M": M_direct, "Mtilde": Mtilde, "E1": E1, "E2": E2,
             "defect": defect, "members": len(m_members),
             "e1_terms": len(e1_terms), "e2_terms": len(e2_terms),

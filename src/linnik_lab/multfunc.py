@@ -82,13 +82,12 @@ class MultiplicativeFunction:
             table = chi.real_sign_table()
             n = np.arange(lo + 1, hi + 1, dtype=np.int64)
             return table[n % chi.group.q]
-        out = np.empty(N, dtype=np.int8)
-        for i, fac in enumerate(arith.factor_window(lo, hi)):
-            v = 1.0
-            for p, e in fac:
-                v *= self.rule(p, e)
-            out[i] = 0 if v == 0 else (1 if v > 0 else -1)
-        return out
+        wf = arith.factor_window(lo, hi)
+        pairs, inverse = np.unique(np.stack([wf.primes, wf.exps], axis=1), axis=0,
+                                   return_inverse=True)
+        rule = np.array([float(self.rule(p, e)) for p, e in pairs.tolist()])
+        v = wf.prod(rule[inverse.reshape(-1)])
+        return np.where(v == 0, 0, np.where(v > 0, 1, -1)).astype(np.int8)
 
     def squarefree_sign_window(self, lo: int, hi: int) -> np.ndarray:
         """sign_window(lo, hi) with 0 wherever n is not squarefree.
@@ -215,12 +214,11 @@ def rough_squarefree_density(x: int, prime_predicate: Callable[[int], bool]) -> 
     """
     if x < 10:
         raise DomainError("x must be >= 10")
-    count = 0
-    for fac in arith.factor_window(0, x):
-        if any(e > 1 for _, e in fac):
-            continue
-        if all(prime_predicate(p) for p, _ in fac):
-            count += 1
+    wf = arith.factor_window(0, x)
+    ps, inverse = np.unique(wf.primes, return_inverse=True)
+    allowed = np.array([bool(prime_predicate(p)) for p in ps.tolist()], dtype=bool)
+    outside = np.bincount(wf.rows[~allowed[inverse]], minlength=x) > 0
+    count = int(np.count_nonzero(wf.squarefree & ~outside))
     lhs = count / x
     rhs = 1.0
     for p in arith.primes_upto(x):
@@ -309,19 +307,13 @@ def one_star_psi_sum(q: int, psi, y: int, z: float) -> tuple[float, dict]:
         raise DomainError("psi must be real")
     if y < 1:
         raise DomainError("y must be >= 1")
-    total = 0.0
-    for fac in arith.factor_window(0, y):
-        if any(p < z for p, _ in fac):
-            continue
-        term = 1.0
-        for p, e in fac:
-            v = psi(p).real
-            if v > 0:
-                term *= e + 1
-            elif v < 0:
-                term *= 1.0 if e % 2 == 0 else 0.0
-            # v == 0: factor 1
-        total += term
+    wf = arith.factor_window(0, y)
+    # (1 * psi)(p^e) is e + 1 where psi(p) = 1, [e even] where psi(p) = -1,
+    # and 1 where psi(p) = 0; every term is an integer, so the sum is exact
+    v = psi.real_sign_table()[wf.primes % psi.group.q]
+    local = np.where(v > 0, wf.exps + 1, np.where(v < 0, wf.exps % 2 == 0, 1))
+    rough = (wf.omega == 0) | (wf.spf >= z)
+    total = float(wf.prod(local)[rough].sum())
     shape = 1.0
     if not psi.is_principal:
         L1 = dirichlet_L1(psi)

@@ -292,10 +292,92 @@ def build_context(h, q: int, params: ParamSet, ks=None) -> SignContext:
 # ---------------------------------------------------------------------------
 # S and T: single-interval ("easy") variant
 
+def _unit_class(q: int, a: int) -> int:
+    """a mod q, the class S and T count at; it must be a unit."""
+    if math.gcd(a, q) != 1:
+        raise DomainError(f"the class a = {a} is not a unit mod {q}")
+    return a % q
+
+
 def _project(G: group_mod.UnitGroup, a: int, prod_over_chars: np.ndarray) -> float:
     """(1/phi) sum_chi chi(a) prod(chi), the inverse transform at one class."""
     values = group_mod.fourier_inverse(G, prod_over_chars)
-    return float(values[G.unit_pos[a % G.q]].real / G.phi)
+    return float(values[G.unit_pos[_unit_class(G.q, a)]].real / G.phi)
+
+
+# hits expanded at once by the class join; bounds its memory
+_JOIN_HITS = 1 << 16
+
+
+def _grid(lists: list[np.ndarray], rows: np.ndarray) -> list[np.ndarray]:
+    """The parts of the given rows of the grid lists[0] x lists[1] x ... (C order)."""
+    idx = np.unravel_index(rows, tuple(len(x) for x in lists))
+    return [x[i] for x, i in zip(lists, idx)]
+
+
+def _classes_and_clean(parts: list[np.ndarray], q: int, sqf: np.ndarray):
+    """Per row: the class of the product of the parts mod q, and whether the
+    parts are all squarefree and pairwise coprime."""
+    cls = np.ones(len(parts[0]), dtype=np.int64)
+    clean = np.ones(len(parts[0]), dtype=bool)
+    for i, x in enumerate(parts):
+        cls = cls * (x % q) % q
+        clean &= sqf[x]
+        for y in parts[:i]:
+            clean &= np.gcd(x, y) == 1
+    return cls, clean
+
+
+def _class_join(G: group_mod.UnitGroup, a: int, lists) -> tuple[int, int]:
+    """(count, loss): the number of tuples (x_1, ..., x_k), x_i from the i-th
+    list of units, with x_1 ... x_k = a mod q, and the number of those whose
+    product is not squarefree.
+
+    Exact direct enumeration arranged as a join on classes.  The lists split
+    into a left and a right grid of balanced sizes; the right grid is sorted
+    by class, and each left row of class c finds the right rows of class
+    a c^-1 by binary search.  Every hit is built and tested: all parts
+    squarefree and pairwise coprime, by np.gcd on pairs of parts (a running
+    product of the parts could overflow int64).  Left rows are taken in
+    blocks of at most _JOIN_HITS hits (or one row), so memory does not grow
+    with the tuple count.
+    """
+    q = G.q
+    lists = [np.asarray(x, dtype=np.int64) for x in lists]
+    _, sqf = arith.liouville_squarefree_window(0, max(int(x.max()) for x in lists))
+    sqf = np.concatenate([[False], sqf])     # indexed by the integer itself
+    sizes = [len(x) for x in lists]
+    s = min(range(1, len(lists)),
+            key=lambda i: max(math.prod(sizes[:i]), math.prod(sizes[i:])))
+    right = _grid(lists[s:], np.arange(math.prod(sizes[s:])))
+    right_cls, right_clean = _classes_and_clean(right, q, sqf)
+    order = np.argsort(right_cls, kind="stable")
+    right_cls, right_clean = right_cls[order], right_clean[order]
+    right = [x[order] for x in right]
+    inverse = np.zeros(q, dtype=np.int64)
+    inverse[G.units] = G.units[G.inverse_pos()]
+    block = max(1, _JOIN_HITS // int(np.bincount(right_cls).max()))
+    n_left = math.prod(sizes[:s])
+    count = loss = 0
+    for first in range(0, n_left, block):
+        left = _grid(lists[:s], np.arange(first, min(first + block, n_left)))
+        cls, clean = _classes_and_clean(left, q, sqf)
+        want = a * inverse[cls] % q
+        lo = np.searchsorted(right_cls, want, side="left")
+        hits = np.searchsorted(right_cls, want, side="right") - lo
+        total = int(hits.sum())
+        if total == 0:
+            continue
+        li = np.repeat(np.arange(len(cls)), hits)
+        ri = np.repeat(lo - np.cumsum(hits) + hits, hits) + np.arange(total)
+        ok = clean[li] & right_clean[ri]
+        for x in left:
+            x = x[li]
+            for y in right:
+                ok &= np.gcd(x, y[ri]) == 1
+        count += total
+        loss += total - int(np.count_nonzero(ok))
+    return count, loss
 
 
 def s_function_easy(ctx: SignContext, a: int, B2, B3, deltas: tuple[int, int, int],
@@ -308,7 +390,7 @@ def s_function_easy(ctx: SignContext, a: int, B2, B3, deltas: tuple[int, int, in
     unless monte_carlo, in which case a flagged estimate is returned.
     """
     d1, d2, d3 = deltas
-    q = ctx.q
+    a = _unit_class(ctx.q, a)
     p_set = charsums.q_set(ctx.G, ctx.h, ctx.params.Q1, B2, d2)
     u_list = charsums.u_set_easy(ctx.G, ctx.h, ctx.params.R, B3, d3)
     r_list = ctx.supports[(0, d1)]
@@ -321,50 +403,30 @@ def s_function_easy(ctx: SignContext, a: int, B2, B3, deltas: tuple[int, int, in
             raise ResourceError(f"{total_tuples} tuples exceed the budget {budget}")
         return _s_easy_monte_carlo(ctx, a, r_list, p_set, u_list, S_norm, budget, rng)
 
-    sqf = {n: arith.is_squarefree(n) for n in set(r_list) | set(u_list)}
-    pr = {n: set(arith.factorize(n).primes) for n in set(r_list) | set(u_list)}
-    count = 0
-    loss_count = 0
-    a = a % q
-    for r1 in r_list:
-        for r2 in r_list:
-            r12 = r1 * r2
-            for r3 in r_list:
-                r123 = r12 * r3
-                c = r123 % q
-                for p in p_set:
-                    cp = c * p % q
-                    for u in u_list:
-                        if cp * u % q != a:
-                            continue
-                        count += 1
-                        n_sqf = (sqf[r1] and sqf[r2] and sqf[r3] and sqf[u]
-                                 and not (pr[r1] & pr[r2]) and not (pr[r1] & pr[r3])
-                                 and not (pr[r2] & pr[r3])
-                                 and p not in pr[r1] | pr[r2] | pr[r3] | pr[u]
-                                 and not ((pr[r1] | pr[r2] | pr[r3]) & pr[u]))
-                        if not n_sqf:
-                            loss_count += 1
+    count, loss_count = _class_join(ctx.G, a, [r_list, r_list, r_list, p_set, u_list])
     value = ctx.norm**3 * count / S_norm
     loss = ctx.norm**3 * loss_count / S_norm
     return value, {"tuples": total_tuples, "count": count, "loss": loss,
                    "method": "exact"}
 
 
+# Monte-Carlo samples drawn per numpy batch
+_MC_BATCH = 1 << 16
+
+
 def _s_easy_monte_carlo(ctx, a, r_list, p_set, u_list, S_norm, budget, rng):
     rng = rng or np.random.default_rng(0)
     q = ctx.q
-    a = a % q
     samples = max(budget // 10, 10**5)
+    residues = [np.asarray(x, dtype=np.int64) % q
+                for x in (r_list, r_list, r_list, p_set, u_list)]
     hits = 0
-    for _ in range(samples):
-        r1 = r_list[rng.integers(len(r_list))]
-        r2 = r_list[rng.integers(len(r_list))]
-        r3 = r_list[rng.integers(len(r_list))]
-        p = p_set[rng.integers(len(p_set))]
-        u = u_list[rng.integers(len(u_list))]
-        if r1 * r2 * r3 * p * u % q == a:
-            hits += 1
+    for first in range(0, samples, _MC_BATCH):
+        n = min(_MC_BATCH, samples - first)
+        cls = np.ones(n, dtype=np.int64)
+        for x in residues:
+            cls = cls * x[rng.integers(len(x), size=n)] % q
+        hits += int(np.count_nonzero(cls == a))
     total = len(r_list) ** 3 * len(p_set) * len(u_list)
     est = hits / samples
     value = ctx.norm**3 * est * total / S_norm
@@ -418,13 +480,12 @@ def s_function_general(ctx: SignContext, a: int, B4, B5, B6,
                        kset, budget: int = 10**8) -> tuple[float, dict]:
     """S(a) over k-triples: direct enumeration of (r1, r2, r3, p, u, m)."""
     d1, d2, d3, d4, d5, d6 = deltas
-    q = ctx.q
+    a = _unit_class(ctx.q, a)
     pm = ctx.params
     p_set = charsums.q_set(ctx.G, ctx.h, pm.Q1, B4, d4)
     total_val = 0.0
     total_loss = 0.0
     visited = 0
-    a = a % q
     for (k1, k2, k3) in kset:
         r1l = ctx.supports[(k1, d1)]
         r2l = ctx.supports[(k2, d2)]
@@ -440,36 +501,7 @@ def s_function_general(ctx: SignContext, a: int, B4, B5, B6,
         S_norm = (pm.interval(k1).length * pm.interval(k2).length
                   * pm.interval(k3).length * pm.Q1
                   * pm.U * math.exp(-k1) * pm.M * math.exp(-k2 - k3))
-        elems = set(r1l) | set(r2l) | set(r3l) | set(u_list) | set(m_list)
-        sqf = {n: arith.is_squarefree(n) for n in elems}
-        pr = {n: set(arith.factorize(n).primes) for n in elems}
-        count = 0
-        loss = 0
-        for r1 in r1l:
-            for r2 in r2l:
-                for r3 in r3l:
-                    c = r1 * r2 * r3 % q
-                    for p in p_set:
-                        cp = c * p % q
-                        for u in u_list:
-                            cpu = cp * u % q
-                            for m in m_list:
-                                if cpu * m % q != a:
-                                    continue
-                                count += 1
-                                parts = (r1, r2, r3, u, m)
-                                ok = all(sqf[x] for x in parts)
-                                if ok:
-                                    seen: set[int] = set()
-                                    for x in parts:
-                                        if seen & pr[x]:
-                                            ok = False
-                                            break
-                                        seen |= pr[x]
-                                    if ok and p in seen:
-                                        ok = False
-                                if not ok:
-                                    loss += 1
+        count, loss = _class_join(ctx.G, a, [r1l, r2l, r3l, p_set, u_list, m_list])
         total_val += ctx.norm**3 * count / S_norm
         total_loss += ctx.norm**3 * loss / S_norm
     return total_val, {"tuples": visited, "loss": total_loss, "method": "exact"}

@@ -177,6 +177,61 @@ def test_window_sieves_match_pointwise():
     for i, n in enumerate(range(101, 401)):
         assert lam[i] == arith.liouville(n)
         assert sqf[i] == arith.is_squarefree(n)
-    facs = arith.factor_window(100, 200)
+    wf = arith.factor_window(100, 200)
     for i, n in enumerate(range(101, 201)):
-        assert tuple(sorted(facs[i])) == arith.factorize(n).factors
+        assert _row(wf, i) == arith.factorize(n).factors
+
+
+def _row(wf, i):
+    """The (prime, exponent) pairs of the i-th integer of a factor window."""
+    lo, hi = wf.start[i], wf.start[i + 1]
+    return tuple(zip(wf.primes[lo:hi].tolist(), wf.exps[lo:hi].tolist()))
+
+
+def _check_window(lo, width, intervals, factors_of):
+    """Every array of factor_window(lo, lo + width) against factors_of(n),
+    the sorted (prime, exponent) pairs of n."""
+    hi = lo + width
+    wf = arith.factor_window(lo, hi)
+    assert wf.start.shape == (width + 1,) and wf.start[0] == 0
+    assert wf.start[-1] == len(wf.primes) == len(wf.exps)
+    assert np.array_equal(wf.ns, np.arange(lo + 1, hi + 1))
+    counts = [wf.count_in(P, Q) for P, Q in intervals]
+    for i, n in enumerate(range(lo + 1, hi + 1)):
+        pairs = factors_of(n)
+        primes = [p for p, _ in pairs]
+        assert _row(wf, i) == pairs, n
+        assert wf.omega[i] == len(pairs)
+        assert wf.big_omega[i] == sum(e for _, e in pairs)
+        assert wf.squarefree[i] == all(e == 1 for _, e in pairs)
+        assert wf.spf[i] == (primes[0] if primes else 0)
+        for (P, Q), c in zip(intervals, counts):
+            assert c[i] == sum(1 for p in primes if P < p <= Q), (n, P, Q)
+
+
+WINDOW_LO = st.one_of(st.integers(0, 2000), st.integers(0, 10**9))
+# integer endpoints meet primes exactly; float ones fall between integers
+INTERVALS = st.lists(st.tuples(st.one_of(st.integers(0, 3000), st.floats(0, 3000)),
+                               st.one_of(st.integers(0, 10**5), st.floats(0, 10**5))),
+                     max_size=3)
+
+
+@given(WINDOW_LO, st.integers(0, 200), INTERVALS)
+@settings(max_examples=60, deadline=None)
+def test_factor_window_matches_factorize(lo, width, intervals):
+    _check_window(lo, width, intervals, lambda n: arith.factorize(n).factors)
+
+
+def test_factor_window_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    @given(WINDOW_LO, st.integers(0, 200), INTERVALS)
+    @settings(max_examples=40, deadline=None)
+    def check(lo, width, intervals):
+        _check_window(lo, width, intervals,
+                      lambda n: tuple(sorted(sympy.factorint(n).items())))
+
+    check()
+    # a window of primes and semiprimes with cofactors near 10^9
+    _check_window(10**9, 50, [(1e4, 1e9), (30000.5, 10**9 + 9), (2, 5)],
+                  lambda n: tuple(sorted(sympy.factorint(n).items())))

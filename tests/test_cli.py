@@ -63,7 +63,8 @@ def test_exit_codes(capsys, monkeypatch):
                  ("pretend", "--q", "5", "--cutoff", "10", "--chi", "-1"),
                  ("ladder", "--Q1", "10", "--q", "101", "--overrides", "10-100"),
                  ("batch", "--qmin", "0", "--qmax", "3"),
-                 ("--format", "csv", "batch", "--qmin", "5", "--qmax", "3")):
+                 ("--format", "csv", "batch", "--qmin", "5", "--qmax", "3"),
+                 ("stcompare", "--q", "35", "--a", "7")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and "Traceback" not in err, (argv, err)
 

@@ -42,11 +42,14 @@ def test_multiplicative_on_random_coprime_pairs():
 
 
 def test_sign_windows_match_values():
-    for h in (mf.liouville_fn(), mf.mobius_fn(), mf.one_fn()):
-        win = h.sign_window(0, 300)
-        for i, n in enumerate(range(1, 301)):
-            v = h.value(n)
-            assert win[i] == (0 if v == 0 else (1 if v > 0 else -1))
+    generic = mf.MultiplicativeFunction("generic", lambda p, e: (-0.5) ** e if p % 3 == 1
+                                        else float(e % 3))
+    for h in (mf.liouville_fn(), mf.mobius_fn(), mf.one_fn(), generic):
+        for lo in (0, 10**6):
+            win = h.sign_window(lo, lo + 300)
+            for i, n in enumerate(range(lo + 1, lo + 301)):
+                v = h.value(n)
+                assert win[i] == (0 if v == 0 else (1 if v > 0 else -1))
     quad = [c for c in group.real_characters(5) if not c.is_principal][0]
     h = mf.character_fn(quad)
     win = h.sign_window(0, 50)

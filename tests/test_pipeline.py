@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from linnik_lab import charsums as cs, group as g, multfunc as mf, pipeline as pl
+from linnik_lab import arith, charsums as cs, group as g, multfunc as mf, pipeline as pl
 from linnik_lab.errors import DomainError, ResourceError
 
 
@@ -154,6 +154,139 @@ def test_budget_and_monte_carlo():
     assert extras["method"] == "monte-carlo" and extras["stderr"] >= 0
     exact, _ = pl.s_function_easy(ctx, 1, None, None, (-1, -1, -1))
     assert abs(val - exact) <= 6 * max(extras["stderr"], 1e-12) + 1e-9
+
+
+def _easy_nested(q, a, r_list, p_set, u_list):
+    """(count, loss) of the easy S by nested loops over (r1, r2, r3, p, u)."""
+    sqf = {n: arith.is_squarefree(n) for n in set(r_list) | set(u_list)}
+    pr = {n: set(arith.factorize(n).primes) for n in set(r_list) | set(u_list)}
+    count = loss = 0
+    for r1 in r_list:
+        for r2 in r_list:
+            for r3 in r_list:
+                c = r1 * r2 * r3 % q
+                for p in p_set:
+                    cp = c * p % q
+                    for u in u_list:
+                        if cp * u % q != a:
+                            continue
+                        count += 1
+                        ok = (sqf[r1] and sqf[r2] and sqf[r3] and sqf[u]
+                              and not (pr[r1] & pr[r2]) and not (pr[r1] & pr[r3])
+                              and not (pr[r2] & pr[r3])
+                              and p not in pr[r1] | pr[r2] | pr[r3] | pr[u]
+                              and not ((pr[r1] | pr[r2] | pr[r3]) & pr[u]))
+                        loss += not ok
+    return count, loss
+
+
+def _general_nested(q, a, r1l, r2l, r3l, p_set, u_list, m_list):
+    """(count, loss) of one k-triple of the ladder S by nested loops."""
+    elems = set(r1l) | set(r2l) | set(r3l) | set(u_list) | set(m_list)
+    sqf = {n: arith.is_squarefree(n) for n in elems}
+    pr = {n: set(arith.factorize(n).primes) for n in elems}
+    count = loss = 0
+    for r1 in r1l:
+        for r2 in r2l:
+            for r3 in r3l:
+                c = r1 * r2 * r3 % q
+                for p in p_set:
+                    cp = c * p % q
+                    for u in u_list:
+                        cpu = cp * u % q
+                        for m in m_list:
+                            if cpu * m % q != a:
+                                continue
+                            count += 1
+                            ok = all(sqf[x] for x in (r1, r2, r3, u, m))
+                            seen: set[int] = set()
+                            for x in (r1, r2, r3, u, m):
+                                ok = ok and not (seen & pr[x])
+                                seen |= pr[x]
+                            loss += not (ok and p not in seen)
+    return count, loss
+
+
+def _easy_lists(ctx, deltas):
+    d1, d2, d3 = deltas
+    return (ctx.supports[(0, d1)], cs.q_set(ctx.G, LAM, ctx.params.Q1, None, d2),
+            cs.u_set_easy(ctx.G, LAM, ctx.params.R, None, d3))
+
+
+def test_class_join_matches_nested_loops_easy():
+    # q = 35 has losses (r1 = r2, shared primes); at q = 3 the hits span
+    # several join blocks
+    for spec, big in ((TOY35, False), (dict(TOY35, q=3, R=90.0), True)):
+        ctx = _easy_ctx(spec)
+        q = spec["q"]
+        losses = 0
+        for a in range(1, q):
+            if math.gcd(a, q) != 1:
+                continue
+            for deltas in ((-1, -1, -1), (-1, -1, 1), (1, -1, -1)):
+                r, p, u = _easy_lists(ctx, deltas)
+                count, loss = _easy_nested(q, a, r, p, u)
+                assert pl._class_join(ctx.G, a, [r, r, r, p, u]) == (count, loss)
+                value, extras = pl.s_function_easy(ctx, a, None, None, deltas)
+                S_norm = ctx.interval_counts[0] ** 3 * ctx.params.Q1 * ctx.params.R
+                assert extras["count"] == count
+                assert value == ctx.norm**3 * count / S_norm
+                assert extras["loss"] == ctx.norm**3 * loss / S_norm
+                losses += loss
+                if big and deltas == (-1, -1, -1):
+                    assert count > pl._JOIN_HITS
+        assert losses > 0
+
+
+def test_class_join_matches_nested_loops_general():
+    # the criterion-09 configuration: m has two primes >= 17, one in (16, 60]
+    params = pl.ParamSet.from_q(35, 0.1, easy_mode=False, R=14.0, U=22.0, M=2000.0,
+                                Q1=16.0, z=3.0, K=1, ladder_overrides=[(16.0, 60.0)])
+    ctx = pl.build_context(LAM, 35, params, ks=(-1, 0, 1))
+    kset = [(0, 0, 0), (1, 0, -1), (-1, 1, 0)]
+    pm = ctx.params
+    for a in (1, 2, 34):
+        for deltas in ((-1, -1, -1, -1, 1, 1), (-1, -1, 1, -1, 1, 1)):
+            d1, d2, d3, d4, d5, d6 = deltas
+            p_set = cs.q_set(ctx.G, LAM, pm.Q1, None, d4)
+            value = loss_value = 0.0
+            losses = 0
+            for k1, k2, k3 in kset:
+                lists = [ctx.supports[(k1, d1)], ctx.supports[(k2, d2)], ctx.supports[(k3, d3)],
+                         p_set, cs.u_set(ctx.G, LAM, pm.U, -k1, None, d5),
+                         cs.m_set(ctx.G, LAM, pm.M, -k2 - k3, pm.ladder, None, d6)]
+                if not all(lists):
+                    continue
+                count, loss = _general_nested(35, a, *lists)
+                assert pl._class_join(ctx.G, a, lists) == (count, loss)
+                S_norm = (pm.interval(k1).length * pm.interval(k2).length
+                          * pm.interval(k3).length * pm.Q1
+                          * pm.U * math.exp(-k1) * pm.M * math.exp(-k2 - k3))
+                value += ctx.norm**3 * count / S_norm
+                loss_value += ctx.norm**3 * loss / S_norm
+                losses += loss
+            got, extras = pl.s_function_general(ctx, a, None, None, None, deltas, kset)
+            assert (got, extras["loss"]) == (value, loss_value) and value > 0
+            assert losses > 0
+    # squares next to coprime parts: losses only the squarefree flags see
+    G = g.build_unit_group(101)
+    lists = [[9, 11, 49], [13, 4, 17], [19, 23, 8], [29, 31], [37, 41, 27], [43, 3127, 121]]
+    for a in range(1, 101):
+        assert pl._class_join(G, a, lists) == _general_nested(101, a, *lists)
+
+
+def test_non_unit_class_is_a_domain_error():
+    ctx = _easy_ctx(TOY35)
+    for a in (7, 35, -5):
+        for route in (pl.s_function_easy, pl.s_function_easy_chars, pl.t_function_easy):
+            with pytest.raises(DomainError):
+                route(ctx, a, None, None, (-1, -1, -1))
+    params = pl.ParamSet.from_q(35, 0.1, easy_mode=False, R=14.0, U=22.0, M=2000.0,
+                                Q1=16.0, z=3.0, K=1, ladder_overrides=[(16.0, 60.0)])
+    ctx = pl.build_context(LAM, 35, params, ks=(0,))
+    for route in (pl.s_function_general, pl.s_function_general_chars, pl.t_function_general):
+        with pytest.raises(DomainError):
+            route(ctx, 14, None, None, None, (-1, -1, -1, -1, 1, 1), [(0, 0, 0)])
 
 
 def test_general_variant_dual_route():
