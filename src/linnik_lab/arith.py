@@ -11,28 +11,36 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 _MAX_N = 2**63 - 1
 
 # ---------------------------------------------------------------------------
 # prime tables
 
+# largest prime table built: twice the 2^24 that factorize trial-divides to
+PRIME_TABLE_LIMIT = 1 << 25
+
 _prime_limit = 0
 _prime_array = np.empty(0, dtype=np.int64)
 
 
 def primes_upto(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (grow-only cached sieve)."""
+    """All primes <= n as an int64 array (grow-only cached sieve).
+
+    Raises ResourceError when n exceeds PRIME_TABLE_LIMIT.
+    """
     global _prime_limit, _prime_array
     if n < 2:
         return np.empty(0, dtype=np.int64)
+    if n > PRIME_TABLE_LIMIT:
+        raise ResourceError(f"a prime table up to {n} exceeds the limit {PRIME_TABLE_LIMIT}")
     if n > _prime_limit:
-        limit = max(n, 2 * _prime_limit, 1 << 10)
+        limit = min(max(n, 2 * _prime_limit, 1 << 10), PRIME_TABLE_LIMIT)
         flags = np.ones(limit + 1, dtype=bool)
         flags[:2] = False
         for p in range(2, math.isqrt(limit) + 1):
@@ -147,7 +155,6 @@ def factorize(n: int) -> Factorization:
     while m > 1 and not is_prime(m):
         root = math.isqrt(m)
         if root > 1 << 24:
-            from .errors import ResourceError
             raise ResourceError(
                 f"trial division beyond 2^24 needed for the cofactor {m} of n={n}")
         ps = primes_upto(root)
@@ -415,67 +422,90 @@ def count_pairs_in_class(K: int, L: int, a: int, q: int) -> tuple[int, dict]:
 
 
 # ---------------------------------------------------------------------------
-# windowed sieves (vectorized)
+# the window sieve
 
-def liouville_squarefree_window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda(n), |mu(n)|=1) for integers lo < n <= hi, as numpy arrays."""
-    n0 = lo + 1
-    N = hi - lo
-    if N <= 0:
-        return np.empty(0, dtype=np.int8), np.empty(0, dtype=bool)
-    rem = np.arange(n0, hi + 1, dtype=np.int64)
-    lam = np.ones(N, dtype=np.int8)
-    sqf = np.ones(N, dtype=bool)
-    for p in primes_upto(math.isqrt(max(hi, 0))):
-        p = int(p)
-        start = (-n0) % p
-        idx = np.arange(start, N, p)
-        if idx.size == 0:
-            continue
-        rem[idx] //= p
-        lam[idx] = -lam[idx]
-        sub = idx[rem[idx] % p == 0]
-        if sub.size:
-            sqf[sub] = False
-        while sub.size:
-            rem[sub] //= p
-            lam[sub] = -lam[sub]
-            sub = sub[rem[sub] % p == 0]
-    big = rem > 1
-    lam[big] = -lam[big]
-    return lam, sqf
-
-
-@dataclass(frozen=True, eq=False)
 class WindowFactors:
     """Factorizations of the integers lo+1 .. hi as arrays.
 
-    The factors of the i-th integer n = lo + 1 + i are primes[start[i]:
+    The sieve fills big_omega (prime factors with multiplicity, int8) and
+    squarefree; everything else is built from its per-prime hits on first
+    use.  The factors of the i-th integer n = lo + 1 + i are primes[start[i]:
     start[i+1]] with exponents exps[start[i]:start[i+1]], primes increasing
-    (compressed sparse rows, sorted by n and then by p).  Per-n arrays:
-    omega (distinct primes), big_omega (with multiplicity), squarefree, and
-    spf, the smallest prime factor (0 for n = 1).
+    (compressed sparse rows, sorted by n and then by p); omega counts the
+    distinct primes and spf is the smallest prime factor (0 for n = 1).
     """
 
-    lo: int
-    hi: int
-    start: np.ndarray
-    primes: np.ndarray
-    exps: np.ndarray
-    omega: np.ndarray
-    big_omega: np.ndarray
-    squarefree: np.ndarray
-    spf: np.ndarray
+    def __init__(self, lo: int, hi: int, big_omega: np.ndarray, squarefree: np.ndarray,
+                 hits: list, big: np.ndarray, cofactors: np.ndarray):
+        self.lo = lo
+        self.hi = hi
+        self.big_omega = big_omega
+        self.squarefree = squarefree
+        # per sieving prime p: (p, positions of its multiples, positions
+        # divisible by p^2, p^3, ...); then the positions whose cofactor is a
+        # prime above every sieving prime, and those cofactors
+        self._hits = hits
+        self._big = big
+        self._cofactors = cofactors
 
-    @property
+    @cached_property
     def ns(self) -> np.ndarray:
         """The integers lo+1 .. hi."""
         return np.arange(self.lo + 1, self.hi + 1, dtype=np.int64)
 
-    @property
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(position, prime, exponent) of every factor, sorted by position
+        and then by prime (the cofactor prime exceeds every sieving prime)."""
+        rows, ps, es = [], [], []
+        for p, idx, deeper in self._hits:
+            exps = np.ones(idx.size, dtype=np.int64)
+            for sub in deeper:
+                exps[(sub - idx[0]) // p] += 1
+            rows.append(idx)
+            ps.append(np.full(idx.size, p, dtype=np.int64))
+            es.append(exps)
+        rows.append(self._big)
+        ps.append(self._cofactors)
+        es.append(np.ones(self._big.size, dtype=np.int64))
+        row = np.concatenate(rows)
+        order = np.argsort(row, kind="stable")
+        return row[order], np.concatenate(ps)[order], np.concatenate(es)[order]
+
+    @cached_property
     def rows(self) -> np.ndarray:
         """Position (n - lo - 1) of the integer each factor belongs to."""
-        return np.repeat(np.arange(self.hi - self.lo), self.omega)
+        return self._factors[0]
+
+    @cached_property
+    def primes(self) -> np.ndarray:
+        return self._factors[1]
+
+    @cached_property
+    def exps(self) -> np.ndarray:
+        return self._factors[2]
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        return np.bincount(self.rows, minlength=self.hi - self.lo)
+
+    @cached_property
+    def start(self) -> np.ndarray:
+        start = np.zeros(self.hi - self.lo + 1, dtype=np.int64)
+        np.cumsum(self.omega, out=start[1:])
+        return start
+
+    @cached_property
+    def spf(self) -> np.ndarray:
+        spf = np.zeros(self.hi - self.lo, dtype=np.int64)
+        spf[self._big] = self._cofactors
+        for p, idx, _ in reversed(self._hits):
+            spf[idx] = p
+        return spf
+
+    def rough(self, z: float) -> np.ndarray:
+        """Per n, whether every prime factor is >= z (true at n = 1)."""
+        return (self.spf == 0) | (self.spf >= z)
 
     def prod(self, values: np.ndarray) -> np.ndarray:
         """Per n, the product of `values` (one per factor) over its factors,
@@ -493,45 +523,32 @@ class WindowFactors:
 
 
 def factor_window(lo: int, hi: int) -> WindowFactors:
-    """Factorizations of lo+1 .. hi by one segmented sieve, as arrays."""
+    """Factorizations of lo+1 .. hi by one segmented sieve."""
     if lo < 0:
         raise DomainError(f"factor_window needs lo >= 0, got {lo}")
     n0 = lo + 1
     N = max(hi - lo, 0)
     rem = np.arange(n0, n0 + N, dtype=np.int64)
-    rows, ps, es = [], [], []
+    # Omega(n) <= 62 for n < 2^63
+    big_omega = np.zeros(N, dtype=np.int8)
+    squarefree = np.ones(N, dtype=bool)
+    hits = []
     for p in primes_upto(math.isqrt(max(hi, 0))).tolist():
         idx = np.arange((-n0) % p, N, p)
         if idx.size == 0:
             continue
-        exps = np.zeros(idx.size, dtype=np.int64)
-        live = np.arange(idx.size)
-        cur = idx
+        rem[idx] //= p
+        big_omega[idx] += 1
+        cur = idx[rem[idx] % p == 0]
+        squarefree[cur] = False
+        deeper = []
         while cur.size:
+            deeper.append(cur)
             rem[cur] //= p
-            exps[live] += 1
-            keep = rem[cur] % p == 0
-            cur = cur[keep]
-            live = live[keep]
-        rows.append(idx)
-        ps.append(np.full(idx.size, p, dtype=np.int64))
-        es.append(exps)
+            big_omega[cur] += 1
+            cur = cur[rem[cur] % p == 0]
+        hits.append((p, idx, deeper))
     # what is left above 1 is a single prime larger than every sieving prime
     big = np.nonzero(rem > 1)[0]
-    rows.append(big)
-    ps.append(rem[big])
-    es.append(np.ones(big.size, dtype=np.int64))
-    row = np.concatenate(rows)
-    order = np.argsort(row, kind="stable")
-    row = row[order]
-    primes = np.concatenate(ps)[order]
-    exps = np.concatenate(es)[order]
-    omega = np.bincount(row, minlength=N)
-    start = np.zeros(N + 1, dtype=np.int64)
-    np.cumsum(omega, out=start[1:])
-    big_omega = np.bincount(row, weights=exps, minlength=N).astype(np.int64)
-    squarefree = np.bincount(row, weights=exps > 1, minlength=N) == 0
-    spf = np.zeros(N, dtype=np.int64)
-    has = omega > 0
-    spf[has] = primes[start[:-1][has]]
-    return WindowFactors(lo, hi, start, primes, exps, omega, big_omega, squarefree, spf)
+    big_omega[big] += 1
+    return WindowFactors(lo, lo + N, big_omega, squarefree, hits, big, rem[big])

@@ -65,19 +65,15 @@ def all_char_sums(G: group_mod.UnitGroup, ns, weights=None, conj: bool = True) -
 
 def _coset_mask(B, G: group_mod.UnitGroup, ns: np.ndarray) -> np.ndarray:
     """Membership of integers in B (CosetSpec, frozenset of units, or None=G)."""
-    q = G.q
-    res = ns % q if q > 1 else np.zeros(len(ns), dtype=np.int64)
-    if q > 1:
-        unit = np.gcd(res, q) == 1
-    else:
-        unit = np.ones(len(ns), dtype=bool)
+    res = ns % G.q
+    unit = G.unit_pos[res] >= 0
     if B is None:
         return unit
     if isinstance(B, group_mod.CosetSpec):
         return unit & B.member_mask(ns)
-    members = np.zeros(q if q > 1 else 1, dtype=bool)
+    members = np.zeros(G.q, dtype=bool)
     for b in B:
-        members[b % q] = True
+        members[b % G.q] = True
     return unit & members[res]
 
 
@@ -102,16 +98,10 @@ def f_support(G: group_mod.UnitGroup, h, z: float,
     lo, hi = interval.ilo, interval.ihi
     if hi <= lo:
         raise DomainError("empty interval")
-    ns = np.arange(lo + 1, hi + 1, dtype=np.int64)
-    unit = _coset_mask(None, G, ns)
-    rough = np.ones(len(ns), dtype=bool)
-    for p in arith.primes_upto(int(z)):
-        p = int(p)
-        if p >= z:
-            break
-        rough[(-(lo + 1)) % p :: p] = False
-    signs = h.sign_window(lo, hi)
-    keep = unit & rough
+    wf = arith.factor_window(lo, hi)
+    ns = wf.ns
+    signs = h.signs(wf)
+    keep = _coset_mask(None, G, ns) & wf.rough(z)
     plus = ns[keep & (signs == 1)].tolist()
     minus = ns[keep & (signs == -1)].tolist()
     if np.any(keep & (signs == 0)):
@@ -148,14 +138,12 @@ def q_set(G: group_mod.UnitGroup, h, Q1: float, B=None, delta: int | None = None
 
 
 def _squarefree_signed(G, h, lo: int, hi: int, B, delta):
-    ns = np.arange(lo + 1, hi + 1, dtype=np.int64)
-    if ns.size == 0:
-        return []
-    if delta is None:
-        _, keep = arith.liouville_squarefree_window(lo, hi)
-    else:
-        keep = h.squarefree_sign_window(lo, hi) == delta
-    return ns[keep & _coset_mask(B, G, ns)].tolist()
+    wf = arith.factor_window(lo, hi)
+    ns = wf.ns
+    keep = wf.squarefree & _coset_mask(B, G, ns)
+    if delta is not None:
+        keep &= h.signs(wf) == delta
+    return ns[keep].tolist()
 
 
 def u_set_easy(G, h, R: float, B=None, delta=None) -> list[int]:
@@ -175,17 +163,12 @@ def m_set(G, h, M: float, v: int, ladder: "LadderSpec", B=None, delta=None) -> l
     lo, hi = iv.ilo, iv.ihi
     wf = arith.factor_window(lo, hi)
     ns = wf.ns
-    keep = wf.squarefree & _rough_past(wf, ladder.Q1) & _coset_mask(B, G, ns)
+    keep = wf.squarefree & wf.rough(ladder.Q1) & _coset_mask(B, G, ns)
     if delta is not None:
-        keep &= h.sign_window(lo, hi) == delta
+        keep &= h.signs(wf) == delta
     for P, Q in ladder.intervals:
         keep &= wf.count_in(P, Q) > 0
     return ns[keep].tolist()
-
-
-def _rough_past(wf: arith.WindowFactors, Q1: float) -> np.ndarray:
-    """No prime factor below Q1."""
-    return (wf.omega == 0) | (wf.spf >= Q1)
 
 
 def prime_sum_Q(chi, qset: list[int], Q1: float) -> complex:
@@ -533,12 +516,12 @@ def ramare_decompose(G: group_mod.UnitGroup, h, B, delta: int, v: int, j: int,
     # factorization data for the master window; entry m - 1 describes m
     wf = arith.factor_window(0, n_hi)
     ns = wf.ns
-    sign = h.sign_window(0, n_hi)
+    sign = h.signs(wf)
     coset = psi_table[ns % q] if psi_table is not None else np.ones(n_hi, dtype=np.int8)
     marks = wf.count_in(P_j, Q_j)
     weight = 1.0 / (marks + 1)
     # shared cofactor conditions: squarefree, unit, rough past Q1, in S_j
-    cond = wf.squarefree & (np.gcd(ns, q) == 1) & _rough_past(wf, Q1)
+    cond = wf.squarefree & (G.unit_pos[ns % q] >= 0) & wf.rough(Q1)
     for jj, (P, Q) in enumerate(ladder.intervals, start=2):
         if jj != j:
             cond &= wf.count_in(P, Q) > 0
@@ -676,16 +659,16 @@ def square_and_shorts_moments(q: int, N: int, P: float, Q: float, M: float,
                              n_terms=len(terms))
 
     z = q**eps
+    rough = arith.factor_window(0, N).rough(z)
     terms2, weights2 = [], []
     for k in range(-(2 * Kcap + 1), 2 * Kcap + 2):
         win = arith.IntegerInterval(M * math.exp(k - 1 / H), M * math.exp(k))
         for m in win.members():
             if m > N:
                 break
-            for ell in range(1, N // m + 1):
-                if arith.is_rough(ell, z):
-                    terms2.append(ell * m)
-                    weights2.append(rng.choice((-1.0, 1.0)))
+            for ell in (np.flatnonzero(rough[:N // m]) + 1).tolist():
+                terms2.append(ell * m)
+                weights2.append(rng.choice((-1.0, 1.0)))
     vals2 = all_char_sums(G, terms2, weights2)
     lhs2 = float(np.mean(np.abs(vals2) ** 2))
     rhs2 = (phi / q) * (N + N * N / q) / H

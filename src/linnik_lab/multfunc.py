@@ -33,7 +33,7 @@ class MultiplicativeFunction:
 
     h(1) = 1 and h(prod p^e) = prod rule(p, e).  Values are memoized; the
     memo is safe for concurrent reads (single-writer dict publication).
-    `kind` marks built-ins with fast vectorized sign windows.
+    `kind` marks built-ins whose signs are read without the rule.
     """
 
     def __init__(self, name: str, prime_power_rule: Callable[[int, int], float],
@@ -64,40 +64,21 @@ class MultiplicativeFunction:
     def sign(self, n: int) -> int:
         return sgn(self.value(n))
 
-    def sign_window(self, lo: int, hi: int) -> np.ndarray:
-        """Signs of h(n) for lo < n <= hi as int8 (+1/-1; 0 where h(n)=0)."""
-        N = hi - lo
-        if N <= 0:
-            return np.empty(0, dtype=np.int8)
-        if self.kind == "liouville":
-            lam, _ = arith.liouville_squarefree_window(lo, hi)
-            return lam
-        if self.kind == "mobius":
-            lam, sqf = arith.liouville_squarefree_window(lo, hi)
-            return np.where(sqf, lam, 0).astype(np.int8)
+    def signs(self, wf: arith.WindowFactors) -> np.ndarray:
+        """Signs of h(n) over a factor window as int8 (+1/-1; 0 where h(n)=0)."""
+        if self.kind in ("liouville", "mobius"):
+            lam = 1 - 2 * (wf.big_omega & 1)
+            return lam if self.kind == "liouville" else np.where(wf.squarefree, lam, 0)
         if self.kind == "one":
-            return np.ones(N, dtype=np.int8)
+            return np.ones(wf.hi - wf.lo, dtype=np.int8)
         if self.kind == "character":
             chi = self.character
-            table = chi.real_sign_table()
-            n = np.arange(lo + 1, hi + 1, dtype=np.int64)
-            return table[n % chi.group.q]
-        wf = arith.factor_window(lo, hi)
+            return chi.real_sign_table()[wf.ns % chi.group.q]
         pairs, inverse = np.unique(np.stack([wf.primes, wf.exps], axis=1), axis=0,
                                    return_inverse=True)
         rule = np.array([float(self.rule(p, e)) for p, e in pairs.tolist()])
         v = wf.prod(rule[inverse.reshape(-1)])
         return np.where(v == 0, 0, np.where(v > 0, 1, -1)).astype(np.int8)
-
-    def squarefree_sign_window(self, lo: int, hi: int) -> np.ndarray:
-        """sign_window(lo, hi) with 0 wherever n is not squarefree.
-
-        For liouville and mobius this is mu(n), so one window sieve serves
-        both the signs and the squarefree flags.
-        """
-        lam, sqf = arith.liouville_squarefree_window(lo, hi)
-        signs = lam if self.kind in ("liouville", "mobius") else self.sign_window(lo, hi)
-        return np.where(sqf, signs, 0)
 
 
 def liouville_fn() -> MultiplicativeFunction:
@@ -182,10 +163,9 @@ def sign_density_counts(h: MultiplicativeFunction, q: int, y: int, delta: int,
         raise DomainError("y must be >= 1")
     if delta not in (PLUS, MINUS):
         raise DomainError("delta must be +1 or -1")
-    signs = h.squarefree_sign_window(0, y)
-    n = np.arange(1, y + 1, dtype=np.int64)
-    coprime = np.gcd(n, q) == 1 if q > 1 else np.ones(y, dtype=bool)
-    count = int(np.sum(coprime & (signs == delta)))
+    wf = arith.factor_window(0, y)
+    coprime = np.gcd(wf.ns, q) == 1
+    count = int(np.count_nonzero(coprime & wf.squarefree & (h.signs(wf) == delta)))
     shape = arith.euler_phi(q) / q * y
     neg_cut = y / q ** (eps / 8) if q > 1 else float(y)
     neg_sum = 0.0
@@ -312,8 +292,7 @@ def one_star_psi_sum(q: int, psi, y: int, z: float) -> tuple[float, dict]:
     # and 1 where psi(p) = 0; every term is an integer, so the sum is exact
     v = psi.real_sign_table()[wf.primes % psi.group.q]
     local = np.where(v > 0, wf.exps + 1, np.where(v < 0, wf.exps % 2 == 0, 1))
-    rough = (wf.omega == 0) | (wf.spf >= z)
-    total = float(wf.prod(local)[rough].sum())
+    total = float(wf.prod(local)[wf.rough(z)].sum())
     shape = 1.0
     if not psi.is_principal:
         L1 = dirichlet_L1(psi)

@@ -118,11 +118,11 @@ def _scan_witnesses(h, q: int, cap: int, stop_when_complete: bool = True):
     chunk = 1 << 13
     while lo < cap and (len(found) < want or not stop_when_complete):
         hi = min(cap, lo + chunk)
-        ns = np.arange(lo + 1, hi + 1, dtype=np.int64)
-        signs = h.squarefree_sign_window(lo, hi)
-        res = ns % q if q > 1 else np.zeros(len(ns), dtype=np.int64)
-        unit = (np.gcd(res, q) == 1) if q > 1 else np.ones(len(ns), dtype=bool)
-        mask = unit & (signs != 0)
+        wf = arith.factor_window(lo, hi)
+        ns = wf.ns
+        signs = h.signs(wf)
+        res = ns % q
+        mask = (G.unit_pos[res] >= 0) & wf.squarefree & (signs != 0)
         if mask.any():
             keys = res[mask] * 2 + (signs[mask] < 0)
             sub_ns = ns[mask]
@@ -344,7 +344,7 @@ def _class_join(G: group_mod.UnitGroup, a: int, lists) -> tuple[int, int]:
     """
     q = G.q
     lists = [np.asarray(x, dtype=np.int64) for x in lists]
-    _, sqf = arith.liouville_squarefree_window(0, max(int(x.max()) for x in lists))
+    sqf = arith.factor_window(0, max(int(x.max()) for x in lists)).squarefree
     sqf = np.concatenate([[False], sqf])     # indexed by the integer itself
     sizes = [len(x) for x in lists]
     s = min(range(1, len(lists)),

@@ -41,8 +41,8 @@ def test_mobius_liouville_examples():
 def test_mobius_divisor_sum_identity():
     # sum_{d|n} mu(d) = 1_{n=1}, accumulated by sieve up to 1e5
     N = 10**5
-    lam, sqf = arith.liouville_squarefree_window(0, N)
-    mu = np.where(sqf, lam, 0).astype(np.int64)
+    wf = arith.factor_window(0, N)
+    mu = np.where(wf.squarefree, 1 - 2 * (wf.big_omega.astype(np.int64) % 2), 0)
     acc = np.zeros(N + 1, dtype=np.int64)
     for d in range(1, N + 1):
         if mu[d - 1]:
@@ -173,10 +173,11 @@ def test_count_pairs_in_class():
 
 
 def test_window_sieves_match_pointwise():
-    lam, sqf = arith.liouville_squarefree_window(100, 400)
+    wf = arith.factor_window(100, 400)
+    assert wf.big_omega.dtype == np.int8
     for i, n in enumerate(range(101, 401)):
-        assert lam[i] == arith.liouville(n)
-        assert sqf[i] == arith.is_squarefree(n)
+        assert (-1) ** int(wf.big_omega[i]) == arith.liouville(n)
+        assert wf.squarefree[i] == arith.is_squarefree(n)
     wf = arith.factor_window(100, 200)
     for i, n in enumerate(range(101, 201)):
         assert _row(wf, i) == arith.factorize(n).factors

@@ -51,6 +51,10 @@ def test_exit_codes(capsys, monkeypatch):
     monkeypatch.setattr(sieve, "_SUPPORT_BUDGET", 100)
     code, _, err = run_cli(capsys, "sieve", "--z", "100", "--D", "1e30")
     assert code == 3 and "resource" in err
+    # a ladder override whose prime table would pass the table limit
+    code, _, err = run_cli(capsys, "ramare", "--q", "101", "--Q1", "10", "--M", "2000",
+                           "--j", "3", "--overrides", "10:100,150:1e12")
+    assert code == 3 and "resource" in err and "Traceback" not in err, err
     code, _, _ = run_cli(capsys)
     assert code == 1
     # malformed h specs, character indices, ladder overrides and batch ranges

@@ -41,18 +41,22 @@ def test_multiplicative_on_random_coprime_pairs():
             assert h.value(m * n) == pytest.approx(h.value(m) * h.value(n))
 
 
-def test_sign_windows_match_values():
+def _sign(v):
+    return 0 if v == 0 else (1 if v > 0 else -1)
+
+
+def test_signs_match_values():
     generic = mf.MultiplicativeFunction("generic", lambda p, e: (-0.5) ** e if p % 3 == 1
                                         else float(e % 3))
     for h in (mf.liouville_fn(), mf.mobius_fn(), mf.one_fn(), generic):
         for lo in (0, 10**6):
-            win = h.sign_window(lo, lo + 300)
+            win = h.signs(arith.factor_window(lo, lo + 300))
+            assert win.dtype == np.int8
             for i, n in enumerate(range(lo + 1, lo + 301)):
-                v = h.value(n)
-                assert win[i] == (0 if v == 0 else (1 if v > 0 else -1))
+                assert win[i] == _sign(h.value(n))
     quad = [c for c in group.real_characters(5) if not c.is_principal][0]
     h = mf.character_fn(quad)
-    win = h.sign_window(0, 50)
+    win = h.signs(arith.factor_window(0, 50))
     for i, n in enumerate(range(1, 51)):
         assert win[i] == (0 if n % 5 == 0 else (1 if quad(n).real > 0 else -1))
 
@@ -60,7 +64,7 @@ def test_sign_windows_match_values():
 SQUAREFREE_SIGN_FNS = (
     mf.liouville_fn(), mf.mobius_fn(), mf.one_fn(),
     mf.character_fn(group.real_characters(7)[1]),
-    # kind "generic": the factor_window route of sign_window
+    # kind "generic": the rule product over the factor arrays
     mf.MultiplicativeFunction("generic", lambda p, e: -1.0 if p % 4 == 3 else float(e % 3)),
 )
 
@@ -68,12 +72,18 @@ SQUAREFREE_SIGN_FNS = (
 @given(st.sampled_from(SQUAREFREE_SIGN_FNS), st.integers(min_value=0, max_value=10**5),
        st.integers(min_value=0, max_value=500))
 @settings(max_examples=100, deadline=None)
-def test_squarefree_sign_window_masks_sign_window(h, lo, width):
+def test_squarefree_signs_match_values(h, lo, width):
+    """Signs masked by the window's squarefree flags, the way the witness
+    scan and the squarefree sets count them."""
     hi = lo + width
-    sqf = np.array([arith.is_squarefree(n) for n in range(lo + 1, hi + 1)], dtype=bool)
-    got = h.squarefree_sign_window(lo, hi)
+    ns = range(lo + 1, hi + 1)
+    sqf = np.array([arith.is_squarefree(n) for n in ns], dtype=bool)
+    wf = arith.factor_window(lo, hi)
+    assert np.array_equal(wf.squarefree, sqf)
+    got = np.where(wf.squarefree, h.signs(wf), 0)
     assert got.dtype == np.int8
-    assert np.array_equal(got, np.where(sqf, h.sign_window(lo, hi), 0))
+    want = [_sign(h.value(n)) if s else 0 for n, s in zip(ns, sqf)]
+    assert np.array_equal(got, np.array(want, dtype=np.int8))
 
 
 def test_pretentious_distance():

@@ -347,3 +347,35 @@ def test_case_analysis_opposite_cosets_is_case31():
     table = psi.real_sign_table()
     assert table[rep.certificates["b_plus"] % q] == 1
     assert table[rep.certificates["b_minus"] % q] == -1
+
+
+def test_each_window_is_sieved_once(monkeypatch):
+    """The window functions read signs, flags, roughness and marks from one
+    sieve of their window: every window sieve of arith together sieves
+    exactly as many integers as the window holds."""
+    sieved = []
+
+    def counting(sieve):
+        def wrapped(lo, hi):
+            sieved.append(hi - lo)
+            return sieve(lo, hi)
+        return wrapped
+
+    for name, fn in list(vars(arith).items()):
+        if name.endswith("_window") and callable(fn):
+            monkeypatch.setattr(arith, name, counting(fn))
+    G = g.build_unit_group(35)
+    lad = cs.ladder_build(10.0, 35, overrides=[(10.0, 100.0)])
+    m_iv = arith.IntegerInterval.e_adic(600.0, 0)
+    f_iv = arith.IntegerInterval(100, 400)
+    cases = [
+        (lambda: cs.m_set(G, LAM, 600.0, 0, lad, None, 1), m_iv.count()),
+        (lambda: cs.ramare_decompose(G, LAM, None, 1, 0, 2, lad, 600.0), m_iv.ihi),
+        (lambda: cs.f_support(G, LAM, 3.0, f_iv), f_iv.count()),
+        # cap 1000 lies inside the first chunk of the scan
+        (lambda: pl._scan_witnesses(LAM, 35, 1000, stop_when_complete=False), 1000),
+    ]
+    for call, length in cases:
+        sieved.clear()
+        call()
+        assert sieved and sum(sieved) == length, (sieved, length)
