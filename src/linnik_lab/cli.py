@@ -382,18 +382,21 @@ def cmd_batch(args):
         raise DomainError(f"batch needs 1 <= --qmin <= --qmax, got {args.qmin} and {args.qmax}")
     qs = list(range(args.qmin, args.qmax + 1))
     worker = _BatchWorker(args)
-    workers = _worker_count(args.threads)
+    workers = min(_worker_count(args.threads), len(qs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
+        blocks = [qs[i::workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = sorted(pool.map(worker, qs), key=lambda r: r["q"])
+            rows = sorted((row for rows in pool.map(worker, blocks) for row in rows),
+                          key=lambda r: r["q"])
     else:
-        rows = [worker(q) for q in qs]
+        rows = worker(qs)
     return report_for(args, "batch-thresholds", {"table": rows})
 
 
 class _BatchWorker:
-    """One batch row per q, for the serial loop and for process pools alike.
+    """The batch rows of one block of moduli, for the serial run (one block)
+    and for process pools (one strided block per worker) alike.
 
     It carries the h spec, so it pickles before its first call; h is built
     through _fn on that call and reused by later calls on the same instance.
@@ -406,18 +409,18 @@ class _BatchWorker:
         self.c = args.c
         self._h = None
 
-    def __call__(self, q):
+    def __call__(self, qs):
         if self._h is None:
             self._h = _fn(self.h_spec)
         h = self._h
         if self.what == "rfunc":
-            cap = int(q * q * 20 * max(math.log(q), 1.0)) + 1
-            res = pipeline.R_of_h_q(h, q, cap)
-            return {"q": q, "R": res.R_value, "cap": cap,
-                    "verified": pipeline.verify_witnesses(res, h, q)}
-        res = pipeline.theorem_audit(h, q, self.Q1, self.c)
-        return {"q": q, "verdict": res["verdict"], "R": res["R"],
-                "min_pretend_sum": res["min_pretend_sum"]}
+            caps = [int(q * q * 20 * max(math.log(q), 1.0)) + 1 for q in qs]
+            return [{"q": q, "R": res.R_value, "cap": res.cap,
+                     "verified": pipeline.verify_witnesses(res, h, q)}
+                    for q, res in zip(qs, pipeline.R_block(h, qs, caps))]
+        return [{"q": res["q"], "verdict": res["verdict"], "R": res["R"],
+                 "min_pretend_sum": res["min_pretend_sum"]}
+                for res in pipeline.audit_block(h, qs, self.Q1, self.c)]
 
 
 # ---------------------------------------------------------------------------

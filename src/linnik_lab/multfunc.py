@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import mpmath
 import numpy as np
 
 from . import arith
@@ -19,6 +18,9 @@ from .errors import DomainError
 
 PLUS = 1
 MINUS = -1
+
+# squarefree_signs table entry of an integer not evaluated yet
+_UNSEEN = 2
 
 
 def sgn(x: float) -> int:
@@ -43,6 +45,7 @@ class MultiplicativeFunction:
         self.kind = kind
         self.character = character
         self._memo: dict[int, float] = {1: 1.0}
+        self._squarefree_signs = np.empty(0, dtype=np.int8)
 
     def __repr__(self):
         return f"MultiplicativeFunction({self.name!r})"
@@ -63,6 +66,29 @@ class MultiplicativeFunction:
 
     def sign(self, n: int) -> int:
         return sgn(self.value(n))
+
+    def squarefree_signs(self, ns: np.ndarray) -> np.ndarray:
+        """sgn h(n) where n is squarefree and 0 elsewhere, as int8, for n >= 1.
+
+        Independent of the window sieve: each n is evaluated once per
+        instance, by scalar factorize and value, into an int8 table indexed
+        by n (only the integers asked for are evaluated).
+        """
+        ns = np.asarray(ns, dtype=np.int64)
+        if ns.size == 0:
+            return np.zeros(0, dtype=np.int8)
+        if int(ns.min()) < 1:
+            raise DomainError("multiplicative functions are defined on n >= 1")
+        table = self._squarefree_signs
+        top = int(ns.max())
+        if top >= table.size:
+            grown = np.full(max(top + 1, 2 * table.size), _UNSEEN, dtype=np.int8)
+            grown[:table.size] = table
+            table = self._squarefree_signs = grown
+        for n in np.unique(ns[table[ns] == _UNSEEN]).tolist():
+            v = self.value(n) if arith.factorize(n).is_squarefree else 0.0
+            table[n] = (v > 0) - (v < 0)
+        return table[ns]
 
     def signs(self, wf: arith.WindowFactors) -> np.ndarray:
         """Signs of h(n) over a factor window as int8 (+1/-1; 0 where h(n)=0)."""
@@ -223,6 +249,8 @@ def dirichlet_L1(chi) -> float:
         raise DomainError("L(1, chi_0) diverges; principal character excluded")
     if not chi.is_real:
         raise DomainError("only real characters are supported here")
+    import mpmath   # ~30 ms to import; only this function needs it
+
     q = chi.group.q
     with mpmath.workdps(30):
         total = mpmath.mpf(0)

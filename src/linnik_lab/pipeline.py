@@ -109,51 +109,85 @@ class RFunctionResult:
                               for a, d in sorted(self.witnesses.items())}}
 
 
-def _scan_witnesses(h, q: int, cap: int, stop_when_complete: bool = True):
-    """First squarefree witness per (class, sign) by chunked vectorized scan."""
-    G = group_mod.build_unit_group(q)
-    found: dict[tuple[int, int], int] = {}
-    want = 2 * len(G.units)
+# first-hit tables hold this where a (class, sign) pair has no witness yet
+_NO_HIT = np.iinfo(np.int64).max
+
+
+def _scan_block(h, qs, caps, stop_when_complete: bool = True) -> list[np.ndarray]:
+    """First squarefree witness per (class, sign) for a block of moduli.
+
+    One stream of factor_window segments, (0, 2^13] and then doubling up to
+    2^18 integers, serves every q of the block: each integer is sieved once
+    per block and memory holds one segment.  Each pending q masks the
+    segment's squarefree integers with nonzero sign by its units and records
+    its first hits with one scatter (np.minimum.at) into a (q, 2) table,
+    column 0 for sign +1 and 1 for -1, _NO_HIT where there is none.  A q
+    leaves the stream once it is complete (if stop_when_complete) or once
+    the stream has passed its cap.  Returns the tables in the order of qs.
+    """
+    groups = [group_mod.build_unit_group(q) for q in qs]
+    first = [np.full((q, 2), _NO_HIT, dtype=np.int64) for q in qs]
+    pending = list(range(len(qs)))
     lo = 0
     chunk = 1 << 13
-    while lo < cap and (len(found) < want or not stop_when_complete):
-        hi = min(cap, lo + chunk)
+    while pending:
+        hi = min(lo + chunk, max(caps[i] for i in pending))
         wf = arith.factor_window(lo, hi)
-        ns = wf.ns
         signs = h.signs(wf)
-        res = ns % q
-        mask = (G.unit_pos[res] >= 0) & wf.squarefree & (signs != 0)
-        if mask.any():
-            keys = res[mask] * 2 + (signs[mask] < 0)
-            sub_ns = ns[mask]
-            uniq, first = np.unique(keys, return_index=True)
-            for k, i in zip(uniq, first):
-                a, neg = int(k) // 2, int(k) % 2
-                key = (a, -1 if neg else 1)
-                if key not in found:
-                    found[key] = int(sub_ns[i])
+        pos = np.flatnonzero(wf.squarefree & (signs != 0))
+        ns = pos + (lo + 1)
+        neg = (signs[pos] < 0).astype(np.int64)
+        still = []
+        for i in pending:
+            q, cap = qs[i], caps[i]
+            k = ns.size if cap >= hi else int(np.searchsorted(ns, cap, side="right"))
+            res = ns[:k] % q
+            unit = groups[i].unit_pos[res] >= 0
+            np.minimum.at(first[i].reshape(-1), 2 * res[unit] + neg[:k][unit], ns[:k][unit])
+            complete = bool((first[i][groups[i].units] != _NO_HIT).all())
+            if cap > hi and not (stop_when_complete and complete):
+                still.append(i)
+        pending = still
         lo = hi
         chunk = min(chunk * 2, 1 << 18)
-        if stop_when_complete and len(found) == want:
-            break
-    return G, found
+    return first
+
+
+def _found(G: group_mod.UnitGroup, first: np.ndarray) -> dict[tuple[int, int], int]:
+    """{(class, sign): first witness} from a first-hit table of _scan_block."""
+    return {(a, s): n
+            for a, row in zip(G.units.tolist(), first[G.units].tolist())
+            for s, n in zip((1, -1), row) if n != _NO_HIT}
+
+
+def _scan_witnesses(h, q: int, cap: int, stop_when_complete: bool = True):
+    """_scan_block for the block of one q: its group and {(class, sign): n}."""
+    G = group_mod.build_unit_group(q)
+    return G, _found(G, _scan_block(h, [q], [cap], stop_when_complete)[0])
 
 
 def _character_fast_witnesses(h, q: int, cap: int):
     """For class-determined signs (h a real character) the minimal squarefree
-    witness in class a is the first squarefree term of the progression."""
+    witness in class a is the first squarefree term of the progression.
+
+    Every class's first squarefree term comes from one window (0, W] by one
+    first-hit scatter; W doubles only while some unit class has no hit and
+    W < cap.
+    """
     G = group_mod.build_unit_group(q)
     table = h.character.real_sign_table()
-    found: dict[tuple[int, int], int] = {}
-    for a in G.units:
-        a = int(a)
-        s = int(table[a % q]) if q > 1 else 1
-        n = a if a > 0 else 1
-        while n <= cap:
-            if n >= 1 and arith.is_squarefree(n):
-                found[(a, s)] = n
-                break
-            n += q
+    W = min(cap, max(4 * q, 1 << 13))
+    while True:
+        ns = np.flatnonzero(arith.factor_window(0, W).squarefree) + 1
+        res = ns % q
+        unit = G.unit_pos[res] >= 0
+        first = np.full(q, _NO_HIT, dtype=np.int64)
+        np.minimum.at(first, res[unit], ns[unit])
+        if W >= cap or (first[G.units] != _NO_HIT).all():
+            break
+        W = min(2 * W, cap)
+    found = {(a, int(table[a])): n for a, n in zip(G.units.tolist(), first[G.units].tolist())
+             if n != _NO_HIT}
     return G, found
 
 
@@ -167,46 +201,70 @@ def E_sets(h, q: int, x: int) -> tuple[set[int], set[int]]:
     return plus, minus
 
 
+def R_block(h, qs, caps):
+    """R(h; q) with its witness table for each q of a block, in the order of qs.
+
+    Every q is scanned up to its cap by one shared stream (_scan_block); a
+    real character h whose modulus is q takes the progression walk instead
+    (its signs are constant on classes).  The scan runs at once; the results
+    are built one at a time as the returned iterator is read.
+    """
+    qs, caps = list(qs), list(caps)
+    if any(cap < 1 for cap in caps):
+        raise DomainError("cap must be >= 1")
+    walk = [h.kind == "character" and h.character.group.q == q for q in qs]
+    scanned = iter(_scan_block(h, [q for q, w in zip(qs, walk) if not w],
+                               [c for c, w in zip(caps, walk) if not w]))
+
+    def result(q, cap, w):
+        if w:
+            G, found = _character_fast_witnesses(h, q, cap)
+        else:
+            G = group_mod.build_unit_group(q)
+            found = _found(G, next(scanned))
+        witnesses: dict[int, dict[int, int]] = {}
+        for (a, s), n in found.items():
+            witnesses.setdefault(a, {})[s] = n
+        complete = len(found) == 2 * len(G.units)
+        R = max(found.values()) if complete else None
+        return RFunctionResult(q, cap, R, witnesses, complete)
+
+    return map(result, qs, caps, walk)
+
+
 def R_of_h_q(h, q: int, cap: int) -> RFunctionResult:
     """Minimal N <= cap with E^+(N) = E^-(N) = Z_q^x, with witness table.
 
     Returns R_value None when some (class, sign) pair has no squarefree
-    witness below cap.  For character-valued h the scan short-circuits to a
-    per-class progression walk (signs are constant on classes).
+    witness below cap.  This is R_block for the block of one q.
     """
-    if cap < 1:
-        raise DomainError("cap must be >= 1")
-    if h.kind == "character" and h.character.group.q == q:
-        G, found = _character_fast_witnesses(h, q, cap)
-    else:
-        G, found = _scan_witnesses(h, q, cap)
-    witnesses: dict[int, dict[int, int]] = {}
-    for (a, s), n in found.items():
-        witnesses.setdefault(a, {})[s] = n
-    complete = len(found) == 2 * len(G.units)
-    R = max(found.values()) if complete else None
-    return RFunctionResult(q, cap, R, witnesses, complete)
+    return next(R_block(h, [q], [cap]))
 
 
 def verify_witnesses(result: RFunctionResult, h, q: int) -> bool:
-    """Independent per-class re-scan: squarefree, class, sign, minimality.
+    """Independent re-check of a witness table: squarefree, class, sign,
+    minimality.
 
-    A member where h vanishes is a witness of neither sign.
+    The class members below every witness are gathered at once, and each
+    integer is read from h.squarefree_signs, which evaluates it by scalar
+    factorization, not by the window sieve the scan used.  A member where h
+    vanishes is a witness of neither sign.
     """
-    def sign_of(n: int) -> int:
-        v = h.value(n)
-        return (v > 0) - (v < 0)
-
-    for a, d in result.witnesses.items():
-        for s, n in d.items():
-            if not arith.is_squarefree(n) or (n - a) % q != 0 or sign_of(n) != s:
-                return False
-            m = a if a > 0 else (1 if q == 1 else q)
-            while m < n:
-                if m >= 1 and arith.is_squarefree(m) and sign_of(m) == s:
-                    return False  # an earlier witness was missed
-                m += q
-    return True
+    items = [(a, s, n) for a, d in result.witnesses.items() for s, n in d.items()]
+    if not items:
+        return True
+    a, s, n = np.array(items, dtype=np.int64).T
+    if not (np.isin(s, (1, -1)).all() and (n >= 1).all() and ((n - a) % q == 0).all()):
+        return False
+    if (h.squarefree_signs(n) != s).any():
+        return False
+    # the members m = a, a + q, ... below n (from q when a = 0); any of
+    # them that is squarefree with sign s is an earlier witness
+    m0 = np.where(a > 0, a, q)
+    counts = np.maximum(0, (n - m0 + q - 1) // q)
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    members = np.repeat(m0, counts) + q * offsets
+    return not (h.squarefree_signs(members) == np.repeat(s, counts)).any()
 
 
 # ---------------------------------------------------------------------------
@@ -220,23 +278,32 @@ def theorem_audit(h, q: int, Q1: float, c: float,
     character chi mod q has pretend sum <= c / Q1^(1/100) (cutoff sqrt(q)
     by default).  Verdict is branch1 / branch2 / both / neither.
     """
-    cap = int(q * q * Q1)
-    res = R_of_h_q(h, q, cap)
-    branch1 = res.R_value is not None
-    cutoff = pretend_cutoff if pretend_cutoff is not None else math.sqrt(q)
+    return audit_block(h, [q], Q1, c, pretend_cutoff)[0]
+
+
+def audit_block(h, qs, Q1: float, c: float,
+                pretend_cutoff: float | None = None) -> list[dict]:
+    """theorem_audit for each q of a block; the R scans share one stream."""
+    qs = list(qs)
+    caps = [int(q * q * Q1) for q in qs]
     rows = []
-    best = math.inf
-    for chi in group_mod.real_characters(q):
-        s = multfunc.pretend_sum(h, chi, cutoff)
-        rows.append({"character": chi.label(), "pretend_sum": s,
-                     "principal": chi.is_principal})
-        best = min(best, s)
-    branch2 = multfunc.pretend_condition_holds(best, c, Q1)
-    verdict = {(True, True): "both", (True, False): "branch1",
-               (False, True): "branch2", (False, False): "neither"}[(branch1, branch2)]
-    return {"q": q, "Q1": Q1, "c": c, "cap": cap, "verdict": verdict,
-            "R": res.R_value, "pretend_cutoff": cutoff,
-            "min_pretend_sum": best, "pretend_table": rows}
+    for q, cap, res in zip(qs, caps, R_block(h, qs, caps)):
+        branch1 = res.R_value is not None
+        cutoff = pretend_cutoff if pretend_cutoff is not None else math.sqrt(q)
+        table = []
+        best = math.inf
+        for chi in group_mod.real_characters(q):
+            s = multfunc.pretend_sum(h, chi, cutoff)
+            table.append({"character": chi.label(), "pretend_sum": s,
+                          "principal": chi.is_principal})
+            best = min(best, s)
+        branch2 = multfunc.pretend_condition_holds(best, c, Q1)
+        verdict = {(True, True): "both", (True, False): "branch1",
+                   (False, True): "branch2", (False, False): "neither"}[(branch1, branch2)]
+        rows.append({"q": q, "Q1": Q1, "c": c, "cap": cap, "verdict": verdict,
+                     "R": res.R_value, "pretend_cutoff": cutoff,
+                     "min_pretend_sum": best, "pretend_table": table})
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import subprocess
 import sys
 
 import pytest
@@ -159,7 +160,8 @@ def test_batch_csv(capsys):
 
 def test_batch_threads_matches_serial(capsys):
     for args in (("--qmin", "3", "--qmax", "10"),
-                 ("--h", "character:7:1", "--qmin", "3", "--qmax", "50")):
+                 ("--h", "character:7:1", "--qmin", "3", "--qmax", "50"),
+                 ("--what", "audit", "--h", "mobius", "--qmin", "3", "--qmax", "40")):
         serial = run_cli(capsys, "batch", *args)
         parallel = run_cli(capsys, "batch", *args, "--threads", "2")
         assert serial[0] == parallel[0] == 0, parallel[2]
@@ -187,3 +189,29 @@ def test_transforms_past_the_dense_matrix_scale(capsys):
     for argv in (("charsum", "large", "--q", "20011"), ("densemodel", "--q", "20011")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
+
+
+def test_cli_import_leaves_mpmath_out():
+    # mpmath (~30 ms to import) is loaded only when an L(1, chi) is evaluated
+    code = "import sys, linnik_lab.cli; print('mpmath' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_lofq_report_with_lazy_mpmath(capsys):
+    code, out, err = run_cli(capsys, "lofq", "--q", "15", "--prime-cutoff", "100")
+    assert code == 0, err
+    res = json.loads(out)["result"]
+    # the report as it was while mpmath was imported with multfunc
+    assert res["L"] == 1.064583766044008
+    assert [(r["character"], r["L1"], r["L1_euler_truncated"], r["value"])
+            for r in res["per_character"]] == [
+        ("chi[q=15;0,2]", 0.5738785879520054, 0.5832839683007696, 1.0382567773780822),
+        ("chi[q=15;1,0]", 0.7255197456936872, 0.7382743368524755, 1.064583766044008),
+        ("chi[q=15;1,2]", 1.6223114703894448, 1.6226704017398998, 0.9181857864666092)]
+    # the odd character mod 15: L(1, chi_-15) = 2 pi / sqrt(15) (class number 2)
+    assert res["per_character"][2]["L1"] == pytest.approx(2 * math.pi / math.sqrt(15),
+                                                          rel=1e-12)

@@ -86,6 +86,26 @@ def test_squarefree_signs_match_values(h, lo, width):
     assert np.array_equal(got, np.array(want, dtype=np.int8))
 
 
+@given(st.sampled_from(SQUAREFREE_SIGN_FNS),
+       st.lists(st.integers(min_value=1, max_value=3000), max_size=60))
+@settings(max_examples=60, deadline=None)
+def test_squarefree_sign_table_matches_values(h, ns):
+    """The oracle's table: scalar values, each integer evaluated once."""
+    ns = np.array(ns, dtype=np.int64)
+    got = h.squarefree_signs(ns)
+    assert got.dtype == np.int8
+    want = [_sign(h.value(n)) if arith.is_squarefree(n) else 0 for n in ns.tolist()]
+    assert np.array_equal(got, np.array(want, dtype=np.int8))
+    calls = []
+    factorize = arith.factorize
+    arith.factorize = lambda n: calls.append(n) or factorize(n)
+    try:
+        assert np.array_equal(h.squarefree_signs(ns[::-1]), got[::-1])
+    finally:
+        arith.factorize = factorize
+    assert calls == []
+
+
 def test_pretentious_distance():
     lam, one = mf.liouville_fn(), mf.one_fn()
     assert mf.pretentious_distance(lam, lam, 100) == 0.0

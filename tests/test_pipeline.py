@@ -1,9 +1,12 @@
+import copy
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from linnik_lab import arith, charsums as cs, group as g, multfunc as mf, pipeline as pl
+from linnik_lab import arith, charsums as cs, cli, group as g, multfunc as mf, pipeline as pl
 from linnik_lab.errors import DomainError, ResourceError
 
 
@@ -87,6 +90,84 @@ def test_theorem_audit():
     for q in range(3, 30):
         aud = pl.theorem_audit(mu, q, 10.0, 1.0)
         assert aud["verdict"] in ("branch1", "branch2", "both")
+
+
+def _walk_verify(result, h, q):
+    """The small-q oracle of verify_witnesses: every class member below each
+    witness, one scalar is_squarefree and h.value at a time."""
+    def sign_of(n):
+        v = h.value(n)
+        return (v > 0) - (v < 0)
+
+    for a, d in result.witnesses.items():
+        for s, n in d.items():
+            if not arith.is_squarefree(n) or (n - a) % q != 0 or sign_of(n) != s:
+                return False
+            m = a if a > 0 else (1 if q == 1 else q)
+            while m < n:
+                if m >= 1 and arith.is_squarefree(m) and sign_of(m) == s:
+                    return False  # an earlier witness was missed
+                m += q
+    return True
+
+
+# liouville, mobius, chi_7 (vanishes on multiples of 7) and a generic rule
+# (vanishes on multiples of 11, sign -1 at the primes 1 mod 3)
+WITNESS_FNS = (LAM, mf.mobius_fn(), mf.character_fn(g.real_characters(7)[1]),
+               mf.MultiplicativeFunction("generic", lambda p, e: 0.0 if p == 11
+                                         else (-0.5) ** e if p % 3 == 1 else 2.0))
+
+
+def _next_member(q, after, want):
+    """The first m = after + q, after + 2q, ... with want(m), within 100
+    terms, or None."""
+    for m in range(after + q, after + 101 * q, q):
+        if want(m):
+            return m
+    return None
+
+
+@given(st.sampled_from(WITNESS_FNS), st.integers(min_value=1, max_value=60),
+       st.sampled_from(("none", "later", "sign", "squarefree", "class")), st.data())
+@settings(max_examples=150, deadline=None)
+def test_verify_witnesses_matches_the_walk(h, q, mutation, data):
+    res = pl.R_of_h_q(h, q, 20 * q * q)
+    assume(res.witnesses)
+    a, d = data.draw(st.sampled_from(sorted(res.witnesses.items())))
+    s, n = data.draw(st.sampled_from(sorted(d.items())))
+    bad = copy.deepcopy(res)
+    if mutation == "later":
+        # a witness of the same class and sign, but not the first one
+        later = _next_member(q, n, lambda m: arith.is_squarefree(m)
+                             and (h.value(m) > 0) - (h.value(m) < 0) == s)
+        assume(later is not None)
+        bad.witnesses[a][s] = later
+    elif mutation == "sign":
+        bad.witnesses[a][-s] = n
+    elif mutation == "squarefree":
+        square = _next_member(q, a, lambda m: not arith.is_squarefree(m))
+        assume(square is not None)
+        bad.witnesses[a][s] = square
+    elif mutation == "class":
+        others = [int(b) for b in g.build_unit_group(q).units if b != a]
+        assume(others)
+        b = data.draw(st.sampled_from(others))
+        bad.witnesses.setdefault(b, {})[s] = n
+    want = mutation == "none"
+    assert _walk_verify(bad, h, q) is want
+    assert pl.verify_witnesses(bad, h, q) is want
+
+
+def test_block_matches_single_q_scans():
+    """Moduli sharing one stream, with caps that end inside and past it,
+    get the witness tables of scans of their own."""
+    for h in WITNESS_FNS:
+        qs = list(range(1, 61, 3))
+        caps = [(7 * q * q + 5) if q % 2 else max(1, q * 10 - 50) for q in qs]
+        for q, cap, res in zip(qs, caps, pl.R_block(h, qs, caps)):
+            one = pl.R_of_h_q(h, q, cap)
+            assert (res.q, res.cap, res.R_value, res.complete, res.witnesses) == \
+                (q, cap, one.R_value, one.complete, one.witnesses)
 
 
 TOY35 = dict(q=35, epsilon=0.1, R=20.0, Q1=16.0, z=3.0)
@@ -379,3 +460,22 @@ def test_each_window_is_sieved_once(monkeypatch):
         sieved.clear()
         call()
         assert sieved and sum(sieved) == length, (sieved, length)
+
+
+def test_batch_block_sieves_each_integer_once(monkeypatch, capsys):
+    """A serial batch is one block: its scans read one stream of disjoint
+    windows from 0, and the witness oracle sieves nothing."""
+    windows = []
+    sieve = arith.factor_window
+
+    def counting(lo, hi):
+        windows.append((lo, hi))
+        return sieve(lo, hi)
+
+    monkeypatch.setattr(arith, "factor_window", counting)
+    assert cli.run(["batch", "--what", "rfunc", "--qmin", "3", "--qmax", "60"]) == 0
+    rows = json.loads(capsys.readouterr().out)["result"]["table"]
+    assert len(rows) == 58 and all(r["verified"] for r in rows)
+    assert windows[0][0] == 0
+    assert all(prev[1] == cur[0] for prev, cur in zip(windows, windows[1:])), windows
+    assert sum(hi - lo for lo, hi in windows) == windows[-1][1]
