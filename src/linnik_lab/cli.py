@@ -192,10 +192,9 @@ def cmd_lofq(args):
 def cmd_sieve(args):
     plus, minus = sieve.build_beta_sieve(args.z, args.D, args.kappa)
     res = {
-        "support_plus": len(plus.weights), "support_minus": len(minus.weights),
+        "support_plus": plus.d.size, "support_minus": minus.d.size,
         "s": plus.s, "lambda_1": [plus.weights[1], minus.weights[1]],
-        "max_abs": max(max(abs(v) for v in plus.weights.values()),
-                       max(abs(v) for v in minus.weights.values())),
+        "max_abs": int(max(np.abs(plus.mu).max(), np.abs(minus.mu).max())),
     }
     if args.accuracy_K is not None:
         res["accuracy_g_inv_p"] = sieve.sieve_accuracy(

@@ -161,10 +161,11 @@ def pretend_sum(h: MultiplicativeFunction, chi, cutoff: float) -> float:
     """sum over p <= cutoff with h(p) chi(p) < 0 of 1/p (chi real/principal)."""
     if not chi.is_real:
         raise DomainError("the pretend criterion is defined for characters of order <= 2")
+    ps = arith.primes_upto(int(cutoff))
+    signs = chi.real_sign_table()[ps % chi.group.q]
     total = 0.0
-    for p in arith.primes_upto(int(cutoff)):
-        p = int(p)
-        if h.value(p) * chi(p).real < 0:
+    for p, s in zip(ps.tolist(), signs.tolist()):
+        if h.value(p) * s < 0:
             total += 1.0 / p
     return total
 

@@ -56,6 +56,9 @@ def test_exit_codes(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "ramare", "--q", "101", "--Q1", "10", "--M", "2000",
                            "--j", "3", "--overrides", "10:100,150:1e12")
     assert code == 3 and "resource" in err and "Traceback" not in err, err
+    # a rough count past the cap limit, refused before anything is allocated
+    code, _, err = run_cli(capsys, "rough", "--q", "35", "--cap", "100000000000", "--z", "3")
+    assert code == 3 and "resource" in err and "Traceback" not in err, err
     code, _, _ = run_cli(capsys)
     assert code == 1
     # malformed h specs, character indices, ladder overrides and batch ranges

@@ -133,6 +133,18 @@ def test_pretend_sum():
         mf.pretend_sum(lam, nonreal, 10)
 
 
+def test_pretend_sum_matches_character_values():
+    # the sign table against chi(p).real one prime at a time, float for float
+    for q in (1, 2, 3, 4, 8, 12, 24, 35, 97):
+        for chi in group.real_characters(q):
+            for h in (mf.liouville_fn(), mf.mobius_fn(), mf.character_fn(chi)):
+                ref = 0.0
+                for p in arith.primes_upto(3000).tolist():
+                    if h.value(p) * chi(p).real < 0:
+                        ref += 1.0 / p
+                assert mf.pretend_sum(h, chi, 3000) == ref, (q, chi.label(), h.name)
+
+
 def test_pretend_sum_monotone_in_cutoff():
     lam = mf.liouville_fn()
     chi0 = group.real_characters(7)[0]
