@@ -3,7 +3,8 @@ intervals with real endpoints, unit counts in intervals, the threshold B(q),
 Mertens products and Kloosterman-type pair counts.
 
 Everything here is exact; floats only enter through interval endpoints, which
-are snapped to integers with a documented 1e-9 relative guard band.
+are snapped to integers by one rule (snap): a 1e-9 relative guard band,
+at most 1e-6 wide.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ _MAX_N = 2**63 - 1
 
 # largest prime table built: twice the 2^24 that factorize trial-divides to
 PRIME_TABLE_LIMIT = 1 << 25
+# widest factor_window: its arrays peak near 200 MB at this width, and the
+# witness scan reads windows of at most 2^18
+WINDOW_LIMIT = 1 << 22
 
 _prime_limit = 0
 _prime_array = np.empty(0, dtype=np.int64)
@@ -53,8 +57,8 @@ def primes_upto(n: int) -> np.ndarray:
 
 def primes_in(lo: float, hi: float) -> np.ndarray:
     """Primes p with lo < p <= hi."""
-    ps = primes_upto(int(math.floor(hi + 1e-9 * max(1.0, abs(hi)))))
-    return ps[ps > lo + 1e-9 * max(1.0, abs(lo))]
+    ps = primes_upto(snap(hi))
+    return ps[ps > snap(lo)]
 
 
 def is_prime(n: int) -> bool:
@@ -233,12 +237,15 @@ def divisors(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # intervals with real endpoints
 
+# relative width of the guard band, and its largest absolute width: an
+# integral endpoint snaps to itself at every size
 _GUARD = 1e-9
+_GUARD_MAX = 1e-6
 
 
-def _snap(x: float) -> int:
-    """floor(x) after widening by the relative guard band."""
-    return int(math.floor(x + _GUARD * max(1.0, abs(x))))
+def snap(x: float) -> int:
+    """floor(x) after widening by the guard band."""
+    return int(math.floor(x + min(_GUARD * max(1.0, abs(x)), _GUARD_MAX)))
 
 
 @dataclass(frozen=True)
@@ -246,7 +253,7 @@ class IntegerInterval:
     """Half-open real interval (lo, hi]; members are integers lo < n <= hi.
 
     Endpoints may be irrational (e-adic intervals); membership is decided by
-    integer bounds snapped once with a 1e-9 relative guard band, so every
+    integer bounds snapped once through the guard band of snap, so every
     derived count (members, multiples) is exactly consistent.
     """
 
@@ -264,11 +271,11 @@ class IntegerInterval:
 
     @property
     def ilo(self) -> int:
-        return _snap(self.lo)
+        return snap(self.lo)
 
     @property
     def ihi(self) -> int:
-        return _snap(self.hi)
+        return snap(self.hi)
 
     @property
     def length(self) -> float:
@@ -523,9 +530,14 @@ class WindowFactors:
 
 
 def factor_window(lo: int, hi: int) -> WindowFactors:
-    """Factorizations of lo+1 .. hi by one segmented sieve."""
+    """Factorizations of lo+1 .. hi by one segmented sieve.
+
+    Raises ResourceError when the window is wider than WINDOW_LIMIT.
+    """
     if lo < 0:
         raise DomainError(f"factor_window needs lo >= 0, got {lo}")
+    if hi - lo > WINDOW_LIMIT:
+        raise ResourceError(f"a factor window of {hi - lo} integers exceeds the limit {WINDOW_LIMIT}")
     n0 = lo + 1
     N = max(hi - lo, 0)
     rem = np.arange(n0, n0 + N, dtype=np.int64)

@@ -148,7 +148,7 @@ def _squarefree_signed(G, h, lo: int, hi: int, B, delta):
 
 def u_set_easy(G, h, R: float, B=None, delta=None) -> list[int]:
     """Squarefree u <= R with u in B and sign delta."""
-    return _squarefree_signed(G, h, 0, int(math.floor(R + 1e-9 * max(1.0, R))), B, delta)
+    return _squarefree_signed(G, h, 0, arith.snap(R), B, delta)
 
 
 def u_set(G, h, U: float, v: int, B=None, delta=None) -> list[int]:

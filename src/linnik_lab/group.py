@@ -19,14 +19,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, reduce
 
 import numpy as np
 
 from . import arith
 from .errors import DomainError
 
-_MATERIALIZE_LIMIT = 10**5
 _Q_LIMIT = 10**7
 
 
@@ -58,11 +57,33 @@ def _generator_mod_prime_power(p: int, e: int) -> int:
     return g
 
 
+def _geometric(g: int, n: int, m: int) -> np.ndarray:
+    """g^k mod m for k < n, one product at a time."""
+    out = np.empty(n, dtype=np.int64)
+    x = 1
+    for k in range(n):
+        out[k] = x
+        x = x * g % m
+    return out
+
+
+def _powers(g: int, order: int, m: int) -> np.ndarray:
+    """g^k mod m for k < order, by blocked powers: the outer product of
+    g^(jB) and g^k, k < B = ceil(sqrt(order)).  Both factors are below
+    m <= _Q_LIMIT, so the products fit in int64."""
+    B = math.isqrt(order - 1) + 1
+    blocks = np.multiply.outer(_geometric(pow(g, B, m), -(-order // B), m),
+                               _geometric(g, B, m))
+    np.remainder(blocks, m, out=blocks)
+    return blocks.reshape(-1)[:order]
+
+
 class UnitGroup:
     """Z_q^x with component-wise discrete logarithm tables.
 
-    For 2^e with e >= 3 the 2-part is split as <-1> x <5>.  Immutable after
-    build; all derived tables are cached lazily.
+    For 2^e with e >= 3 the 2-part is split as <-1> x <5>.  Immutable: the
+    dlog tables are built with the group, every table derived from them is a
+    cached property built on first use.
     """
 
     def __init__(self, q: int):
@@ -94,74 +115,43 @@ class UnitGroup:
         self.grid_shape = tuple(c.order for c in comps) or (1,)
         self.angle_modulus = math.lcm(*(c.order for c in comps)) if comps else 1
         self._dlog_tables = self._build_dlog_tables()
-        self._units: np.ndarray | None = None
-        self._unit_pos: np.ndarray | None = None
-        self._unit_grid: np.ndarray | None = None
-        self._unit_dlogs: tuple[np.ndarray, ...] | None = None
-        self._roots: np.ndarray | None = None
-        self._chars: tuple[DirichletCharacter, ...] | None = None
-        self._real_chars: tuple[DirichletCharacter, ...] | None = None
-        if q <= _MATERIALIZE_LIMIT:
-            self._materialize()
 
     # -- construction ------------------------------------------------------
 
     def _build_dlog_tables(self) -> list[np.ndarray]:
+        """One table per component over the residues of its prime power m:
+        the component's exponent, -1 off the units.  The components of one m
+        (the <-1> x <5> pair of 2^e) are filled together from the table of
+        their products g_1^x_1 g_2^x_2 mod m."""
         tables = []
-        two_part: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for comp in self.components:
-            m = comp.modulus
-            if m % 2 == 0 and m % 8 == 0:
-                # joint fill for the <-1> x <5> pair, once per modulus
-                if m not in two_part:
-                    tA = np.full(m, -1, dtype=np.int64)
-                    tB = np.full(m, -1, dtype=np.int64)
-                    half = m // 4  # order of 5 mod 2^e
-                    x = 1
-                    for t in range(half):
-                        tA[x] = 0
-                        tB[x] = t
-                        tA[m - x] = 1
-                        tB[m - x] = t
-                        x = x * 5 % m
-                    two_part[m] = (tA, tB)
-                tA, tB = two_part[m]
-                tables.append(tA if comp.generator == m - 1 else tB)
-            else:
-                t = np.full(m, -1, dtype=np.int64)
-                x = 1
-                for k in range(comp.order):
-                    t[x] = k
-                    x = x * comp.generator % m
+        for m, same in itertools.groupby(self.components, key=lambda c: c.modulus):
+            comps = list(same)
+            elements = reduce(lambda a, b: np.multiply.outer(a, b) % m,
+                              [_powers(c.generator, c.order, m) for c in comps])
+            for axis, comp in enumerate(comps):
+                t = np.full(m, -1, dtype=np.int32)
+                shape = [1] * len(comps)
+                shape[axis] = comp.order
+                t[elements] = np.arange(comp.order, dtype=np.int32).reshape(shape)
                 tables.append(t)
         return tables
 
-    def _materialize(self):
-        q = self.q
-        if q == 1:
-            self._units = np.array([0], dtype=np.int64)
-            self._unit_pos = np.array([0], dtype=np.int64)
-            return
-        n = np.arange(q, dtype=np.int64)
-        mask = np.gcd(n, q) == 1
-        self._units = n[mask]
-        pos = np.full(q, -1, dtype=np.int64)
-        pos[self._units] = np.arange(len(self._units))
-        self._unit_pos = pos
-
     # -- basic queries -----------------------------------------------------
 
-    @property
+    @cached_property
     def units(self) -> np.ndarray:
-        if self._units is None:
-            raise DomainError(f"element list not materialized for q={self.q} > {_MATERIALIZE_LIMIT}")
-        return self._units
+        """The residues 0 <= a < q prime to q (just 0 when q = 1)."""
+        mask = np.ones(self.q, dtype=bool)
+        for p in arith.factorize(self.q).primes:
+            mask[::p] = False
+        return np.flatnonzero(mask)
 
-    @property
+    @cached_property
     def unit_pos(self) -> np.ndarray:
-        if self._unit_pos is None:
-            raise DomainError("element list not materialized")
-        return self._unit_pos
+        """Position of each residue in self.units, -1 off the units."""
+        pos = np.full(self.q, -1, dtype=np.int64)
+        pos[self.units] = np.arange(len(self.units))
+        return pos
 
     def is_unit(self, n: int) -> bool:
         return math.gcd(n % self.q if self.q > 1 else 0, self.q) == 1
@@ -187,34 +177,31 @@ class UnitGroup:
         """Reconstruct the unit with the given exponent vector."""
         a = 1 % self.q
         # generators of distinct components are CRT-compatible units mod q
-        for comp, x in zip(self.components, vec):
-            g = comp.generator
-            lifted = self._lift_component_generator(comp)
+        for comp, lifted, x in zip(self.components, self._lifted_generators, vec):
             a = a * pow(lifted, int(x) % comp.order, self.q) % self.q
-        return a if self.q > 1 else 0
+        return a
 
-    @lru_cache(maxsize=None)
-    def _lift_component_generator(self, comp: CyclicComponent) -> int:
-        # CRT-lift: generator at its own prime power, 1 at the other factors
-        if self.q == comp.modulus:
-            return comp.generator % self.q
-        rest = self.q // comp.modulus
-        t = (comp.generator - 1) * pow(rest, -1, comp.modulus) % comp.modulus
-        return (1 + rest * t) % self.q
+    @cached_property
+    def _lifted_generators(self) -> tuple[int, ...]:
+        """Each component's generator CRT-lifted to q: the generator at its own
+        prime power, 1 at the other factors."""
+        out = []
+        for comp in self.components:
+            rest = self.q // comp.modulus
+            t = (comp.generator - 1) * pow(rest, -1, comp.modulus) % comp.modulus
+            out.append((1 + rest * t) % self.q)
+        return tuple(out)
 
     # -- the dlog grid -------------------------------------------------------
 
-    @property
+    @cached_property
     def unit_grid(self) -> np.ndarray:
         """Flat C-order position of each unit on the dlog grid (d_1, ..., d_k),
         aligned with self.units."""
-        if self._unit_grid is None:
-            units = self.units
-            pos = np.zeros(len(units), dtype=np.int64)
-            for comp, table in zip(self.components, self._dlog_tables):
-                pos = pos * comp.order + table[units % comp.modulus]
-            self._unit_grid = pos
-        return self._unit_grid
+        pos = np.zeros(len(self.units), dtype=np.int64)
+        for comp, table in zip(self.components, self._dlog_tables):
+            pos = pos * comp.order + table[self.units % comp.modulus]
+        return pos
 
     def to_grid(self, vec: np.ndarray) -> np.ndarray:
         """Scatter a vector aligned with self.units onto the dlog grid."""
@@ -226,41 +213,46 @@ class UnitGroup:
         """Gather a function on the dlog grid back into unit order."""
         return grid.reshape(-1)[self.unit_grid]
 
+    @cached_property
+    def _unit_dlogs(self) -> tuple[np.ndarray, ...]:
+        return np.unravel_index(self.unit_grid, self.grid_shape) if self.components else ()
+
     def unit_dlogs(self) -> tuple[np.ndarray, ...]:
         """Per-component dlog exponents of every unit, aligned with self.units."""
-        if self._unit_dlogs is None:
-            self._unit_dlogs = (np.unravel_index(self.unit_grid, self.grid_shape)
-                                if self.components else ())
         return self._unit_dlogs
+
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        L = self.angle_modulus
+        ang = 2 * np.pi * (np.arange(L) / L)
+        roots = np.cos(ang) + 1j * np.sin(ang)
+        roots[0] = 1
+        if L % 2 == 0:
+            roots[L // 2] = -1
+        return roots
 
     def root_table(self) -> np.ndarray:
         """e(k/L) for k = 0..L-1 (L = angle_modulus), exact at k = 0 and L/2."""
-        if self._roots is None:
-            L = self.angle_modulus
-            ang = 2 * np.pi * (np.arange(L) / L)
-            roots = np.cos(ang) + 1j * np.sin(ang)
-            roots[0] = 1
-            if L % 2 == 0:
-                roots[L // 2] = -1
-            self._roots = roots
         return self._roots
 
     # -- characters ---------------------------------------------------------
 
+    @cached_property
+    def _characters(self) -> tuple["DirichletCharacter", ...]:
+        return tuple(DirichletCharacter(self, v) for v in
+                     itertools.product(*(range(c.order) for c in self.components)))
+
     def characters(self) -> tuple["DirichletCharacter", ...]:
-        if self._chars is None:
-            self._chars = tuple(DirichletCharacter(self, v) for v in
-                                itertools.product(*(range(c.order) for c in self.components)))
-        return self._chars
+        return self._characters
+
+    @cached_property
+    def _real_characters(self) -> tuple["DirichletCharacter", ...]:
+        choices = [(0, c.order // 2) if c.order % 2 == 0 else (0,) for c in self.components]
+        return tuple(DirichletCharacter(self, v) for v in itertools.product(*choices))
 
     def real_characters(self) -> tuple["DirichletCharacter", ...]:
         """The characters of order <= 2, t_i in {0, d_i/2}, in characters() order."""
-        if self._real_chars is None:
-            choices = [(0, c.order // 2) if c.order % 2 == 0 else (0,)
-                       for c in self.components]
-            self._real_chars = tuple(DirichletCharacter(self, v)
-                                     for v in itertools.product(*choices))
-        return self._real_chars
+        return self._real_characters
 
     def character_index(self, chi: "DirichletCharacter") -> int:
         """Position of chi in characters(), i.e. its dual vector raveled in C order."""

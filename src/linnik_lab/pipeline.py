@@ -109,8 +109,20 @@ class RFunctionResult:
                               for a, d in sorted(self.witnesses.items())}}
 
 
-# first-hit tables hold this where a (class, sign) pair has no witness yet
+# first-hit tables hold this where a (class, sign) pair has no witness yet,
+# and 0 where h cannot take that sign on the class
 _NO_HIT = np.iinfo(np.int64).max
+
+
+def _first_hit_table(h, G: group_mod.UnitGroup) -> np.ndarray:
+    """An empty (q, 2) first-hit table of _scan_block.  A real character h
+    whose modulus divides q has one sign on each unit class; the other sign
+    of the class is marked 0, so the class is complete with one witness."""
+    first = np.full((G.q, 2), _NO_HIT, dtype=np.int64)
+    if h.kind == "character" and G.q % h.character.group.q == 0:
+        table = h.character.real_sign_table()
+        first[G.units, (table[G.units % h.character.group.q] > 0).astype(np.int64)] = 0
+    return first
 
 
 def _scan_block(h, qs, caps, stop_when_complete: bool = True) -> list[np.ndarray]:
@@ -121,12 +133,13 @@ def _scan_block(h, qs, caps, stop_when_complete: bool = True) -> list[np.ndarray
     per block and memory holds one segment.  Each pending q masks the
     segment's squarefree integers with nonzero sign by its units and records
     its first hits with one scatter (np.minimum.at) into a (q, 2) table,
-    column 0 for sign +1 and 1 for -1, _NO_HIT where there is none.  A q
-    leaves the stream once it is complete (if stop_when_complete) or once
-    the stream has passed its cap.  Returns the tables in the order of qs.
+    column 0 for sign +1 and 1 for -1 (see _first_hit_table).  A q leaves
+    the stream once every unit class holds every sign h can take on it (if
+    stop_when_complete) or once the stream has passed its cap.  Returns the
+    tables in the order of qs.
     """
     groups = [group_mod.build_unit_group(q) for q in qs]
-    first = [np.full((q, 2), _NO_HIT, dtype=np.int64) for q in qs]
+    first = [_first_hit_table(h, G) for G in groups]
     pending = list(range(len(qs)))
     lo = 0
     chunk = 1 << 13
@@ -157,45 +170,14 @@ def _found(G: group_mod.UnitGroup, first: np.ndarray) -> dict[tuple[int, int], i
     """{(class, sign): first witness} from a first-hit table of _scan_block."""
     return {(a, s): n
             for a, row in zip(G.units.tolist(), first[G.units].tolist())
-            for s, n in zip((1, -1), row) if n != _NO_HIT}
-
-
-def _scan_witnesses(h, q: int, cap: int, stop_when_complete: bool = True):
-    """_scan_block for the block of one q: its group and {(class, sign): n}."""
-    G = group_mod.build_unit_group(q)
-    return G, _found(G, _scan_block(h, [q], [cap], stop_when_complete)[0])
-
-
-def _character_fast_witnesses(h, q: int, cap: int):
-    """For class-determined signs (h a real character) the minimal squarefree
-    witness in class a is the first squarefree term of the progression.
-
-    Every class's first squarefree term comes from one window (0, W] by one
-    first-hit scatter; W doubles only while some unit class has no hit and
-    W < cap.
-    """
-    G = group_mod.build_unit_group(q)
-    table = h.character.real_sign_table()
-    W = min(cap, max(4 * q, 1 << 13))
-    while True:
-        ns = np.flatnonzero(arith.factor_window(0, W).squarefree) + 1
-        res = ns % q
-        unit = G.unit_pos[res] >= 0
-        first = np.full(q, _NO_HIT, dtype=np.int64)
-        np.minimum.at(first, res[unit], ns[unit])
-        if W >= cap or (first[G.units] != _NO_HIT).all():
-            break
-        W = min(2 * W, cap)
-    found = {(a, int(table[a])): n for a, n in zip(G.units.tolist(), first[G.units].tolist())
-             if n != _NO_HIT}
-    return G, found
+            for s, n in zip((1, -1), row) if 0 < n < _NO_HIT}
 
 
 def E_sets(h, q: int, x: int) -> tuple[set[int], set[int]]:
     """E^+(x), E^-(x): classes holding a squarefree witness of each sign."""
     if x < 1:
         raise DomainError("x must be >= 1")
-    _, found = _scan_witnesses(h, q, x, stop_when_complete=True)
+    found = _found(group_mod.build_unit_group(q), _scan_block(h, [q], [x])[0])
     plus = {a for (a, s) in found if s == 1}
     minus = {a for (a, s) in found if s == -1}
     return plus, minus
@@ -204,24 +186,18 @@ def E_sets(h, q: int, x: int) -> tuple[set[int], set[int]]:
 def R_block(h, qs, caps):
     """R(h; q) with its witness table for each q of a block, in the order of qs.
 
-    Every q is scanned up to its cap by one shared stream (_scan_block); a
-    real character h whose modulus is q takes the progression walk instead
-    (its signs are constant on classes).  The scan runs at once; the results
-    are built one at a time as the returned iterator is read.
+    Every q is scanned by one shared stream (_scan_block) until its witness
+    table holds every (class, sign) pair h can take or the stream passes its
+    cap.  The scan runs at once;
+    the results are built one at a time as the returned iterator is read.
     """
     qs, caps = list(qs), list(caps)
     if any(cap < 1 for cap in caps):
         raise DomainError("cap must be >= 1")
-    walk = [h.kind == "character" and h.character.group.q == q for q in qs]
-    scanned = iter(_scan_block(h, [q for q, w in zip(qs, walk) if not w],
-                               [c for c, w in zip(caps, walk) if not w]))
 
-    def result(q, cap, w):
-        if w:
-            G, found = _character_fast_witnesses(h, q, cap)
-        else:
-            G = group_mod.build_unit_group(q)
-            found = _found(G, next(scanned))
+    def result(q, cap, first):
+        G = group_mod.build_unit_group(q)
+        found = _found(G, first)
         witnesses: dict[int, dict[int, int]] = {}
         for (a, s), n in found.items():
             witnesses.setdefault(a, {})[s] = n
@@ -229,14 +205,15 @@ def R_block(h, qs, caps):
         R = max(found.values()) if complete else None
         return RFunctionResult(q, cap, R, witnesses, complete)
 
-    return map(result, qs, caps, walk)
+    return map(result, qs, caps, _scan_block(h, qs, caps))
 
 
 def R_of_h_q(h, q: int, cap: int) -> RFunctionResult:
     """Minimal N <= cap with E^+(N) = E^-(N) = Z_q^x, with witness table.
 
     Returns R_value None when some (class, sign) pair has no squarefree
-    witness below cap.  This is R_block for the block of one q.
+    witness below cap, as for a real character h whose modulus divides q.
+    This is R_block for the block of one q.
     """
     return next(R_block(h, [q], [cap]))
 
@@ -325,9 +302,6 @@ class SignContext:
     def f_raw_sums(self, k: int, delta: int) -> np.ndarray:
         return charsums.all_char_sums(self.G, self.supports[(k, delta)])
 
-    def f_hat(self, k: int, delta: int) -> np.ndarray:
-        return self.f_raw_sums(k, delta) * (self.norm / self.interval_counts[k])
-
     def g_hat(self, k: int, delta: int) -> np.ndarray:
         return self.models[(k, delta)].g_hat
 
@@ -346,7 +320,7 @@ def build_context(h, q: int, params: ParamSet, ks=None) -> SignContext:
         plus, minus = charsums.f_support(G, h, params.z, iv)
         supports[(k, 1)] = plus
         supports[(k, -1)] = minus
-        counts[k] = sum(1 for n in iv.members() if math.gcd(n, q) == 1)
+        counts[k] = arith.count_units_in_interval(iv, q)[0]
         for delta, supp in ((1, plus), (-1, minus)):
             supp_set = set(supp)
             models[(k, delta)] = densemodel.build_dense_model(

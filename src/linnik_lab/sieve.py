@@ -263,7 +263,7 @@ def rough_count_in_coset(Rcap: float, q: int, coset, z: float,
     logged, never asserted.  The integers are counted in fixed blocks; a cap
     past _ROUGH_CAP_LIMIT raises ResourceError.
     """
-    cap = int(math.floor(Rcap + 1e-9 * max(1.0, Rcap)))
+    cap = arith.snap(Rcap)
     if cap < 1:
         return 0, {"count": 0, "total_rough": 0, "share_shape": 0.0, "ratio": float("nan")}
     if cap > _ROUGH_CAP_LIMIT:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linnik_lab import arith
-from linnik_lab.errors import DomainError
+from linnik_lab.errors import DomainError, ResourceError
 
 
 def test_factorize_examples():
@@ -82,6 +82,11 @@ def test_interval_membership_and_counts():
     # guard band snaps nearly-integral endpoints
     K = arith.IntegerInterval(9.9999999999, 20.0000000001)
     assert K.ilo == 10 and K.ihi == 20
+    # the band is at most 1e-6 wide, so an integral endpoint snaps to itself
+    assert arith.snap(1e9) == 10**9 and arith.snap(999999999.0) == 999999999
+    assert arith.snap(1e11) == 10**11 and arith.snap(1e11 - 0.5) == 10**11 - 1
+    assert arith.IntegerInterval(0, 1e9).ihi == 10**9
+    assert arith.snap(1e9 - 1e-7) == 10**9
 
 
 def test_count_units_in_interval_examples():
@@ -221,6 +226,14 @@ INTERVALS = st.lists(st.tuples(st.one_of(st.integers(0, 3000), st.floats(0, 3000
 @settings(max_examples=60, deadline=None)
 def test_factor_window_matches_factorize(lo, width, intervals):
     _check_window(lo, width, intervals, lambda n: arith.factorize(n).factors)
+
+
+def test_factor_window_refuses_a_window_past_the_limit():
+    # checked before anything is allocated
+    with pytest.raises(ResourceError):
+        arith.factor_window(10**12, 10**12 + arith.WINDOW_LIMIT + 1)
+    with pytest.raises(ResourceError):
+        arith.factor_window(0, 10**11)
 
 
 def test_factor_window_matches_sympy():

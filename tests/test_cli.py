@@ -59,6 +59,12 @@ def test_exit_codes(capsys, monkeypatch):
     # a rough count past the cap limit, refused before anything is allocated
     code, _, err = run_cli(capsys, "rough", "--q", "35", "--cap", "100000000000", "--z", "3")
     assert code == 3 and "resource" in err and "Traceback" not in err, err
+    assert "up to 100000000000 exceeds" in err, err
+    # a decomposition window past the window limit, refused before anything
+    # is allocated
+    code, _, err = run_cli(capsys, "ramare", "--q", "101", "--Q1", "10", "--M", "1e11",
+                           "--j", "2", "--overrides", "10:100")
+    assert code == 3 and "resource" in err and "Traceback" not in err, err
     code, _, _ = run_cli(capsys)
     assert code == 1
     # malformed h specs, character indices, ladder overrides and batch ranges

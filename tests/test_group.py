@@ -1,10 +1,12 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from linnik_lab import arith, group as g
+from linnik_lab import arith, group as g, multfunc as mf, pipeline as pl
 from linnik_lab.errors import DomainError
 
 
@@ -146,15 +148,51 @@ def test_convolution_commutative_associative_exact():
         assert np.array_equal(left, right)
 
 
-def test_large_modulus_streams_without_element_list():
-    # above the materialization bound the group still evaluates characters
+def test_large_modulus_has_units_and_R():
+    # no size bound but _Q_LIMIT: the element list exists at q > 10^5, and the
+    # witness scan reaches R(liouville; q) there
     q = 100003  # prime
     assert arith.is_prime(q)
     G = g.UnitGroup(q)
     assert G.phi == arith.euler_phi(q)
+    assert np.array_equal(G.units, np.arange(1, q))
+    assert G.unit_pos[0] == -1 and np.array_equal(G.unit_pos[G.units], np.arange(q - 1))
     chi = g.DirichletCharacter(G, tuple(1 for _ in G.components))
     vals = [chi(n) for n in (2, 3, 7)]
     assert all(abs(abs(v) - 1) < 1e-12 for v in vals)
     assert chi(q) == 0
-    with pytest.raises(DomainError):
-        _ = G.units
+    lam = mf.liouville_fn()
+    res = pl.R_of_h_q(lam, q, 10**7)
+    assert res.complete and res.R_value == 2833555
+    # the oracle re-checks the classes of R and of 20 random others
+    rng = random.Random(5)
+    top = next(a for a, d in res.witnesses.items() if res.R_value in d.values())
+    classes = {top, *rng.sample(range(1, q), 20)}
+    part = pl.RFunctionResult(q, res.cap, None, {a: res.witnesses[a] for a in classes}, False)
+    assert pl.verify_witnesses(part, lam, q)
+
+
+def _dlog_oracle(m: int, comps) -> list[np.ndarray]:
+    """The tables of the components of one prime power m by a pow loop over
+    every exponent vector: entry g_1^x_1 ... g_k^x_k mod m holds x_i."""
+    tables = [np.full(m, -1, dtype=np.int64) for _ in comps]
+    for xs in itertools.product(*(range(c.order) for c in comps)):
+        a = math.prod(pow(c.generator, x, m) for c, x in zip(comps, xs)) % m
+        for t, x in zip(tables, xs):
+            t[a] = x
+    return tables
+
+
+def test_dlog_tables_match_pow_loop_oracle():
+    oracle = {}
+    for q in list(range(1, 2001)) + [2**e for e in range(3, 17)]:
+        G = g.UnitGroup(q)
+        assert len(G._dlog_tables) == len(G.components)
+        for m, same in itertools.groupby(zip(G.components, G._dlog_tables),
+                                         key=lambda ct: ct[0].modulus):
+            comps, tables = zip(*same)
+            if m not in oracle:
+                oracle[m] = _dlog_oracle(m, comps)
+            for got, want in zip(tables, oracle[m]):
+                assert np.array_equal(got, want), (q, m)
+        assert np.array_equal(G.units, [a for a in range(q) if math.gcd(a, q) == 1] or [0])

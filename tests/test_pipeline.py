@@ -73,6 +73,42 @@ def test_R_of_character_never_exists():
             assert slow_plus <= fast_plus
 
 
+def _first_squarefree_terms(q):
+    """{a: the least squarefree n = a mod q} over the units a, by trial division."""
+    def squarefree(n):
+        return all(n % (p * p) for p in range(2, math.isqrt(n) + 1))
+    return {a: next(n for n in range(a, 10**9, q) if squarefree(n))
+            for a in range(1, q) if math.gcd(a, q) == 1}
+
+
+@pytest.mark.parametrize("q", [7, 14, 21, 35])
+def test_character_scan_matches_first_squarefree_terms(q, monkeypatch):
+    """For a real character of modulus 7 and q a multiple of 7 the witness
+    of each class is its first squarefree term, with the class's sign, and
+    the scan retires q once each class has it: at a large cap it stops after
+    its first windows, far short of the cap."""
+    sieved = []
+    sieve = arith.factor_window
+
+    def counting(lo, hi):
+        sieved.append(hi)
+        return sieve(lo, hi)
+
+    monkeypatch.setattr(arith, "factor_window", counting)
+    first = _first_squarefree_terms(q)
+    for chi in g.real_characters(7):
+        h = mf.character_fn(chi)
+        table = chi.real_sign_table()
+        res = pl.R_of_h_q(h, q, q**3)
+        assert res.R_value is None and not res.complete
+        assert res.witnesses == {a: {int(table[a % 7]): n} for a, n in first.items()}
+        # q^3 lies inside the first window for q = 7, 14: stopping short is
+        # seen at a cap far past it
+        sieved.clear()
+        assert pl.R_of_h_q(h, q, 1 << 20).witnesses == res.witnesses
+        assert max(sieved) < 1 << 20, sieved
+
+
 def test_mu_equals_lambda_threshold():
     mu = mf.mobius_fn()
     for q in (3, 5, 8, 12):
@@ -454,7 +490,7 @@ def test_each_window_is_sieved_once(monkeypatch):
         (lambda: cs.ramare_decompose(G, LAM, None, 1, 0, 2, lad, 600.0), m_iv.ihi),
         (lambda: cs.f_support(G, LAM, 3.0, f_iv), f_iv.count()),
         # cap 1000 lies inside the first chunk of the scan
-        (lambda: pl._scan_witnesses(LAM, 35, 1000, stop_when_complete=False), 1000),
+        (lambda: pl._scan_block(LAM, [35], [1000], stop_when_complete=False), 1000),
     ]
     for call, length in cases:
         sieved.clear()
