@@ -93,8 +93,9 @@ def f_delta_value(n: int, delta: int, h, q: int, z: float,
 
 
 def f_support(G: group_mod.UnitGroup, h, z: float,
-              interval: arith.IntegerInterval) -> tuple[list[int], list[int]]:
-    """Integers of [I]_q that are z-rough, split by sign of h."""
+              interval: arith.IntegerInterval) -> dict[int, tuple[list[int], np.ndarray]]:
+    """Integers of [I]_q that are z-rough, split by sign of h: {+1: (the
+    integers, their squarefree flags), -1: (...)}, all from one window sieve."""
     lo, hi = interval.ilo, interval.ihi
     if hi <= lo:
         raise DomainError("empty interval")
@@ -102,11 +103,10 @@ def f_support(G: group_mod.UnitGroup, h, z: float,
     ns = wf.ns
     signs = h.signs(wf)
     keep = _coset_mask(None, G, ns) & wf.rough(z)
-    plus = ns[keep & (signs == 1)].tolist()
-    minus = ns[keep & (signs == -1)].tolist()
     if np.any(keep & (signs == 0)):
         raise DomainError("h vanishes on a unit of the interval")
-    return plus, minus
+    return {d: (ns[keep & (signs == d)].tolist(), wf.squarefree[keep & (signs == d)])
+            for d in (1, -1)}
 
 
 def f_hat_table(G: group_mod.UnitGroup, delta: int, h, z: float,
@@ -115,8 +115,7 @@ def f_hat_table(G: group_mod.UnitGroup, delta: int, h, z: float,
     members = [n for n in interval.members() if math.gcd(n, G.q) == 1]
     if not members:
         raise DomainError("[I]_q is empty")
-    plus, minus = f_support(G, h, z, interval)
-    supp = plus if delta == 1 else minus
+    supp = f_support(G, h, z, interval)[delta][0]
     norm = arith.mertens_product(z, G.q, inverse=True)
     return all_char_sums(G, supp) * (norm / len(members))
 

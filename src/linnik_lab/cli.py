@@ -353,15 +353,11 @@ def _toy_params(q: int, variant: str) -> tuple[pipeline.ParamSet, tuple]:
 def cmd_stcompare(args):
     h = _fn(args.h)
     params, spec = _toy_params(args.q, args.variant)
+    ctx = pipeline.build_context(h, args.q, params)
     if args.variant == "easy":
-        ctx = pipeline.build_context(h, args.q, params)
-        B2, B3, deltas = spec
-        rep = pipeline.st_compare_easy(ctx, args.a, B2, B3, deltas)
+        rep = pipeline.st_compare_easy(ctx, args.a, *spec)
     else:
-        ctx = pipeline.build_context(h, args.q, params)
-        B4, B5, B6, deltas = spec
-        kset = [(0, 0, 0)]
-        rep = pipeline.st_compare_general(ctx, args.a, B4, B5, B6, deltas, kset)
+        rep = pipeline.st_compare_general(ctx, args.a, *spec, [(0, 0, 0)])
     return report_for(args, "sparse-dense-comparison", jsonable(rep), paramset=params)
 
 

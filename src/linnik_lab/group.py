@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -67,15 +67,8 @@ def _geometric(g: int, n: int, m: int) -> np.ndarray:
     return out
 
 
-def _powers(g: int, order: int, m: int) -> np.ndarray:
-    """g^k mod m for k < order, by blocked powers: the outer product of
-    g^(jB) and g^k, k < B = ceil(sqrt(order)).  Both factors are below
-    m <= _Q_LIMIT, so the products fit in int64."""
-    B = math.isqrt(order - 1) + 1
-    blocks = np.multiply.outer(_geometric(pow(g, B, m), -(-order // B), m),
-                               _geometric(g, B, m))
-    np.remainder(blocks, m, out=blocks)
-    return blocks.reshape(-1)[:order]
+# dlog-table entries filled per step; bounds the construction peak
+_DLOG_CHUNK = 1 << 19
 
 
 class UnitGroup:
@@ -121,19 +114,31 @@ class UnitGroup:
     def _build_dlog_tables(self) -> list[np.ndarray]:
         """One table per component over the residues of its prime power m:
         the component's exponent, -1 off the units.  The components of one m
-        (the <-1> x <5> pair of 2^e) are filled together from the table of
-        their products g_1^x_1 g_2^x_2 mod m."""
+        (<-1> x <5> of 2^e) are filled together: each element of the leading
+        ones times the last one's powers g^(jB + k) = g^(jB) g^k, B = ceil(sqrt(order)),
+        in chunks of ~_DLOG_CHUNK; factors < m <= _Q_LIMIT, so products fit int64."""
         tables = []
         for m, same in itertools.groupby(self.components, key=lambda c: c.modulus):
-            comps = list(same)
-            elements = reduce(lambda a, b: np.multiply.outer(a, b) % m,
-                              [_powers(c.generator, c.order, m) for c in comps])
-            for axis, comp in enumerate(comps):
-                t = np.full(m, -1, dtype=np.int32)
-                shape = [1] * len(comps)
-                shape[axis] = comp.order
-                t[elements] = np.arange(comp.order, dtype=np.int32).reshape(shape)
-                tables.append(t)
+            *head, last = same
+            # each element c of the leading components, with its exponents
+            lead = [(xs, math.prod(pow(h.generator, x, m) for h, x in zip(head, xs)) % m)
+                    for xs in itertools.product(*(range(h.order) for h in head))]
+            B = math.isqrt(last.order - 1) + 1
+            big = _geometric(pow(last.generator, B, m), -(-last.order // B), m)
+            small = _geometric(last.generator, B, m)
+            rows = max(1, _DLOG_CHUNK // B)
+            ts = [np.full(m, -1, dtype=np.int32) for _ in range(len(head) + 1)]
+            for j in range(0, len(big), rows):
+                el = np.multiply.outer(big[j:j + rows], small)
+                np.remainder(el, m, out=el)
+                x = np.arange(j * B, min((j + rows) * B, last.order), dtype=np.int32)
+                el = el.reshape(-1)[:len(x)]
+                for xs, c in lead:
+                    at = el if c == 1 else el * c % m
+                    for t, v in zip(ts, (*xs, x)):
+                        t[at] = v
+                del el, x, at, v     # freed before the next chunk is built
+            tables.extend(ts)
         return tables
 
     # -- basic queries -----------------------------------------------------

@@ -1,12 +1,21 @@
 """Top-level reproductions: the sign-witness sets E^Delta(x), the exact
 threshold R(h;q) with witness tables, the sparse/dense counting functions S
-and T (single-interval and e-adic ladder variants), their comparison, the
-squarefree-loss accounting, the case-analysis driver, and the theorem audit.
+and T, their comparison, the squarefree-loss accounting, the case-analysis
+driver, and the theorem audit.
+
+S and T are sums over terms: three f-supports, named by their (k, delta)
+keys, times the factor sets p, u and, on the ladder, m, over the term's S
+normalizer.  The single-interval variant is one term, the e-adic ladder one
+term per k-triple.  Three evaluators take any term list: S by an exact class
+join, S by the character expansion (the join's independent oracle), and T.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
+import operator
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -115,11 +124,14 @@ _NO_HIT = np.iinfo(np.int64).max
 
 
 def _first_hit_table(h, G: group_mod.UnitGroup) -> np.ndarray:
-    """An empty (q, 2) first-hit table of _scan_block.  A real character h
-    whose modulus divides q has one sign on each unit class; the other sign
-    of the class is marked 0, so the class is complete with one witness."""
+    """An empty (q, 2) first-hit table of _scan_block.  A sign h cannot take
+    on a unit class is marked 0, so the class is complete without it: the
+    -1 column of h = one, and, for a real character h whose modulus divides
+    q, the sign it does not take on each class."""
     first = np.full((G.q, 2), _NO_HIT, dtype=np.int64)
-    if h.kind == "character" and G.q % h.character.group.q == 0:
+    if h.kind == "one":
+        first[G.units, 1] = 0
+    elif h.kind == "character" and G.q % h.character.group.q == 0:
         table = h.character.real_sign_table()
         first[G.units, (table[G.units % h.character.group.q] > 0).astype(np.int64)] = 0
     return first
@@ -296,42 +308,31 @@ class SignContext:
     G: group_mod.UnitGroup
     norm: float                      # the Mertens normalizer of f
     supports: dict[tuple[int, int], list[int]]   # (k, delta) -> rough interval points
+    squarefree: dict[tuple[int, int], np.ndarray]   # (k, delta) -> their squarefree flags
     interval_counts: dict[int, int]  # k -> |[I_R(k)]_q|
     models: dict[tuple[int, int], densemodel.DenseModel]
 
-    def f_raw_sums(self, k: int, delta: int) -> np.ndarray:
-        return charsums.all_char_sums(self.G, self.supports[(k, delta)])
-
-    def g_hat(self, k: int, delta: int) -> np.ndarray:
-        return self.models[(k, delta)].g_hat
-
 
 def build_context(h, q: int, params: ParamSet, ks=None) -> SignContext:
-    """Build f-supports and dense models for the requested e-adic indices."""
+    """f-supports with their window's squarefree flags, and dense models, per index k."""
     G = group_mod.build_unit_group(q)
     if ks is None:
         ks = (0,) if params.easy_mode else tuple(range(-params.K, params.K + 1))
     norm = arith.mertens_product(params.z, q, inverse=True)
-    supports: dict[tuple[int, int], list[int]] = {}
-    counts: dict[int, int] = {}
-    models: dict[tuple[int, int], densemodel.DenseModel] = {}
+    supports, squarefree, counts, models = {}, {}, {}, {}
     for k in ks:
         iv = params.interval(k)
-        plus, minus = charsums.f_support(G, h, params.z, iv)
-        supports[(k, 1)] = plus
-        supports[(k, -1)] = minus
         counts[k] = arith.count_units_in_interval(iv, q)[0]
-        for delta, supp in ((1, plus), (-1, minus)):
+        for delta, (supp, sqf) in charsums.f_support(G, h, params.z, iv).items():
+            supports[(k, delta)] = supp
+            squarefree[(k, delta)] = sqf
             supp_set = set(supp)
             models[(k, delta)] = densemodel.build_dense_model(
                 G, iv, lambda n, s=supp_set: norm if n in s else 0.0,
                 params.delta, eta=params.epsilon**2,
                 source=f"f^{'+' if delta > 0 else '-'}_k={k}(h={h.name}, q={q})")
-    return SignContext(h, q, params, G, norm, supports, counts, models)
+    return SignContext(h, q, params, G, norm, supports, squarefree, counts, models)
 
-
-# ---------------------------------------------------------------------------
-# S and T: single-interval ("easy") variant
 
 def _unit_class(q: int, a: int) -> int:
     """a mod q, the class S and T count at; it must be a unit."""
@@ -341,38 +342,34 @@ def _unit_class(q: int, a: int) -> int:
 
 
 def _project(G: group_mod.UnitGroup, a: int, prod_over_chars: np.ndarray) -> float:
-    """(1/phi) sum_chi chi(a) prod(chi), the inverse transform at one class."""
+    """(1/phi) sum_chi chi(a) prod(chi), the inverse transform at the unit class a."""
     values = group_mod.fourier_inverse(G, prod_over_chars)
-    return float(values[G.unit_pos[_unit_class(G.q, a)]].real / G.phi)
+    return float(values[G.unit_pos[a]].real / G.phi)
 
 
 # hits expanded at once by the class join; bounds its memory
 _JOIN_HITS = 1 << 16
 
 
-def _grid(lists: list[np.ndarray], rows: np.ndarray) -> list[np.ndarray]:
-    """The parts of the given rows of the grid lists[0] x lists[1] x ... (C order)."""
+def _rows(lists: list[np.ndarray], squarefree: list[np.ndarray], rows: np.ndarray, q: int):
+    """The given rows of the grid lists[0] x lists[1] x ... (C order): their parts,
+    the class of their product mod q, and if they are squarefree and coprime."""
     idx = np.unravel_index(rows, tuple(len(x) for x in lists))
-    return [x[i] for x, i in zip(lists, idx)]
-
-
-def _classes_and_clean(parts: list[np.ndarray], q: int, sqf: np.ndarray):
-    """Per row: the class of the product of the parts mod q, and whether the
-    parts are all squarefree and pairwise coprime."""
-    cls = np.ones(len(parts[0]), dtype=np.int64)
-    clean = np.ones(len(parts[0]), dtype=bool)
-    for i, x in enumerate(parts):
+    parts = [x[i] for x, i in zip(lists, idx)]
+    cls = np.ones(len(rows), dtype=np.int64)
+    clean = np.ones(len(rows), dtype=bool)
+    for j, (x, sqf, i) in enumerate(zip(parts, squarefree, idx)):
         cls = cls * (x % q) % q
-        clean &= sqf[x]
-        for y in parts[:i]:
+        clean &= sqf[i]
+        for y in parts[:j]:
             clean &= np.gcd(x, y) == 1
-    return cls, clean
+    return parts, cls, clean
 
 
-def _class_join(G: group_mod.UnitGroup, a: int, lists) -> tuple[int, int]:
+def _class_join(G: group_mod.UnitGroup, a: int, lists, squarefree) -> tuple[int, int]:
     """(count, loss): the number of tuples (x_1, ..., x_k), x_i from the i-th
     list of units, with x_1 ... x_k = a mod q, and the number of those whose
-    product is not squarefree.
+    product is not squarefree.  squarefree[i] holds the flags of lists[i].
 
     Exact direct enumeration arranged as a join on classes.  The lists split
     into a left and a right grid of balanced sizes; the right grid is sorted
@@ -385,13 +382,12 @@ def _class_join(G: group_mod.UnitGroup, a: int, lists) -> tuple[int, int]:
     """
     q = G.q
     lists = [np.asarray(x, dtype=np.int64) for x in lists]
-    sqf = arith.factor_window(0, max(int(x.max()) for x in lists)).squarefree
-    sqf = np.concatenate([[False], sqf])     # indexed by the integer itself
+    squarefree = [np.asarray(s, dtype=bool) for s in squarefree]
     sizes = [len(x) for x in lists]
     s = min(range(1, len(lists)),
             key=lambda i: max(math.prod(sizes[:i]), math.prod(sizes[i:])))
-    right = _grid(lists[s:], np.arange(math.prod(sizes[s:])))
-    right_cls, right_clean = _classes_and_clean(right, q, sqf)
+    right, right_cls, right_clean = _rows(lists[s:], squarefree[s:],
+                                          np.arange(math.prod(sizes[s:])), q)
     order = np.argsort(right_cls, kind="stable")
     right_cls, right_clean = right_cls[order], right_clean[order]
     right = [x[order] for x in right]
@@ -401,8 +397,8 @@ def _class_join(G: group_mod.UnitGroup, a: int, lists) -> tuple[int, int]:
     n_left = math.prod(sizes[:s])
     count = loss = 0
     for first in range(0, n_left, block):
-        left = _grid(lists[:s], np.arange(first, min(first + block, n_left)))
-        cls, clean = _classes_and_clean(left, q, sqf)
+        left, cls, clean = _rows(lists[:s], squarefree[:s],
+                                 np.arange(first, min(first + block, n_left)), q)
         want = a * inverse[cls] % q
         lo = np.searchsorted(right_cls, want, side="left")
         hits = np.searchsorted(right_cls, want, side="right") - lo
@@ -421,189 +417,152 @@ def _class_join(G: group_mod.UnitGroup, a: int, lists) -> tuple[int, int]:
     return count, loss
 
 
-def s_function_easy(ctx: SignContext, a: int, B2, B3, deltas: tuple[int, int, int],
-                    budget: int = 10**8, monte_carlo: bool = False,
-                    rng=None) -> tuple[float, dict]:
-    """S(a) by direct enumeration of (r1, r2, r3, p, u) quintuples.
+# ---------------------------------------------------------------------------
+# S and T: one term engine
 
-    Returns the normalized count and extras: the squarefree-loss part of the
-    sum and enumeration accounting.  Exceeding `budget` raises ResourceError
-    unless monte_carlo, in which case a flagged estimate is returned.
-    """
+@dataclass(eq=False)
+class _Factor:
+    """A factor set of a term, squarefree by construction, with its
+    normalizer: Q1 for p, R (or U e^-k1) for u, M e^(-k2-k3) for m."""
+
+    G: group_mod.UnitGroup
+    values: list[int]
+    norm: float
+
+    @functools.cached_property
+    def sums(self) -> np.ndarray:
+        """Its character sums, built once for every term that shares it."""
+        return charsums.all_char_sums(self.G, self.values)
+
+
+# the three (k, delta) keys of ctx.supports, the _Factors, the S normalizer
+_Term = collections.namedtuple("_Term", "f_keys factors S_norm")
+
+
+def _easy_terms(ctx: SignContext, B2, B3, deltas) -> list[_Term]:
+    """(r1, r2, r3, p, u), every r in I_R(0), over |[I_R]_q|^3 Q1 R."""
     d1, d2, d3 = deltas
+    G, h, pm = ctx.G, ctx.h, ctx.params
+    p = _Factor(G, charsums.q_set(G, h, pm.Q1, B2, d2), pm.Q1)
+    u = _Factor(G, charsums.u_set_easy(G, h, pm.R, B3, d3), pm.R)
+    return [_Term(((0, d1),) * 3, (p, u), ctx.interval_counts[0] ** 3 * pm.Q1 * pm.R)]
+
+
+def _general_terms(ctx: SignContext, B4, B5, B6, deltas, kset) -> list[_Term]:
+    """(r1, r2, r3, p, u, m) per k-triple: r_i in I_R(k_i), u in I_U(-k1),
+    m in I_M(-k2-k3); triples with the same index share their u or m set."""
+    d1, d2, d3, d4, d5, d6 = deltas
+    G, h, pm = ctx.G, ctx.h, ctx.params
+    p = _Factor(G, charsums.q_set(G, h, pm.Q1, B4, d4), pm.Q1)
+    u = functools.cache(lambda v: _Factor(G, charsums.u_set(G, h, pm.U, v, B5, d5),
+                                          pm.U * math.exp(v)))
+    m = functools.cache(lambda v: _Factor(G, charsums.m_set(G, h, pm.M, v, pm.ladder, B6, d6),
+                                          pm.M * math.exp(v)))
+    return [_Term(((k1, d1), (k2, d2), (k3, d3)), (p, u(-k1), m(-k2 - k3)),
+                  pm.interval(k1).length * pm.interval(k2).length * pm.interval(k3).length
+                  * pm.Q1 * pm.U * math.exp(-k1) * pm.M * math.exp(-k2 - k3))
+            for k1, k2, k3 in kset]
+
+
+def _s_direct(ctx: SignContext, a: int, terms: list[_Term], budget: int) -> tuple[float, dict]:
+    """S(a) by the class join of each term, with extras: the tuples of all
+    terms, the exact count and the squarefree-loss part of S.  More than
+    `budget` tuples raise ResourceError before any join."""
     a = _unit_class(ctx.q, a)
-    p_set = charsums.q_set(ctx.G, ctx.h, ctx.params.Q1, B2, d2)
-    u_list = charsums.u_set_easy(ctx.G, ctx.h, ctx.params.R, B3, d3)
-    r_list = ctx.supports[(0, d1)]
-    S_norm = ctx.interval_counts[0] ** 3 * ctx.params.Q1 * ctx.params.R
-    total_tuples = len(r_list) ** 3 * len(p_set) * len(u_list)
-    if total_tuples == 0:
-        return 0.0, {"tuples": 0, "loss": 0.0, "method": "exact"}
-    if total_tuples > budget:
-        if not monte_carlo:
-            raise ResourceError(f"{total_tuples} tuples exceed the budget {budget}")
-        return _s_easy_monte_carlo(ctx, a, r_list, p_set, u_list, S_norm, budget, rng)
-
-    count, loss_count = _class_join(ctx.G, a, [r_list, r_list, r_list, p_set, u_list])
-    value = ctx.norm**3 * count / S_norm
-    loss = ctx.norm**3 * loss_count / S_norm
-    return value, {"tuples": total_tuples, "count": count, "loss": loss,
-                   "method": "exact"}
+    lists = [[ctx.supports[k] for k in t.f_keys] + [f.values for f in t.factors] for t in terms]
+    tuples = sum(math.prod(map(len, x)) for x in lists)
+    if tuples > budget:
+        raise ResourceError(f"{tuples} tuples exceed the budget {budget}")
+    value, loss, count = 0.0, 0.0, 0
+    for t, x in zip(terms, lists):
+        if all(map(len, x)):
+            flags = [ctx.squarefree[k] for k in t.f_keys] + [[True] * len(f.values)
+                                                             for f in t.factors]
+            c, lost = _class_join(ctx.G, a, x, flags)
+            value += ctx.norm**3 * c / t.S_norm
+            loss += ctx.norm**3 * lost / t.S_norm
+            count += c
+    return value, {"tuples": tuples, "count": count, "loss": loss}
 
 
-# Monte-Carlo samples drawn per numpy batch
-_MC_BATCH = 1 << 16
+def _s_chars(ctx: SignContext, a: int, terms: list[_Term]) -> float:
+    """S(a) by the character expansion: per term, the product of the sums of
+    its supports and factor sets, projected at a, over its S normalizer."""
+    a = _unit_class(ctx.q, a)
+    F = {k: charsums.all_char_sums(ctx.G, ctx.supports[k]) * ctx.norm
+         for k in {k for t in terms for k in t.f_keys}}
+    return sum((_project(ctx.G, a, functools.reduce(
+        operator.mul, [F[k] for k in t.f_keys] + [f.sums for f in t.factors])) / t.S_norm
+        for t in terms), 0.0)
 
 
-def _s_easy_monte_carlo(ctx, a, r_list, p_set, u_list, S_norm, budget, rng):
-    rng = rng or np.random.default_rng(0)
-    q = ctx.q
-    samples = max(budget // 10, 10**5)
-    residues = [np.asarray(x, dtype=np.int64) % q
-                for x in (r_list, r_list, r_list, p_set, u_list)]
-    hits = 0
-    for first in range(0, samples, _MC_BATCH):
-        n = min(_MC_BATCH, samples - first)
-        cls = np.ones(n, dtype=np.int64)
-        for x in residues:
-            cls = cls * x[rng.integers(len(x), size=n)] % q
-        hits += int(np.count_nonzero(cls == a))
-    total = len(r_list) ** 3 * len(p_set) * len(u_list)
-    est = hits / samples
-    value = ctx.norm**3 * est * total / S_norm
-    se = ctx.norm**3 * math.sqrt(max(est * (1 - est), 1e-300) / samples) * total / S_norm
-    return value, {"tuples": total, "samples": samples, "stderr": se,
-                   "loss": float("nan"), "method": "monte-carlo"}
+def _t_dense(ctx: SignContext, a: int, terms: list[_Term]) -> float:
+    """T(a): per term, the product of the dense models' g_hat and of the
+    factor sets' sums over their normalizers, summed and projected at a."""
+    a = _unit_class(ctx.q, a)
+    return _project(ctx.G, a, sum((functools.reduce(operator.mul, [
+        ctx.models[k].g_hat for k in t.f_keys] + [f.sums / f.norm for f in t.factors])
+        for t in terms), np.zeros(ctx.G.phi, dtype=complex)))
+
+
+def s_function_easy(ctx: SignContext, a: int, B2, B3, deltas: tuple[int, int, int],
+                    budget: int = 10**8) -> tuple[float, dict]:
+    """S(a) by direct enumeration of (r1, r2, r3, p, u) quintuples (_s_direct)."""
+    return _s_direct(ctx, a, _easy_terms(ctx, B2, B3, deltas), budget)
 
 
 def s_function_easy_chars(ctx: SignContext, a: int, B2, B3,
                           deltas: tuple[int, int, int]) -> float:
     """The same S(a) through the character expansion (independent route)."""
-    d1, d2, d3 = deltas
-    G = ctx.G
-    F_raw = ctx.f_raw_sums(0, d1) * ctx.norm
-    Qr = charsums.all_char_sums(G, charsums.q_set(G, ctx.h, ctx.params.Q1, B2, d2))
-    Ur = charsums.all_char_sums(G, charsums.u_set_easy(G, ctx.h, ctx.params.R, B3, d3))
-    S_norm = ctx.interval_counts[0] ** 3 * ctx.params.Q1 * ctx.params.R
-    return _project(G, a, F_raw**3 * Qr * Ur) / S_norm
+    return _s_chars(ctx, a, _easy_terms(ctx, B2, B3, deltas))
 
 
 def t_function_easy(ctx: SignContext, a: int, B2, B3,
                     deltas: tuple[int, int, int]) -> float:
     """T(a) = (g*g*g*1_Q*1_U)(a) / (phi^3 Q1 R), via the character route."""
-    d1, d2, d3 = deltas
-    G = ctx.G
-    Gh = ctx.g_hat(0, d1)
-    Qn = charsums.all_char_sums(G, charsums.q_set(G, ctx.h, ctx.params.Q1, B2, d2)) / ctx.params.Q1
-    Un = charsums.all_char_sums(G, charsums.u_set_easy(G, ctx.h, ctx.params.R, B3, d3)) / ctx.params.R
-    return _project(G, a, Gh**3 * Qn * Un)
+    return _t_dense(ctx, a, _easy_terms(ctx, B2, B3, deltas))
 
 
 def st_compare_easy(ctx: SignContext, a: int, B2, B3,
                     deltas: tuple[int, int, int]) -> charsums.SumReport:
     """|S - T| against 1/q^(1+eps/50) + |U|/(R phi log^(5/4) q) (report only)."""
-    s_val = s_function_easy_chars(ctx, a, B2, B3, deltas)
-    t_val = t_function_easy(ctx, a, B2, B3, deltas)
-    q = ctx.q
-    u_count = len(charsums.u_set_easy(ctx.G, ctx.h, ctx.params.R, B3, deltas[2]))
-    shape = q ** -(1 + ctx.params.epsilon / 50) + \
-        u_count / (ctx.params.R * ctx.G.phi * math.log(q) ** 1.25)
+    terms = _easy_terms(ctx, B2, B3, deltas)
+    s_val, t_val = _s_chars(ctx, a, terms), _t_dense(ctx, a, terms)
+    u_count = len(terms[0].factors[1].values)
+    shape = ctx.q ** -(1 + ctx.params.epsilon / 50) + \
+        u_count / (ctx.params.R * ctx.G.phi * math.log(ctx.q) ** 1.25)
     return charsums.SumReport.make(abs(s_val - t_val), shape, asserted=False,
                                    tag="sparse-dense-comparison",
                                    S=s_val, T=t_val)
 
 
-# ---------------------------------------------------------------------------
-# S and T: general (ladder) variant
-
 def s_function_general(ctx: SignContext, a: int, B4, B5, B6,
                        deltas: tuple[int, int, int, int, int, int],
                        kset, budget: int = 10**8) -> tuple[float, dict]:
     """S(a) over k-triples: direct enumeration of (r1, r2, r3, p, u, m)."""
-    d1, d2, d3, d4, d5, d6 = deltas
-    a = _unit_class(ctx.q, a)
-    pm = ctx.params
-    p_set = charsums.q_set(ctx.G, ctx.h, pm.Q1, B4, d4)
-    total_val = 0.0
-    total_loss = 0.0
-    visited = 0
-    for (k1, k2, k3) in kset:
-        r1l = ctx.supports[(k1, d1)]
-        r2l = ctx.supports[(k2, d2)]
-        r3l = ctx.supports[(k3, d3)]
-        u_list = charsums.u_set(ctx.G, ctx.h, pm.U, -k1, B5, d5)
-        m_list = charsums.m_set(ctx.G, ctx.h, pm.M, -k2 - k3, pm.ladder, B6, d6)
-        n_tuples = len(r1l) * len(r2l) * len(r3l) * len(p_set) * len(u_list) * len(m_list)
-        visited += n_tuples
-        if visited > budget:
-            raise ResourceError("general S enumeration exceeded its budget")
-        if n_tuples == 0:
-            continue
-        S_norm = (pm.interval(k1).length * pm.interval(k2).length
-                  * pm.interval(k3).length * pm.Q1
-                  * pm.U * math.exp(-k1) * pm.M * math.exp(-k2 - k3))
-        count, loss = _class_join(ctx.G, a, [r1l, r2l, r3l, p_set, u_list, m_list])
-        total_val += ctx.norm**3 * count / S_norm
-        total_loss += ctx.norm**3 * loss / S_norm
-    return total_val, {"tuples": visited, "loss": total_loss, "method": "exact"}
+    return _s_direct(ctx, a, _general_terms(ctx, B4, B5, B6, deltas, kset), budget)
 
 
 def s_function_general_chars(ctx: SignContext, a: int, B4, B5, B6, deltas,
                              kset) -> float:
-    d1, d2, d3, d4, d5, d6 = deltas
-    G = ctx.G
-    pm = ctx.params
-    Qr = charsums.all_char_sums(G, charsums.q_set(G, ctx.h, pm.Q1, B4, d4))
-    acc = np.zeros(G.phi, dtype=complex)
-    for (k1, k2, k3) in kset:
-        F1 = ctx.f_raw_sums(k1, d1) * ctx.norm
-        F2 = ctx.f_raw_sums(k2, d2) * ctx.norm
-        F3 = ctx.f_raw_sums(k3, d3) * ctx.norm
-        Ur = charsums.all_char_sums(G, charsums.u_set(G, ctx.h, pm.U, -k1, B5, d5))
-        Mr = charsums.all_char_sums(G, charsums.m_set(G, ctx.h, pm.M, -k2 - k3,
-                                                      pm.ladder, B6, d6))
-        S_norm = (pm.interval(k1).length * pm.interval(k2).length
-                  * pm.interval(k3).length * pm.Q1
-                  * pm.U * math.exp(-k1) * pm.M * math.exp(-k2 - k3))
-        acc += F1 * F2 * F3 * Qr * Ur * Mr / S_norm
-    return _project(G, a, acc)
+    return _s_chars(ctx, a, _general_terms(ctx, B4, B5, B6, deltas, kset))
 
 
 def t_function_general(ctx: SignContext, a: int, B4, B5, B6, deltas, kset) -> float:
-    d1, d2, d3, d4, d5, d6 = deltas
-    G = ctx.G
-    pm = ctx.params
-    Qn = charsums.all_char_sums(G, charsums.q_set(G, ctx.h, pm.Q1, B4, d4)) / pm.Q1
-    acc = np.zeros(G.phi, dtype=complex)
-    for (k1, k2, k3) in kset:
-        G1 = ctx.g_hat(k1, d1)
-        G2 = ctx.g_hat(k2, d2)
-        G3 = ctx.g_hat(k3, d3)
-        Un = charsums.all_char_sums(G, charsums.u_set(G, ctx.h, pm.U, -k1, B5, d5)) \
-            / (pm.U * math.exp(-k1))
-        Mn = charsums.all_char_sums(G, charsums.m_set(G, ctx.h, pm.M, -k2 - k3,
-                                                      pm.ladder, B6, d6)) \
-            / (pm.M * math.exp(-k2 - k3))
-        acc += G1 * G2 * G3 * Qn * Un * Mn
-    return _project(G, a, acc)
+    return _t_dense(ctx, a, _general_terms(ctx, B4, B5, B6, deltas, kset))
 
 
-def st_compare_general(ctx: SignContext, a: int, B4, B5, B6, deltas, kset,
-                       k1set=None) -> charsums.SumReport:
+def st_compare_general(ctx: SignContext, a: int, B4, B5, B6, deltas,
+                       kset) -> charsums.SumReport:
     """|S - T| against the ladder comparison shape (report only)."""
-    s_val = s_function_general_chars(ctx, a, B4, B5, B6, deltas, kset)
-    t_val = t_function_general(ctx, a, B4, B5, B6, deltas, kset)
-    q = ctx.q
-    pm = ctx.params
-    logq = math.log(q)
+    terms = _general_terms(ctx, B4, B5, B6, deltas, kset)
+    s_val, t_val = _s_chars(ctx, a, terms), _t_dense(ctx, a, terms)
+    q, pm, logq = ctx.q, ctx.params, math.log(ctx.q)
     gcd_part = math.gcd(q, math.prod(
         int(p) for p in arith.primes_upto(int(pm.Q1)) if q % int(p) == 0) or 1)
     ratio_gcd = gcd_part / arith.euler_phi(gcd_part)
-    k1s = sorted({k[0] for k in kset}) if k1set is None else k1set
-    u_term = 0.0
-    for k1 in k1s:
-        cnt = len(charsums.u_set(ctx.G, ctx.h, pm.U, -k1, B5, deltas[4]))
-        u_term += cnt / (pm.U * math.exp(-k1))
+    u_by_k1 = {t.f_keys[0][0]: t.factors[1] for t in terms}
+    u_term = sum(len(u.values) / u.norm for _, u in sorted(u_by_k1.items()))
     shape = (pm.Q1 ** (-1 / 90) / q * (ctx.G.phi / q) * logq**3
              + logq**1.75 / (q * math.log(pm.Q1) ** 2) * ratio_gcd * u_term)
     return charsums.SumReport.make(abs(s_val - t_val), shape, asserted=False,
@@ -691,8 +650,8 @@ def case_analysis(h, q: int, params: ParamSet, eps: float | None = None,
     failures of the asymptotic hypotheses are recorded as Undetermined.
     """
     eps = params.epsilon if eps is None else eps
-    ks = (0,) if params.easy_mode else tuple(range(-params.K, params.K + 1))
-    ctx = build_context(h, q, params, ks)
+    ctx = build_context(h, q, params)
+    ks = tuple(ctx.interval_counts)
     per_k = [_classify_k(ctx, k, eps, c_case1) for k in ks]
     G = ctx.G
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -196,3 +197,27 @@ def test_dlog_tables_match_pow_loop_oracle():
             for got, want in zip(tables, oracle[m]):
                 assert np.array_equal(got, want), (q, m)
         assert np.array_equal(G.units, [a for a in range(q) if math.gcd(a, q) == 1] or [0])
+
+
+def test_dlog_tables_built_in_chunks_match_one_step(monkeypatch):
+    # tiny chunks: many steps per component, a partial last row, the
+    # <-1> x <5> pair of 2^e filled chunk by chunk
+    qs = [3**7, 2**12, 8 * 27 * 11, 2 * 5**5, 10007]
+    whole = {q: g.UnitGroup(q)._dlog_tables for q in qs}
+    monkeypatch.setattr(g, "_DLOG_CHUNK", 50)
+    for q in qs:
+        got = g.UnitGroup(q)._dlog_tables
+        assert all(np.array_equal(a, b) for a, b in zip(got, whole[q], strict=True)), q
+
+
+@pytest.mark.parametrize("q", [9999991, 2**23])
+def test_large_group_construction_peak(q):
+    """The construction peak stays within 1.5 times the dlog tables it keeps."""
+    tracemalloc.start()
+    try:
+        G = g.UnitGroup(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(t.nbytes for t in G._dlog_tables)
+    assert peak <= 1.5 * kept, (peak, kept)

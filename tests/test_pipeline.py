@@ -109,6 +109,27 @@ def test_character_scan_matches_first_squarefree_terms(q, monkeypatch):
         assert max(sieved) < 1 << 20, sieved
 
 
+def test_one_stops_once_every_plus_witness_is_in(monkeypatch):
+    """h = one never takes -1: the scan stops at the window that completes the
+    + witnesses, and the result is the full scan's."""
+    sieved = []
+    sieve = arith.factor_window
+
+    def counting(lo, hi):
+        sieved.append(hi - lo)
+        return sieve(lo, hi)
+
+    monkeypatch.setattr(arith, "factor_window", counting)
+    res = pl.R_of_h_q(mf.one_fn(), 50, 10**6)
+    assert sum(sieved) <= 8192
+    assert res.R_value is None and not res.complete
+    # the + witness of each class is its first squarefree member
+    expect = {a: {1: next(n for n in range(a, 10**6, 50) if arith.is_squarefree(n))}
+              for a in range(1, 50) if math.gcd(a, 50) == 1}
+    assert res.witnesses == expect and max(w[1] for w in expect.values()) == 149
+    assert pl.verify_witnesses(res, mf.one_fn(), 50)
+
+
 def test_mu_equals_lambda_threshold():
     mu = mf.mobius_fn()
     for q in (3, 5, 8, 12):
@@ -262,15 +283,69 @@ def test_t_easy_matches_group_convolution():
             float(conv[G.unit_pos[a]]) / Tn, abs=1e-12)
 
 
-def test_budget_and_monte_carlo():
+def _ladder09_ctx():
+    """The criterion-09 configuration: m has two primes >= 17, one in (16, 60]."""
+    params = pl.ParamSet.from_q(35, 0.1, easy_mode=False, R=14.0, U=22.0, M=2000.0,
+                                Q1=16.0, z=3.0, K=1, ladder_overrides=[(16.0, 60.0)])
+    return pl.build_context(LAM, 35, params, ks=(-1, 0, 1)), [(0, 0, 0), (1, 0, -1), (-1, 1, 0)]
+
+
+def test_t_general_matches_group_convolution():
+    ctx, kset = _ladder09_ctx()
+    G, pm = ctx.G, ctx.params
+    d1, d2, d3, d4, d5, d6 = deltas = (-1, -1, -1, -1, 1, 1)
+    qvec = cs.class_weights(G, cs.q_set(G, LAM, pm.Q1, None, d4)).real
+    expect = np.zeros(G.phi)
+    for k1, k2, k3 in kset:
+        uvec = cs.class_weights(G, cs.u_set(G, LAM, pm.U, -k1, None, d5)).real
+        mvec = cs.class_weights(G, cs.m_set(G, LAM, pm.M, -k2 - k3, pm.ladder, None, d6)).real
+        conv = ctx.models[(k1, d1)].g
+        for vec in (ctx.models[(k2, d2)].g, ctx.models[(k3, d3)].g, qvec, uvec, mvec):
+            conv = g.convolve_group(G, conv, vec)
+        expect += conv / (G.phi**3 * pm.Q1 * pm.U * math.exp(-k1) * pm.M * math.exp(-k2 - k3))
+    assert np.abs(expect).max() > 0
+    for a in (1, 2, 34):
+        assert pl.t_function_general(ctx, a, None, None, None, deltas, kset) == pytest.approx(
+            float(expect[G.unit_pos[a]]), abs=1e-12)
+
+
+def test_budget(monkeypatch):
     ctx = _easy_ctx(TOY101)
     with pytest.raises(ResourceError):
         pl.s_function_easy(ctx, 1, None, None, (-1, -1, -1), budget=10)
-    val, extras = pl.s_function_easy(ctx, 1, None, None, (-1, -1, -1), budget=10,
-                                     monte_carlo=True, rng=np.random.default_rng(0))
-    assert extras["method"] == "monte-carlo" and extras["stderr"] >= 0
-    exact, _ = pl.s_function_easy(ctx, 1, None, None, (-1, -1, -1))
-    assert abs(val - exact) <= 6 * max(extras["stderr"], 1e-12) + 1e-9
+    # on the ladder the budget covers all terms and is checked before any join
+    ctx, kset = _ladder09_ctx()
+    deltas = (-1, -1, -1, -1, 1, 1)
+    _, extras = pl.s_function_general(ctx, 1, None, None, None, deltas, kset)
+    monkeypatch.setattr(pl, "_class_join", None)
+    with pytest.raises(ResourceError):
+        pl.s_function_general(ctx, 1, None, None, None, deltas, kset,
+                              budget=extras["tuples"] - 1)
+
+
+def test_class_join_sieves_nothing(monkeypatch):
+    """The join reads the squarefree flags its lists came with."""
+    inside = []
+    join, sieve = pl._class_join, arith.factor_window
+
+    def watched_join(*args):
+        inside.append(True)
+        try:
+            return join(*args)
+        finally:
+            inside.pop()
+
+    def watched_sieve(lo, hi):
+        assert not inside, "factor_window called inside the class join"
+        return sieve(lo, hi)
+
+    monkeypatch.setattr(pl, "_class_join", watched_join)
+    monkeypatch.setattr(arith, "factor_window", watched_sieve)
+    ctx = _easy_ctx(TOY35)
+    assert pl.s_function_easy(ctx, 1, None, None, (-1, -1, -1))[1]["count"] > 0
+    ctx, kset = _ladder09_ctx()
+    assert pl.s_function_general(ctx, 1, None, None, None, (-1, -1, -1, -1, 1, 1),
+                                 kset)[1]["count"] > 0
 
 
 def _easy_nested(q, a, r_list, p_set, u_list):
@@ -324,6 +399,11 @@ def _general_nested(q, a, r1l, r2l, r3l, p_set, u_list, m_list):
     return count, loss
 
 
+def _flags(lists):
+    """The squarefree flags of each list, by scalar factorization."""
+    return [[arith.is_squarefree(n) for n in x] for x in lists]
+
+
 def _easy_lists(ctx, deltas):
     d1, d2, d3 = deltas
     return (ctx.supports[(0, d1)], cs.q_set(ctx.G, LAM, ctx.params.Q1, None, d2),
@@ -343,7 +423,8 @@ def test_class_join_matches_nested_loops_easy():
             for deltas in ((-1, -1, -1), (-1, -1, 1), (1, -1, -1)):
                 r, p, u = _easy_lists(ctx, deltas)
                 count, loss = _easy_nested(q, a, r, p, u)
-                assert pl._class_join(ctx.G, a, [r, r, r, p, u]) == (count, loss)
+                assert pl._class_join(ctx.G, a, [r, r, r, p, u], _flags([r, r, r, p, u])) == \
+                    (count, loss)
                 value, extras = pl.s_function_easy(ctx, a, None, None, deltas)
                 S_norm = ctx.interval_counts[0] ** 3 * ctx.params.Q1 * ctx.params.R
                 assert extras["count"] == count
@@ -375,7 +456,7 @@ def test_class_join_matches_nested_loops_general():
                 if not all(lists):
                     continue
                 count, loss = _general_nested(35, a, *lists)
-                assert pl._class_join(ctx.G, a, lists) == (count, loss)
+                assert pl._class_join(ctx.G, a, lists, _flags(lists)) == (count, loss)
                 S_norm = (pm.interval(k1).length * pm.interval(k2).length
                           * pm.interval(k3).length * pm.Q1
                           * pm.U * math.exp(-k1) * pm.M * math.exp(-k2 - k3))
@@ -389,7 +470,7 @@ def test_class_join_matches_nested_loops_general():
     G = g.build_unit_group(101)
     lists = [[9, 11, 49], [13, 4, 17], [19, 23, 8], [29, 31], [37, 41, 27], [43, 3127, 121]]
     for a in range(1, 101):
-        assert pl._class_join(G, a, lists) == _general_nested(101, a, *lists)
+        assert pl._class_join(G, a, lists, _flags(lists)) == _general_nested(101, a, *lists)
 
 
 def test_non_unit_class_is_a_domain_error():
