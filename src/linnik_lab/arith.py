@@ -128,25 +128,19 @@ class Factorization:
         return out
 
 
-_factor_memo: dict[int, Factorization] = {}
-
-
 def factorize(n: int) -> Factorization:
     """Factor n by trial division plus a deterministic primality test.
 
     The division pass over the prime table is vectorized, so numbers with
     prime factors up to ~10^7 (second-largest) are cheap; exact for all
-    1 <= n < 2^63.  Memoized; the cache is safe for concurrent reads under
-    the GIL (single atomic dict assignment).
+    1 <= n < 2^63.  Nothing is memoized: each call factors n afresh, so a
+    caller that needs several facts about n keeps the one Factorization.
     """
     if not isinstance(n, (int, np.integer)):
         raise DomainError(f"factorize expects an integer, got {type(n).__name__}")
     n = int(n)
     if n < 1 or n > _MAX_N:
         raise DomainError(f"factorize requires 1 <= n <= 2^63-1, got {n}")
-    hit = _factor_memo.get(n)
-    if hit is not None:
-        return hit
     m = n
     factors: list[tuple[int, int]] = []
     for p in (2, 3, 5, 7, 11, 13):
@@ -176,11 +170,7 @@ def factorize(n: int) -> Factorization:
     if m > 1:
         factors.append((m, 1))
     factors.sort()
-    out = Factorization(n, tuple(factors))
-    if len(_factor_memo) > 1 << 21:
-        _factor_memo.clear()
-    _factor_memo[n] = out
-    return out
+    return Factorization(n, tuple(factors))
 
 
 def mobius(n: int) -> int:

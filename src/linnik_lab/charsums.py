@@ -130,9 +130,7 @@ def q_set(G: group_mod.UnitGroup, h, Q1: float, B=None, delta: int | None = None
         return []
     mask = _coset_mask(B, G, ps)
     if delta is not None:
-        sig = np.array([1 if h.value(int(p)) > 0 else (-1 if h.value(int(p)) < 0 else 0)
-                        for p in ps], dtype=np.int8)
-        mask &= sig == delta
+        mask &= np.sign([h.rule(p, 1) for p in ps.tolist()]) == delta
     return [int(p) for p in ps[mask]]
 
 
@@ -269,9 +267,14 @@ def halasz_montgomery_report(coeffs: dict[int, complex], chars, N: int, q: int,
     """
     G = group_mod.build_unit_group(q)
     z = q**eps
-    for n in coeffs:
-        if not arith.is_rough(n, z):
-            raise PreconditionError(f"coefficient at n={n} is not q^eps-rough")
+    ns = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
+    if ns.size:
+        if ns.min() < 1:
+            raise DomainError("coefficients are indexed by n >= 1")
+        # one window over (0, max n] checks every n
+        bad = ns[~arith.factor_window(0, int(ns.max())).rough(z)[ns - 1]]
+        if bad.size:
+            raise PreconditionError(f"coefficient at n={bad[0]} is not q^eps-rough")
     w = class_weights(G, list(coeffs), list(coeffs.values()))
     idx = [G.character_index(c) for c in chars]
     vals = group_mod.transform(G, w, conj=False)[idx]
@@ -390,7 +393,8 @@ def _w_of_p(p: int, H: float) -> int:
 
 def ladder_prime_sums(G, h, ladder: LadderSpec, j: int, B, delta: int) -> dict[int, np.ndarray]:
     """Q_{j,B,w}(chi) for all w: e^(-w/H_j) sums of conj(chi(p)) over the
-    w-th subwindow of (P_j, Q_j], restricted to B and sign delta."""
+    w-th subwindow of (P_j, Q_j], restricted to B and sign delta (a prime
+    where h vanishes has neither sign and lies in no subwindow)."""
     P, Q = ladder.interval(j)
     H = _H_j(j, ladder.Q1)
     ps = [int(p) for p in arith.primes_in(P, Q)]
@@ -398,7 +402,7 @@ def ladder_prime_sums(G, h, ladder: LadderSpec, j: int, B, delta: int) -> dict[i
     for p in ps:
         if not G.is_unit(p % G.q):
             continue
-        if h.sign(p) != delta:
+        if np.sign(h.rule(p, 1)) != delta:
             continue
         if B is not None and not B.contains(p):
             continue
@@ -535,7 +539,8 @@ def ramare_decompose(G: group_mod.UnitGroup, h, B, delta: int, v: int, j: int,
     # --- marked main term Mtilde ------------------------------------------
     primes_j = [p for p in arith.primes_in(P_j, Q_j).tolist() if math.gcd(p, q) == 1]
     # sign and coset of each prime; one above the factor table asks h directly
-    p_sign = {p: int(sign[p - 1]) if p <= n_hi else h.sign(p) for p in primes_j}
+    p_sign = {p: int(sign[p - 1]) if p <= n_hi else int(np.sign(h.rule(p, 1)))
+              for p in primes_j}
     p_coset = {p: int(psi_table[p % q]) if psi_table is not None else 1 for p in primes_j}
     if 0 in p_sign.values():
         raise DomainError("h vanishes at a prime of the j-th ladder interval")

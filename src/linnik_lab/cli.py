@@ -284,15 +284,16 @@ def cmd_charsum(args):
         return report_for(args, "polya-vinogradov",
                           {"max_over_characters_windows": worst, "bound": bound})
     if sub == "halmon":
+        # the first N rough n in [2, 100 N + 1], read in blocks of 2^18
         z = args.q**args.eps
-        coeffs = {}
-        n = 1
-        while len(coeffs) < args.N:
-            n += 1
-            if arith.is_rough(n, z):
-                coeffs[n] = complex(rng.choice((-1.0, 1.0)))
-            if n > 100 * args.N:
+        top = 100 * args.N + 1
+        rough: list[int] = []
+        for lo in range(1, top, 1 << 18):
+            wf = arith.factor_window(lo, min(lo + (1 << 18), top))
+            rough += wf.ns[wf.rough(z)].tolist()
+            if len(rough) >= args.N:
                 break
+        coeffs = {n: complex(rng.choice((-1.0, 1.0))) for n in rough[:args.N]}
         chars = list(group_mod.characters(args.q))
         pick = rng.choice(len(chars), size=min(args.nchars, len(chars)), replace=False)
         rep = charsums.halasz_montgomery_report(coeffs, [chars[i] for i in pick],

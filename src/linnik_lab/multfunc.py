@@ -33,9 +33,10 @@ def sgn(x: float) -> int:
 class MultiplicativeFunction:
     """A real multiplicative function given by its rule on prime powers.
 
-    h(1) = 1 and h(prod p^e) = prod rule(p, e).  Values are memoized; the
-    memo is safe for concurrent reads (single-writer dict publication).
-    `kind` marks built-ins whose signs are read without the rule.
+    h(1) = 1 and h(prod p^e) = prod rule(p, e), from one factorize per
+    evaluation; nothing is memoized.  h at a prime p is rule(p, 1), which
+    callers that only need primes read directly.  `kind` marks built-ins
+    whose signs are read without the rule.
     """
 
     def __init__(self, name: str, prime_power_rule: Callable[[int, int], float],
@@ -44,7 +45,6 @@ class MultiplicativeFunction:
         self.rule = prime_power_rule
         self.kind = kind
         self.character = character
-        self._memo: dict[int, float] = {1: 1.0}
         self._squarefree_signs = np.empty(0, dtype=np.int8)
 
     def __repr__(self):
@@ -53,16 +53,12 @@ class MultiplicativeFunction:
     def value(self, n: int) -> float:
         if n < 1:
             raise DomainError("multiplicative functions are defined on n >= 1")
-        v = self._memo.get(n)
-        if v is None:
-            out = 1.0
-            for p, e in arith.factorize(n).factors:
-                out *= self.rule(p, e)
-            v = out
-            self._memo[n] = v
-        return v
+        return self._product(arith.factorize(n))
 
     __call__ = value
+
+    def _product(self, fac: arith.Factorization) -> float:
+        return math.prod((self.rule(p, e) for p, e in fac.factors), start=1.0)
 
     def sign(self, n: int) -> int:
         return sgn(self.value(n))
@@ -71,8 +67,9 @@ class MultiplicativeFunction:
         """sgn h(n) where n is squarefree and 0 elsewhere, as int8, for n >= 1.
 
         Independent of the window sieve: each n is evaluated once per
-        instance, by scalar factorize and value, into an int8 table indexed
-        by n (only the integers asked for are evaluated).
+        instance, from one scalar factorize that gives both its squarefree
+        flag and its value, into an int8 table indexed by n (only the
+        integers asked for are evaluated).
         """
         ns = np.asarray(ns, dtype=np.int64)
         if ns.size == 0:
@@ -86,7 +83,8 @@ class MultiplicativeFunction:
             grown[:table.size] = table
             table = self._squarefree_signs = grown
         for n in np.unique(ns[table[ns] == _UNSEEN]).tolist():
-            v = self.value(n) if arith.factorize(n).is_squarefree else 0.0
+            fac = arith.factorize(n)
+            v = self._product(fac) if fac.is_squarefree else 0.0
             table[n] = (v > 0) - (v < 0)
         return table[ns]
 
@@ -123,8 +121,9 @@ def character_fn(chi) -> MultiplicativeFunction:
     """Completely multiplicative extension of a real Dirichlet character."""
     if not chi.is_real:
         raise DomainError("character_fn requires a real (order <= 2) character")
+    q = chi.group.q
     return MultiplicativeFunction(
-        f"character-mod-{chi.group.q}", lambda p, e: float(chi(p).real) ** e,
+        f"character-mod-{q}", lambda p, e: float(chi.real_sign_table()[p % q]) ** e,
         kind="character", character=chi)
 
 
@@ -145,11 +144,10 @@ def pretentious_distance_squared(f: MultiplicativeFunction, g: MultiplicativeFun
     if x < 2:
         raise DomainError("x must be >= 2")
     total = 0.0
-    for p in arith.primes_upto(int(x)):
-        p = int(p)
+    for p in arith.primes_upto(int(x)).tolist():
         if r % p == 0:
             continue
-        total += (1.0 - f.value(p) * g.value(p)) / p
+        total += (1.0 - f.rule(p, 1) * g.rule(p, 1)) / p
     return total
 
 
@@ -165,7 +163,7 @@ def pretend_sum(h: MultiplicativeFunction, chi, cutoff: float) -> float:
     signs = chi.real_sign_table()[ps % chi.group.q]
     total = 0.0
     for p, s in zip(ps.tolist(), signs.tolist()):
-        if h.value(p) * s < 0:
+        if h.rule(p, 1) * s < 0:
             total += 1.0 / p
     return total
 
@@ -196,11 +194,10 @@ def sign_density_counts(h: MultiplicativeFunction, q: int, y: int, delta: int,
     shape = arith.euler_phi(q) / q * y
     neg_cut = y / q ** (eps / 8) if q > 1 else float(y)
     neg_sum = 0.0
-    for p in arith.primes_upto(int(neg_cut)):
-        p = int(p)
+    for p in arith.primes_upto(int(neg_cut)).tolist():
         if q % p == 0:
             continue
-        if h.value(p) < 0:
+        if h.rule(p, 1) < 0:
             neg_sum += 1.0 / p
     if delta == MINUS:
         shape *= min(1.0, neg_sum)
@@ -253,12 +250,12 @@ def dirichlet_L1(chi) -> float:
     import mpmath   # ~30 ms to import; only this function needs it
 
     q = chi.group.q
+    signs = chi.real_sign_table().tolist()
     with mpmath.workdps(30):
         total = mpmath.mpf(0)
         for a in range(1, q):
-            v = chi(a).real
-            if v:
-                total += mpmath.mpf(int(round(v))) * mpmath.digamma(mpmath.mpf(a) / q)
+            if signs[a]:
+                total += mpmath.mpf(signs[a]) * mpmath.digamma(mpmath.mpf(a) / q)
         return float(-total / q)
 
 
@@ -286,16 +283,13 @@ def L_of_q(q: int, prime_cutoff: int | None = None) -> tuple[float, list[dict]]:
         if chi.is_principal:
             continue
         L1 = dirichlet_L1(chi)
-        prod = 1.0
-        for p in arith.primes_upto(q):
-            cp = chi(int(p)).real
+        ps = arith.primes_upto(prime_cutoff)
+        prod = euler = 1.0
+        for p, cp in zip(ps.tolist(), chi.real_sign_table()[ps % q].astype(float).tolist()):
             if cp:
-                prod *= 1.0 - cp / int(p)
-        euler = 1.0
-        for p in arith.primes_upto(prime_cutoff):
-            cp = chi(int(p)).real
-            if cp:
-                euler /= 1.0 - cp / int(p)
+                if p <= q:
+                    prod *= 1.0 - cp / p
+                euler /= 1.0 - cp / p
         val = (1.0 / L1) * (1.0 / prod)
         rows.append({"character": chi.label(), "L1": L1, "value": val,
                      "L1_euler_truncated": euler})
@@ -326,9 +320,9 @@ def one_star_psi_sum(q: int, psi, y: int, z: float) -> tuple[float, dict]:
     if not psi.is_principal:
         L1 = dirichlet_L1(psi)
         shape = y * L1 * arith.euler_phi(q) / q
-        for p in arith.primes_upto(q):
-            p = int(p)
-            if p > 2 and psi(p).real > 0:
+        signs = psi.real_sign_table()
+        for p in arith.primes_upto(q).tolist():
+            if p > 2 and signs[p % psi.group.q] > 0:
                 shape *= 1.0 - 2.0 / p
     report = {"lhs": total, "rhs_shape": shape,
               "ratio": total / shape if shape else float("inf")}

@@ -130,8 +130,10 @@ def test_halasz_montgomery_report():
     rep = cs.halasz_montgomery_report(coeffs, chars, 2000, q, eps)
     assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs_shape)
     assert not rep.asserted
-    with pytest.raises(PreconditionError):
-        cs.halasz_montgomery_report({2: 1.0}, chars, 10, q, eps)
+    with pytest.raises(PreconditionError, match="n=4 "):
+        cs.halasz_montgomery_report({1: 1.0, 23: 1.0, 4: 1.0, 2: 1.0}, chars, 23, q, eps)
+    with pytest.raises(DomainError):
+        cs.halasz_montgomery_report({0: 1.0}, chars, 10, q, eps)
 
 
 def test_large_values_census():
@@ -195,6 +197,33 @@ def test_partition_with_artificial_threshold_exercises_deeper_classes():
     assert sums  # the override interval has sign-minus primes
     for w, vals in sums.items():
         assert len(vals) == G.phi
+
+
+def test_ladder_primes_where_h_vanishes_have_no_sign():
+    # chi_7 vanishes at the ladder prime 7, a unit mod 11
+    chi = [c for c in g.real_characters(7) if not c.is_principal][0]
+    chi7 = mf.character_fn(chi)
+    G = g.build_unit_group(11)
+    lad = cs.ladder_build(5.0, 11, overrides=[(5.0, 60.0)])
+    H = cs._H_j(2, lad.Q1)
+    for delta in (1, -1):
+        sums = cs.ladder_prime_sums(G, chi7, lad, 2, None, delta)
+        assert cs._w_of_p(7, H) not in sums
+        byhand: dict[int, np.ndarray] = {}
+        for p in arith.primes_in(5.0, 60.0).tolist():
+            if p != 11 and chi(p).real * delta > 0:
+                w = cs._w_of_p(p, H)
+                row = np.array([c(p).conjugate() for c in G.characters()]) * math.exp(-w / H)
+                byhand[w] = byhand.get(w, 0) + row
+        assert sorted(sums) == sorted(byhand)
+        for w, vals in sums.items():
+            assert np.allclose(vals, byhand[w], atol=1e-12)
+    part = cs.partition_characters(11, lad, None, chi7, eta=1 / 160)
+    assert sum(part.sizes().values()) == G.phi
+    # a prime above the factor table where h vanishes is refused by name
+    with pytest.raises(DomainError, match="h vanishes at a prime"):
+        cs.ramare_decompose(G, chi7, None, 1, 0, 2,
+                            cs.ladder_build(3.0, 11, overrides=[(5.0, 60.0)]), 5.0)
 
 
 def _ramare_case(q, h, B, delta, v, j, ladder, M):

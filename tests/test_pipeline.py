@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,22 @@ def test_R_of_h_q_examples():
     # insufficient cap -> None
     res = pl.R_of_h_q(LAM, 3, 13)
     assert res.R_value is None and not res.complete
+
+
+def test_verify_witnesses_keeps_only_its_sign_table():
+    """The oracle retains one int8 sign table per h (36 KiB at q = 2003), no
+    per-integer memo of what it factored or evaluated."""
+    warm = pl.R_of_h_q(LAM, 1013, 10**7)
+    assert pl.verify_witnesses(warm, LAM, 1013)
+    h = mf.liouville_fn()
+    res = pl.R_of_h_q(h, 2003, 10**7)
+    tracemalloc.start()
+    try:
+        assert pl.verify_witnesses(res, h, 2003)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 512 * 1024, kept
 
 
 def test_R_of_character_never_exists():
