@@ -265,6 +265,8 @@ def halasz_montgomery_report(coeffs: dict[int, complex], chars, N: int, q: int,
     Coefficients must be supported on (n, P(q^eps)) = 1; shape is
     (N/log q + N^(2/3) q^(1/9 + 2 eps) |X|) * sum |a_n|^2 (ratio only).
     """
+    if q < 2:
+        raise DomainError("q must be >= 2")
     G = group_mod.build_unit_group(q)
     z = q**eps
     ns = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
@@ -618,6 +620,8 @@ def amplify_report(q: int, Y1: float, Y2: float, X: float, c_p=None, a_n=None) -
     Q runs over primes in [Y1, 2Y1], A over integers in [X/Y2, 2X/Y2], and
     l = ceil(log Y2 / log Y1).  Implied constant unspecified: report only.
     """
+    if min(Y1, Y2) <= 1:
+        raise DomainError("Y1 and Y2 must be > 1")
     G = group_mod.build_unit_group(q)
     ell = math.ceil(math.log(Y2) / math.log(Y1))
     ps = [int(p) for p in arith.primes_upto(int(2 * Y1)) if Y1 <= p <= 2 * Y1]

@@ -294,6 +294,8 @@ def cmd_charsum(args):
             if len(rough) >= args.N:
                 break
         coeffs = {n: complex(rng.choice((-1.0, 1.0))) for n in rough[:args.N]}
+        if not coeffs:
+            raise DomainError("charsum halmon needs --N >= 1 and a q^eps-rough n in [2, 100 N + 1]")
         chars = list(group_mod.characters(args.q))
         pick = rng.choice(len(chars), size=min(args.nchars, len(chars)), replace=False)
         rep = charsums.halasz_montgomery_report(coeffs, [chars[i] for i in pick],

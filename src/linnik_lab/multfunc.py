@@ -19,9 +19,6 @@ from .errors import DomainError
 PLUS = 1
 MINUS = -1
 
-# squarefree_signs table entry of an integer not evaluated yet
-_UNSEEN = 2
-
 
 def sgn(x: float) -> int:
     """Sign symbol of a nonzero real, as +1 or -1."""
@@ -45,7 +42,6 @@ class MultiplicativeFunction:
         self.rule = prime_power_rule
         self.kind = kind
         self.character = character
-        self._squarefree_signs = np.empty(0, dtype=np.int8)
 
     def __repr__(self):
         return f"MultiplicativeFunction({self.name!r})"
@@ -53,12 +49,9 @@ class MultiplicativeFunction:
     def value(self, n: int) -> float:
         if n < 1:
             raise DomainError("multiplicative functions are defined on n >= 1")
-        return self._product(arith.factorize(n))
+        return math.prod((self.rule(p, e) for p, e in arith.factorize(n).factors), start=1.0)
 
     __call__ = value
-
-    def _product(self, fac: arith.Factorization) -> float:
-        return math.prod((self.rule(p, e) for p, e in fac.factors), start=1.0)
 
     def sign(self, n: int) -> int:
         return sgn(self.value(n))
@@ -66,27 +59,33 @@ class MultiplicativeFunction:
     def squarefree_signs(self, ns: np.ndarray) -> np.ndarray:
         """sgn h(n) where n is squarefree and 0 elsewhere, as int8, for n >= 1.
 
-        Independent of the window sieve: each n is evaluated once per
-        instance, from one scalar factorize that gives both its squarefree
-        flag and its value, into an int8 table indexed by n (only the
-        integers asked for are evaluated).
+        Independent of the window sieve: trial division of the distinct n by
+        the primes p <= sqrt(max n).  A second factor p marks n not
+        squarefree; a single one multiplies its sign by sgn rule(p, 1).  A
+        cofactor left below p^2 is 1 or a prime, its rule read once per value.
         """
         ns = np.asarray(ns, dtype=np.int64)
-        if ns.size == 0:
-            return np.zeros(0, dtype=np.int8)
-        if int(ns.min()) < 1:
+        if int(ns.min(initial=1)) < 1:
             raise DomainError("multiplicative functions are defined on n >= 1")
-        table = self._squarefree_signs
-        top = int(ns.max())
-        if top >= table.size:
-            grown = np.full(max(top + 1, 2 * table.size), _UNSEEN, dtype=np.int8)
-            grown[:table.size] = table
-            table = self._squarefree_signs = grown
-        for n in np.unique(ns[table[ns] == _UNSEEN]).tolist():
-            fac = arith.factorize(n)
-            v = self._product(fac) if fac.is_squarefree else 0.0
-            table[n] = (v > 0) - (v < 0)
-        return table[ns]
+        rest, inverse = np.unique(ns, return_inverse=True)
+        signs = np.ones(rest.size, dtype=np.int8)
+        live = np.flatnonzero(rest > 1)
+        for p in arith.primes_upto(math.isqrt(int(ns.max(initial=1)))).tolist():
+            if not live.size:
+                break
+            r = rest[live]
+            divides = r % p == 0
+            if divides.any():
+                hit = live[divides]
+                rest[hit] = left = r[divides] // p
+                signs[hit] *= np.int8(np.sign(self.rule(p, 1)))
+                square = hit[left % p == 0]   # not squarefree: done
+                signs[square], rest[square] = 0, 1
+            live = live[r > p * p]
+        big = (signs != 0) & (rest > 1)
+        cofactors, at = np.unique(rest[big], return_inverse=True)
+        signs[big] *= np.sign([self.rule(c, 1) for c in cofactors.tolist()]).astype(np.int8)[at]
+        return signs[inverse]
 
     def signs(self, wf: arith.WindowFactors) -> np.ndarray:
         """Signs of h(n) over a factor window as int8 (+1/-1; 0 where h(n)=0)."""

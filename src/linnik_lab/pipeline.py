@@ -17,6 +17,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field, asdict
+from types import MappingProxyType
 
 import numpy as np
 
@@ -102,13 +103,32 @@ class ParamSet:
 # ---------------------------------------------------------------------------
 # E-sets and R(h; q)
 
-@dataclass
+@dataclass(eq=False)
 class RFunctionResult:
+    """R(h; q) and its witnesses, read from `first`, the (q, 2) first-hit
+    table of _scan_block: class a's first squarefree witness of sign +1 in
+    column 0 and of -1 in column 1 (see _first_hit_table)."""
+
     q: int
     cap: int
-    R_value: int | None
-    witnesses: dict[int, dict[int, int]]   # class -> {+1: n, -1: n}
-    complete: bool
+    first: np.ndarray
+
+    @property
+    def complete(self) -> bool:
+        return bool(_hits(self.first[group_mod.build_unit_group(self.q).units]).all())
+
+    @property
+    def R_value(self) -> int | None:
+        return int(self.first.max(initial=0, where=_hits(self.first))) if self.complete else None
+
+    @property
+    def witnesses(self) -> MappingProxyType:
+        """Read-only class -> {sign: witness} view of the hits, built on access."""
+        view: dict[int, dict[int, int]] = {}
+        rows, cols = np.nonzero(_hits(self.first))
+        for a, col, n in zip(rows.tolist(), cols.tolist(), self.first[rows, cols].tolist()):
+            view.setdefault(a, {})[1 - 2 * col] = n
+        return MappingProxyType({a: MappingProxyType(d) for a, d in view.items()})
 
     def as_dict(self) -> dict:
         return {"q": self.q, "cap": self.cap, "R": self.R_value,
@@ -121,6 +141,11 @@ class RFunctionResult:
 # first-hit tables hold this where a (class, sign) pair has no witness yet,
 # and 0 where h cannot take that sign on the class
 _NO_HIT = np.iinfo(np.int64).max
+
+
+def _hits(first: np.ndarray) -> np.ndarray:
+    """Where a first-hit table holds a witness."""
+    return (first > 0) & (first < _NO_HIT)
 
 
 def _first_hit_table(h, G: group_mod.UnitGroup) -> np.ndarray:
@@ -178,21 +203,12 @@ def _scan_block(h, qs, caps, stop_when_complete: bool = True) -> list[np.ndarray
     return first
 
 
-def _found(G: group_mod.UnitGroup, first: np.ndarray) -> dict[tuple[int, int], int]:
-    """{(class, sign): first witness} from a first-hit table of _scan_block."""
-    return {(a, s): n
-            for a, row in zip(G.units.tolist(), first[G.units].tolist())
-            for s, n in zip((1, -1), row) if 0 < n < _NO_HIT}
-
-
 def E_sets(h, q: int, x: int) -> tuple[set[int], set[int]]:
     """E^+(x), E^-(x): classes holding a squarefree witness of each sign."""
     if x < 1:
         raise DomainError("x must be >= 1")
-    found = _found(group_mod.build_unit_group(q), _scan_block(h, [q], [x])[0])
-    plus = {a for (a, s) in found if s == 1}
-    minus = {a for (a, s) in found if s == -1}
-    return plus, minus
+    hits = _hits(_scan_block(h, [q], [x])[0])
+    return set(np.flatnonzero(hits[:, 0]).tolist()), set(np.flatnonzero(hits[:, 1]).tolist())
 
 
 def R_block(h, qs, caps):
@@ -200,24 +216,12 @@ def R_block(h, qs, caps):
 
     Every q is scanned by one shared stream (_scan_block) until its witness
     table holds every (class, sign) pair h can take or the stream passes its
-    cap.  The scan runs at once;
-    the results are built one at a time as the returned iterator is read.
+    cap.  The scan runs at once; the returned iterator wraps its tables.
     """
     qs, caps = list(qs), list(caps)
     if any(cap < 1 for cap in caps):
         raise DomainError("cap must be >= 1")
-
-    def result(q, cap, first):
-        G = group_mod.build_unit_group(q)
-        found = _found(G, first)
-        witnesses: dict[int, dict[int, int]] = {}
-        for (a, s), n in found.items():
-            witnesses.setdefault(a, {})[s] = n
-        complete = len(found) == 2 * len(G.units)
-        R = max(found.values()) if complete else None
-        return RFunctionResult(q, cap, R, witnesses, complete)
-
-    return map(result, qs, caps, _scan_block(h, qs, caps))
+    return map(RFunctionResult, qs, caps, _scan_block(h, qs, caps))
 
 
 def R_of_h_q(h, q: int, cap: int) -> RFunctionResult:
@@ -234,26 +238,22 @@ def verify_witnesses(result: RFunctionResult, h, q: int) -> bool:
     """Independent re-check of a witness table: squarefree, class, sign,
     minimality.
 
-    The class members below every witness are gathered at once, and each
-    integer is read from h.squarefree_signs, which evaluates it by scalar
-    factorization, not by the window sieve the scan used.  A member where h
+    The hits of the first-hit table and the class members below every one
+    are read by one h.squarefree_signs call, which evaluates them by trial
+    division, not by the window sieve the scan used.  A member where h
     vanishes is a witness of neither sign.
     """
-    items = [(a, s, n) for a, d in result.witnesses.items() for s, n in d.items()]
-    if not items:
-        return True
-    a, s, n = np.array(items, dtype=np.int64).T
-    if not (np.isin(s, (1, -1)).all() and (n >= 1).all() and ((n - a) % q == 0).all()):
-        return False
-    if (h.squarefree_signs(n) != s).any():
-        return False
+    a, col = np.nonzero(_hits(result.first))
+    n = result.first[a, col]
+    s = 1 - 2 * col
     # the members m = a, a + q, ... below n (from q when a = 0); any of
     # them that is squarefree with sign s is an earlier witness
     m0 = np.where(a > 0, a, q)
     counts = np.maximum(0, (n - m0 + q - 1) // q)
     offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    members = np.repeat(m0, counts) + q * offsets
-    return not (h.squarefree_signs(members) == np.repeat(s, counts)).any()
+    got = h.squarefree_signs(np.concatenate([n, np.repeat(m0, counts) + q * offsets]))
+    return bool(((n - a) % q == 0).all() and (got[:n.size] == s).all()
+                and not (got[n.size:] == np.repeat(s, counts)).any())
 
 
 # ---------------------------------------------------------------------------

@@ -67,8 +67,8 @@ def test_exit_codes(capsys, monkeypatch):
     assert code == 3 and "resource" in err and "Traceback" not in err, err
     code, _, _ = run_cli(capsys)
     assert code == 1
-    # malformed h specs, character indices, ladder overrides and batch ranges
-    # are domain errors
+    # malformed h specs, character indices, ladder overrides, batch ranges
+    # and charsum scales are domain errors
     for argv in (("rfunc", "--h", "character:7", "--q", "8", "--cap", "100"),
                  ("rfunc", "--h", "character:7:9", "--q", "8", "--cap", "100"),
                  ("rfunc", "--h", "character:7:-1", "--q", "8", "--cap", "100"),
@@ -78,7 +78,13 @@ def test_exit_codes(capsys, monkeypatch):
                  ("ladder", "--Q1", "10", "--q", "101", "--overrides", "10-100"),
                  ("batch", "--qmin", "0", "--qmax", "3"),
                  ("--format", "csv", "batch", "--qmin", "5", "--qmax", "3"),
-                 ("stcompare", "--q", "35", "--a", "7")):
+                 ("stcompare", "--q", "35", "--a", "7"),
+                 ("charsum", "halmon", "--q", "101", "--N", "0"),
+                 ("charsum", "halmon", "--q", "101", "--N", "-5"),
+                 ("charsum", "halmon", "--q", "1", "--N", "5"),
+                 ("charsum", "amplify", "--q", "11", "--Y1", "1"),
+                 ("charsum", "amplify", "--q", "11", "--Y1", "0.5"),
+                 ("charsum", "amplify", "--q", "11", "--Y2", "0.001")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and "Traceback" not in err, (argv, err)
 

@@ -165,12 +165,8 @@ def test_large_modulus_has_units_and_R():
     lam = mf.liouville_fn()
     res = pl.R_of_h_q(lam, q, 10**7)
     assert res.complete and res.R_value == 2833555
-    # the oracle re-checks the classes of R and of 20 random others
-    rng = random.Random(5)
-    top = next(a for a, d in res.witnesses.items() if res.R_value in d.values())
-    classes = {top, *rng.sample(range(1, q), 20)}
-    part = pl.RFunctionResult(q, res.cap, None, {a: res.witnesses[a] for a in classes}, False)
-    assert pl.verify_witnesses(part, lam, q)
+    # the oracle re-checks the whole table: 420,230 class members
+    assert pl.verify_witnesses(res, lam, q)
 
 
 def _dlog_oracle(m: int, comps) -> list[np.ndarray]:

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linnik_lab import arith, group, multfunc as mf
 from linnik_lab.errors import DomainError
@@ -86,24 +86,44 @@ def test_squarefree_signs_match_values(h, lo, width):
     assert np.array_equal(got, np.array(want, dtype=np.int8))
 
 
-@given(st.sampled_from(SQUAREFREE_SIGN_FNS),
-       st.lists(st.integers(min_value=1, max_value=3000), max_size=60))
-@settings(max_examples=60, deadline=None)
+# primes on both sides of sqrt(10^7) = 3162.3, and primes near 10^6 to
+# stand as a large cofactor
+_NEAR_ROOT = arith.primes_in(3000, 3400).tolist()
+_LARGE = arith.primes_in(10**6, 10**6 + 2000).tolist()
+_ORACLE_INPUTS = st.one_of(
+    st.integers(min_value=1, max_value=10**7),
+    # squares of primes near the root, times a small factor
+    st.tuples(st.sampled_from(_NEAR_ROOT), st.integers(min_value=1, max_value=3)).map(
+        lambda t: t[0] * t[0] * t[1]),
+    # two primes near the root
+    st.tuples(st.sampled_from(_NEAR_ROOT), st.sampled_from(_NEAR_ROOT)).map(
+        lambda t: t[0] * t[1]),
+    # a large prime cofactor times a small, possibly non-squarefree, part
+    st.tuples(st.integers(min_value=1, max_value=9), st.sampled_from(_LARGE)).map(
+        lambda t: t[0] * t[1]),
+)
+
+
+@given(st.sampled_from(SQUAREFREE_SIGN_FNS), st.lists(_ORACLE_INPUTS, min_size=1, max_size=60))
+@example(mf.liouville_fn(), [3163 * 3163])
+@example(mf.mobius_fn(), [3163 * 3167, 3163 * 3163, 3167])
+@settings(max_examples=100, deadline=None)
 def test_squarefree_sign_table_matches_values(h, ns):
-    """The oracle's table: scalar values, each integer evaluated once."""
+    """The oracle's trial division against scalar values, with no scalar
+    factorize call: squares at the root of the largest input and large
+    prime cofactors included."""
     ns = np.array(ns, dtype=np.int64)
-    got = h.squarefree_signs(ns)
-    assert got.dtype == np.int8
-    want = [_sign(h.value(n)) if arith.is_squarefree(n) else 0 for n in ns.tolist()]
-    assert np.array_equal(got, np.array(want, dtype=np.int8))
     calls = []
     factorize = arith.factorize
     arith.factorize = lambda n: calls.append(n) or factorize(n)
     try:
-        assert np.array_equal(h.squarefree_signs(ns[::-1]), got[::-1])
+        got = h.squarefree_signs(ns)
     finally:
         arith.factorize = factorize
     assert calls == []
+    assert got.dtype == np.int8
+    want = [_sign(h.value(n)) if arith.is_squarefree(n) else 0 for n in ns.tolist()]
+    assert np.array_equal(got, np.array(want, dtype=np.int8))
 
 
 def test_pretentious_distance():

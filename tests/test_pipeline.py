@@ -1,4 +1,3 @@
-import copy
 import json
 import math
 import tracemalloc
@@ -52,6 +51,10 @@ def test_R_of_h_q_examples():
     assert res.R_value == 14
     assert res.witnesses[2][1] == 14
     assert pl.verify_witnesses(res, LAM, 3)
+    # the witnesses are a read-only view of the first-hit table
+    assert res.first.shape == (3, 2) and res.first[2, 0] == 14
+    with pytest.raises(TypeError):
+        res.witnesses[2][1] = 13
     # R is the first x at which both E-sets fill up
     plus, minus = pl.E_sets(LAM, 3, 13)
     assert plus != {1, 2} or minus != {1, 2}
@@ -60,11 +63,9 @@ def test_R_of_h_q_examples():
     assert res.R_value is None and not res.complete
 
 
-def test_verify_witnesses_keeps_only_its_sign_table():
-    """The oracle retains one int8 sign table per h (36 KiB at q = 2003), no
-    per-integer memo of what it factored or evaluated."""
-    warm = pl.R_of_h_q(LAM, 1013, 10**7)
-    assert pl.verify_witnesses(warm, LAM, 1013)
+def test_verify_witnesses_retains_nothing():
+    """The oracle keeps no table or memo of what it evaluated: after a
+    verify at q = 2003 nothing it allocated is still held."""
     h = mf.liouville_fn()
     res = pl.R_of_h_q(h, 2003, 10**7)
     tracemalloc.start()
@@ -73,7 +74,7 @@ def test_verify_witnesses_keeps_only_its_sign_table():
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert kept <= 512 * 1024, kept
+    assert kept <= 16 * 1024, kept
 
 
 def test_R_of_character_never_exists():
@@ -209,24 +210,25 @@ def test_verify_witnesses_matches_the_walk(h, q, mutation, data):
     assume(res.witnesses)
     a, d = data.draw(st.sampled_from(sorted(res.witnesses.items())))
     s, n = data.draw(st.sampled_from(sorted(d.items())))
-    bad = copy.deepcopy(res)
+    col = (1 - s) // 2   # the first-hit table's column of sign s
+    bad = pl.RFunctionResult(q, res.cap, res.first.copy())
     if mutation == "later":
         # a witness of the same class and sign, but not the first one
         later = _next_member(q, n, lambda m: arith.is_squarefree(m)
                              and (h.value(m) > 0) - (h.value(m) < 0) == s)
         assume(later is not None)
-        bad.witnesses[a][s] = later
+        bad.first[a, col] = later
     elif mutation == "sign":
-        bad.witnesses[a][-s] = n
+        bad.first[a, 1 - col] = n
     elif mutation == "squarefree":
         square = _next_member(q, a, lambda m: not arith.is_squarefree(m))
         assume(square is not None)
-        bad.witnesses[a][s] = square
+        bad.first[a, col] = square
     elif mutation == "class":
         others = [int(b) for b in g.build_unit_group(q).units if b != a]
         assume(others)
         b = data.draw(st.sampled_from(others))
-        bad.witnesses.setdefault(b, {})[s] = n
+        bad.first[b, col] = n
     want = mutation == "none"
     assert _walk_verify(bad, h, q) is want
     assert pl.verify_witnesses(bad, h, q) is want
