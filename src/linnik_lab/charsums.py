@@ -620,8 +620,8 @@ def amplify_report(q: int, Y1: float, Y2: float, X: float, c_p=None, a_n=None) -
     Q runs over primes in [Y1, 2Y1], A over integers in [X/Y2, 2X/Y2], and
     l = ceil(log Y2 / log Y1).  Implied constant unspecified: report only.
     """
-    if min(Y1, Y2) <= 1:
-        raise DomainError("Y1 and Y2 must be > 1")
+    if Y1 <= 1 or Y1 * Y2 <= 1:
+        raise DomainError("Y1 must be > 1 and Y1 Y2 > 1 (l >= 0)")
     G = group_mod.build_unit_group(q)
     ell = math.ceil(math.log(Y2) / math.log(Y1))
     ps = [int(p) for p in arith.primes_upto(int(2 * Y1)) if Y1 <= p <= 2 * Y1]

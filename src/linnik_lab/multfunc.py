@@ -71,8 +71,6 @@ class MultiplicativeFunction:
         signs = np.ones(rest.size, dtype=np.int8)
         live = np.flatnonzero(rest > 1)
         for p in arith.primes_upto(math.isqrt(int(ns.max(initial=1)))).tolist():
-            if not live.size:
-                break
             r = rest[live]
             divides = r % p == 0
             if divides.any():

@@ -105,25 +105,25 @@ class ParamSet:
 
 @dataclass(eq=False)
 class RFunctionResult:
-    """R(h; q) and its witnesses, read from `first`, the (q, 2) first-hit
-    table of _scan_block: class a's first squarefree witness of sign +1 in
-    column 0 and of -1 in column 1 (see _first_hit_table)."""
+    """R(h; q) and its witnesses, read once from `first`, the read-only (q, 2)
+    first-hit table of _scan_block: class a's first squarefree witness of
+    sign +1 in column 0 and of -1 in column 1 (see _first_hit_table)."""
 
     q: int
     cap: int
     first: np.ndarray
+    complete: bool = field(init=False)
+    R_value: int | None = field(init=False)
 
-    @property
-    def complete(self) -> bool:
-        return bool(_hits(self.first[group_mod.build_unit_group(self.q).units]).all())
+    def __post_init__(self):
+        self.first.flags.writeable = False
+        hits = _hits(self.first)
+        self.complete = bool(hits[group_mod.build_unit_group(self.q).units].all())
+        self.R_value = int(self.first.max(initial=0, where=hits)) if self.complete else None
 
-    @property
-    def R_value(self) -> int | None:
-        return int(self.first.max(initial=0, where=_hits(self.first))) if self.complete else None
-
-    @property
+    @functools.cached_property
     def witnesses(self) -> MappingProxyType:
-        """Read-only class -> {sign: witness} view of the hits, built on access."""
+        """Read-only class -> {sign: witness} view of the hits."""
         view: dict[int, dict[int, int]] = {}
         rows, cols = np.nonzero(_hits(self.first))
         for a, col, n in zip(rows.tolist(), cols.tolist(), self.first[rows, cols].tolist()):
@@ -131,16 +131,15 @@ class RFunctionResult:
         return MappingProxyType({a: MappingProxyType(d) for a, d in view.items()})
 
     def as_dict(self) -> dict:
-        return {"q": self.q, "cap": self.cap, "R": self.R_value,
-                "complete": self.complete,
-                "witnesses": {str(a): {("+" if s > 0 else "-"): n
-                                       for s, n in d.items()}
+        return {"q": self.q, "cap": self.cap, "R": self.R_value, "complete": self.complete,
+                "witnesses": {str(a): {("+" if s > 0 else "-"): n for s, n in d.items()}
                               for a, d in sorted(self.witnesses.items())}}
 
 
 # first-hit tables hold this where a (class, sign) pair has no witness yet,
 # and 0 where h cannot take that sign on the class
 _NO_HIT = np.iinfo(np.int64).max
+_VERIFY_BLOCK = 1 << 18
 
 
 def _hits(first: np.ndarray) -> np.ndarray:
@@ -238,22 +237,25 @@ def verify_witnesses(result: RFunctionResult, h, q: int) -> bool:
     """Independent re-check of a witness table: squarefree, class, sign,
     minimality.
 
-    The hits of the first-hit table and the class members below every one
-    are read by one h.squarefree_signs call, which evaluates them by trial
-    division, not by the window sieve the scan used.  A member where h
-    vanishes is a witness of neither sign.
+    A hit n of class a and sign s is read with the class members a, a + q,
+    ... below it (from q when a = 0): n must be squarefree of sign s and no
+    earlier member may be.  h.squarefree_signs reads _VERIFY_BLOCK integers
+    at a time by trial division, not by the window sieve the scan used.  A
+    member where h vanishes is a witness of neither sign.
     """
     a, col = np.nonzero(_hits(result.first))
-    n = result.first[a, col]
-    s = 1 - 2 * col
-    # the members m = a, a + q, ... below n (from q when a = 0); any of
-    # them that is squarefree with sign s is an earlier witness
-    m0 = np.where(a > 0, a, q)
-    counts = np.maximum(0, (n - m0 + q - 1) // q)
-    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    got = h.squarefree_signs(np.concatenate([n, np.repeat(m0, counts) + q * offsets]))
-    return bool(((n - a) % q == 0).all() and (got[:n.size] == s).all()
-                and not (got[n.size:] == np.repeat(s, counts)).any())
+    n, s = result.first[a, col], 1 - 2 * col
+    if not ((n - a) % q == 0).all():
+        return False
+    counts = (n - np.where(a > 0, a, q)) // q + 1
+    ends, total = np.cumsum(counts), int(counts.sum())
+    for lo in range(0, total, _VERIFY_BLOCK):
+        k = np.arange(lo, min(lo + _VERIFY_BLOCK, total))
+        i = np.searchsorted(ends, k, side="right")   # member k belongs to hit i
+        m = n[i] - q * (ends[i] - 1 - k)
+        if ((h.squarefree_signs(m) == s[i]) != (m == n[i])).any():
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,12 @@ def test_amplify_report():
     rep = cs.amplify_report(101, 10.0, 100.0, 2000.0,
                             c_p=lambda p: 1.0 if p == 11 else 0.0)
     assert math.isfinite(rep.lhs)
+    # Y2 in (1/Y1, 1] gives l = 0; Y1 Y2 <= 1 would give l < 0
+    rep = cs.amplify_report(101, 10.0, 0.5, 2000.0)
+    assert rep.extra["ell"] == 0 and math.isfinite(rep.lhs)
+    for Y1, Y2 in ((1.0, 100.0), (0.5, 100.0), (10.0, 0.1), (10.0, 0.0)):
+        with pytest.raises(DomainError):
+            cs.amplify_report(101, Y1, Y2, 2000.0)
 
 
 def test_square_and_shorts_moments():

@@ -55,6 +55,12 @@ def test_R_of_h_q_examples():
     assert res.first.shape == (3, 2) and res.first[2, 0] == 14
     with pytest.raises(TypeError):
         res.witnesses[2][1] = 13
+    with pytest.raises(ValueError):
+        res.first[2, 0] = 13
+    # a table with no hits is verified vacuously, with no member read
+    empty = pl.RFunctionResult(5, 1, np.full((5, 2), pl._NO_HIT))
+    assert not empty.complete and empty.R_value is None and empty.witnesses == {}
+    assert pl.verify_witnesses(empty, LAM, 5)
     # R is the first x at which both E-sets fill up
     plus, minus = pl.E_sets(LAM, 3, 13)
     assert plus != {1, 2} or minus != {1, 2}
@@ -211,24 +217,25 @@ def test_verify_witnesses_matches_the_walk(h, q, mutation, data):
     a, d = data.draw(st.sampled_from(sorted(res.witnesses.items())))
     s, n = data.draw(st.sampled_from(sorted(d.items())))
     col = (1 - s) // 2   # the first-hit table's column of sign s
-    bad = pl.RFunctionResult(q, res.cap, res.first.copy())
+    first = res.first.copy()
     if mutation == "later":
         # a witness of the same class and sign, but not the first one
         later = _next_member(q, n, lambda m: arith.is_squarefree(m)
                              and (h.value(m) > 0) - (h.value(m) < 0) == s)
         assume(later is not None)
-        bad.first[a, col] = later
+        first[a, col] = later
     elif mutation == "sign":
-        bad.first[a, 1 - col] = n
+        first[a, 1 - col] = n
     elif mutation == "squarefree":
         square = _next_member(q, a, lambda m: not arith.is_squarefree(m))
         assume(square is not None)
-        bad.first[a, col] = square
+        first[a, col] = square
     elif mutation == "class":
         others = [int(b) for b in g.build_unit_group(q).units if b != a]
         assume(others)
         b = data.draw(st.sampled_from(others))
-        bad.first[b, col] = n
+        first[b, col] = n
+    bad = pl.RFunctionResult(q, res.cap, first)
     want = mutation == "none"
     assert _walk_verify(bad, h, q) is want
     assert pl.verify_witnesses(bad, h, q) is want
