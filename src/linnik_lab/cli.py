@@ -375,9 +375,23 @@ def _worker_count(threads: int) -> int:
     return max(1, min(threads, os.cpu_count() or 1))
 
 
+# bytes a batch may hold in first-hit tables (and, for audit, unit groups)
+_BATCH_BUDGET = 1 << 28
+# per unit of q: a first-hit table is 16 q bytes and lives until its block's
+# stream ends; an audit keeps each q's unit group with its real characters'
+# sign tables, about 30 q bytes (measured over q = 3..2000)
+_TABLE_BYTES, _GROUP_BYTES = 16, 32
+
+
 def cmd_batch(args):
     if not 1 <= args.qmin <= args.qmax:
         raise DomainError(f"batch needs 1 <= --qmin <= --qmax, got {args.qmin} and {args.qmax}")
+    # every block runs at once (one per worker), so all the tables count
+    per_q = _TABLE_BYTES + (_GROUP_BYTES if args.what == "audit" else 0)
+    need = per_q * (args.qmin + args.qmax) * (args.qmax - args.qmin + 1) // 2
+    if need > _BATCH_BUDGET:
+        raise ResourceError(f"batch {args.what} over q = {args.qmin}..{args.qmax} would hold "
+                            f"{need} bytes of tables, more than the budget {_BATCH_BUDGET}")
     qs = list(range(args.qmin, args.qmax + 1))
     worker = _BatchWorker(args)
     workers = min(_worker_count(args.threads), len(qs))
@@ -413,9 +427,9 @@ class _BatchWorker:
         h = self._h
         if self.what == "rfunc":
             caps = [int(q * q * 20 * max(math.log(q), 1.0)) + 1 for q in qs]
-            return [{"q": q, "R": res.R_value, "cap": res.cap,
-                     "verified": pipeline.verify_witnesses(res, h, q)}
-                    for q, res in zip(qs, pipeline.R_block(h, qs, caps))]
+            results = list(pipeline.R_block(h, qs, caps))
+            return [{"q": res.q, "R": res.R_value, "cap": res.cap, "verified": ok}
+                    for res, ok in zip(results, pipeline.verify_block(results, h))]
         return [{"q": res["q"], "verdict": res["verdict"], "R": res["R"],
                  "min_pretend_sum": res["min_pretend_sum"]}
                 for res in pipeline.audit_block(h, qs, self.Q1, self.c)]

@@ -165,6 +165,30 @@ def pretend_sum(h: MultiplicativeFunction, chi, cutoff: float) -> float:
     return total
 
 
+def pretend_sums(h: MultiplicativeFunction, chars_by_q, cutoffs) -> list[np.ndarray]:
+    """pretend_sum(h, chi, cutoff) for each real character chi in each entry
+    of chars_by_q at that entry's cutoff, one float array per entry.
+
+    h is read once per prime up to the largest cutoff.  Each sum is the
+    running sum (np.cumsum) of its terms in increasing p, 1/p where
+    h(p) chi(p) < 0 and 0 elsewhere: pretend_sum's additions in its order,
+    so the values are bit-identical to it.
+    """
+    ps = arith.primes_upto(int(max(cutoffs, default=0)))
+    h_signs = np.sign([h.rule(p, 1) for p in ps.tolist()])
+    inverse = 1.0 / ps
+    out = []
+    for chars, cutoff in zip(chars_by_q, cutoffs):
+        k = int(np.searchsorted(ps, int(cutoff), side="right"))
+        if not chars or not k:
+            out.append(np.zeros(len(chars)))
+            continue
+        signs = np.stack([chi.real_sign_table()[ps[:k] % chi.group.q] for chi in chars])
+        terms = np.where(signs * h_signs[:k] < 0, inverse[:k], 0.0)
+        out.append(np.cumsum(terms, axis=1)[:, -1])
+    return out
+
+
 def pretend_condition_holds(pretend: float, c: float, Q1: float) -> bool:
     """The theorem-side smallness test: pretend <= c / Q1^(1/100)."""
     return pretend <= c / Q1 ** (1 / 100)

@@ -118,7 +118,7 @@ class RFunctionResult:
     def __post_init__(self):
         self.first.flags.writeable = False
         hits = _hits(self.first)
-        self.complete = bool(hits[group_mod.build_unit_group(self.q).units].all())
+        self.complete = bool(hits[_unit_mask(self.q)].all())
         self.R_value = int(self.first.max(initial=0, where=hits)) if self.complete else None
 
     @functools.cached_property
@@ -139,6 +139,9 @@ class RFunctionResult:
 # first-hit tables hold this where a (class, sign) pair has no witness yet,
 # and 0 where h cannot take that sign on the class
 _NO_HIT = np.iinfo(np.int64).max
+# a verify reads whole tables in groups of about _VERIFY_GROUP class members,
+# and a group in chunks of at most _VERIFY_BLOCK members
+_VERIFY_GROUP = 1 << 14
 _VERIFY_BLOCK = 1 << 18
 
 
@@ -147,17 +150,23 @@ def _hits(first: np.ndarray) -> np.ndarray:
     return (first > 0) & (first < _NO_HIT)
 
 
-def _first_hit_table(h, G: group_mod.UnitGroup) -> np.ndarray:
-    """An empty (q, 2) first-hit table of _scan_block.  A sign h cannot take
-    on a unit class is marked 0, so the class is complete without it: the
-    -1 column of h = one, and, for a real character h whose modulus divides
-    q, the sign it does not take on each class."""
-    first = np.full((G.q, 2), _NO_HIT, dtype=np.int64)
+def _unit_mask(q: int) -> np.ndarray:
+    """The residues 0 <= a < q prime to q, as a mask (just 0 when q = 1)."""
+    return np.gcd(np.arange(q), q) == 1
+
+
+def _first_hit_table(h, q: int, units: np.ndarray) -> np.ndarray:
+    """An empty (q, 2) first-hit table of _scan_block; units is q's unit
+    mask.  A sign h cannot take on a unit class is marked 0, so the class is
+    complete without it: the -1 column of h = one, and, for a real character
+    h whose modulus divides q, the sign it does not take on each class."""
+    first = np.full((q, 2), _NO_HIT, dtype=np.int64)
     if h.kind == "one":
-        first[G.units, 1] = 0
-    elif h.kind == "character" and G.q % h.character.group.q == 0:
+        first[units, 1] = 0
+    elif h.kind == "character" and q % h.character.group.q == 0:
+        a = np.flatnonzero(units)
         table = h.character.real_sign_table()
-        first[G.units, (table[G.units % h.character.group.q] > 0).astype(np.int64)] = 0
+        first[a, (table[a % h.character.group.q] > 0).astype(np.int64)] = 0
     return first
 
 
@@ -167,15 +176,18 @@ def _scan_block(h, qs, caps, stop_when_complete: bool = True) -> list[np.ndarray
     One stream of factor_window segments, (0, 2^13] and then doubling up to
     2^18 integers, serves every q of the block: each integer is sieved once
     per block and memory holds one segment.  Each pending q masks the
-    segment's squarefree integers with nonzero sign by its units and records
-    its first hits with one scatter (np.minimum.at) into a (q, 2) table,
-    column 0 for sign +1 and 1 for -1 (see _first_hit_table).  A q leaves
-    the stream once every unit class holds every sign h can take on it (if
-    stop_when_complete) or once the stream has passed its cap.  Returns the
-    tables in the order of qs.
+    segment's squarefree integers with nonzero sign by its unit mask and
+    records its first hits with one scatter (np.minimum.at) into a (q, 2)
+    table, column 0 for sign +1 and 1 for -1 (see _first_hit_table).  A q
+    leaves the stream once every unit class holds every sign h can take on
+    it (if stop_when_complete) or once the stream has passed its cap.
+    Returns the tables in the order of qs.
     """
-    groups = [group_mod.build_unit_group(q) for q in qs]
-    first = [_first_hit_table(h, G) for G in groups]
+    units = [_unit_mask(q) for q in qs]
+    first = [_first_hit_table(h, q, u) for q, u in zip(qs, units)]
+    # the cells off the units, which the scan never writes: a table is
+    # complete once they are its only _NO_HIT cells
+    idle = [2 * (q - np.count_nonzero(u)) for q, u in zip(qs, units)]
     pending = list(range(len(qs)))
     lo = 0
     chunk = 1 << 13
@@ -191,9 +203,9 @@ def _scan_block(h, qs, caps, stop_when_complete: bool = True) -> list[np.ndarray
             q, cap = qs[i], caps[i]
             k = ns.size if cap >= hi else int(np.searchsorted(ns, cap, side="right"))
             res = ns[:k] % q
-            unit = groups[i].unit_pos[res] >= 0
+            unit = units[i][res]
             np.minimum.at(first[i].reshape(-1), 2 * res[unit] + neg[:k][unit], ns[:k][unit])
-            complete = bool((first[i][groups[i].units] != _NO_HIT).all())
+            complete = np.count_nonzero(first[i] == _NO_HIT) == idle[i]
             if cap > hi and not (stop_when_complete and complete):
                 still.append(i)
         pending = still
@@ -235,27 +247,70 @@ def R_of_h_q(h, q: int, cap: int) -> RFunctionResult:
 
 def verify_witnesses(result: RFunctionResult, h, q: int) -> bool:
     """Independent re-check of a witness table: squarefree, class, sign,
-    minimality.
+    minimality.  This is verify_block for the block of one table; q must be
+    the table's modulus."""
+    if q != result.q:
+        raise DomainError(f"the table is one mod {result.q}, not mod {q}")
+    return verify_block([result], h)[0]
+
+
+def verify_block(results, h) -> list[bool]:
+    """verify_witnesses for each table of a block, in the order of results.
 
     A hit n of class a and sign s is read with the class members a, a + q,
     ... below it (from q when a = 0): n must be squarefree of sign s and no
-    earlier member may be.  h.squarefree_signs reads _VERIFY_BLOCK integers
-    at a time by trial division, not by the window sieve the scan used.  A
-    member where h vanishes is a witness of neither sign.
+    earlier member may be.  A hit outside its class fails its table with no
+    member read.  Consecutive tables are read together, in groups of whole
+    tables that close once they hold _VERIFY_GROUP members, and a group's
+    members in chunks of at most _VERIFY_BLOCK, one h.squarefree_signs call
+    each: trial division, not the window sieve the scan used.  A member
+    where h vanishes is a witness of neither sign.
     """
-    a, col = np.nonzero(_hits(result.first))
-    n, s = result.first[a, col], 1 - 2 * col
-    if not ((n - a) % q == 0).all():
-        return False
-    counts = (n - np.where(a > 0, a, q)) // q + 1
-    ends, total = np.cumsum(counts), int(counts.sum())
-    for lo in range(0, total, _VERIFY_BLOCK):
-        k = np.arange(lo, min(lo + _VERIFY_BLOCK, total))
+    results = list(results)
+    ok = [True] * len(results)
+    group: list[tuple] = []   # (table index, *_table_hits) of each table
+    size = 0
+    for t, res in enumerate(results):
+        hits = _table_hits(res)
+        if hits is None:
+            ok[t] = False
+        else:
+            group.append((t, *hits))
+            size += int(hits[-1].sum())
+        if group and (size >= _VERIFY_GROUP or t == len(results) - 1):
+            for bad in _verify_group(group, h):
+                ok[bad] = False
+            group, size = [], 0
+    return ok
+
+
+def _table_hits(res: RFunctionResult):
+    """A table's hits n, their signs (int8), their class steps q and their
+    member counts, or None when some n lies outside its class."""
+    q = res.q
+    a, col = np.nonzero(_hits(res.first))
+    n = res.first[a, col]
+    if ((n - a) % q).any():
+        return None
+    return (n, (1 - 2 * col).astype(np.int8), np.full(n.size, q),
+            (n - np.where(a > 0, a, q)) // q + 1)
+
+
+def _verify_group(group, h) -> set[int]:
+    """The table indices of a verify_block group whose hits fail."""
+    tables, *columns = zip(*group)
+    hit_ends = np.cumsum([len(n) for n in columns[0]])
+    n, s, step, counts = (x[0] if len(x) == 1 else np.concatenate(x) for x in columns)
+    ends = np.cumsum(counts)
+    del columns, counts
+    bad: set[int] = set()
+    for lo in range(0, int(ends[-1]) if ends.size else 0, _VERIFY_BLOCK):
+        k = np.arange(lo, min(lo + _VERIFY_BLOCK, int(ends[-1])))
         i = np.searchsorted(ends, k, side="right")   # member k belongs to hit i
-        m = n[i] - q * (ends[i] - 1 - k)
-        if ((h.squarefree_signs(m) == s[i]) != (m == n[i])).any():
-            return False
-    return True
+        m = n[i] - step[i] * (ends[i] - 1 - k)
+        wrong = i[(h.squarefree_signs(m) == s[i]) != (m == n[i])]
+        bad.update(tables[t] for t in np.searchsorted(hit_ends, wrong, side="right").tolist())
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -274,26 +329,31 @@ def theorem_audit(h, q: int, Q1: float, c: float,
 
 def audit_block(h, qs, Q1: float, c: float,
                 pretend_cutoff: float | None = None) -> list[dict]:
-    """theorem_audit for each q of a block; the R scans share one stream."""
+    """theorem_audit for each q of a block; the R scans share one stream,
+    and the pretend sums of all its real characters read h once per prime
+    (multfunc.pretend_sums)."""
     qs = list(qs)
     caps = [int(q * q * Q1) for q in qs]
+    # the scan runs first, so its segments never sit on top of the
+    # characters' sign tables
+    results = R_block(h, qs, caps)
+    cutoffs = [pretend_cutoff if pretend_cutoff is not None else math.sqrt(q) for q in qs]
+    chars = [group_mod.real_characters(q) for q in qs]
     rows = []
-    for q, cap, res in zip(qs, caps, R_block(h, qs, caps)):
+    for q, cap, cutoff, qchars, sums, res in zip(qs, caps, cutoffs, chars,
+                                                 multfunc.pretend_sums(h, chars, cutoffs),
+                                                 results):
+        sums = sums.tolist()
+        best = min(sums, default=math.inf)
         branch1 = res.R_value is not None
-        cutoff = pretend_cutoff if pretend_cutoff is not None else math.sqrt(q)
-        table = []
-        best = math.inf
-        for chi in group_mod.real_characters(q):
-            s = multfunc.pretend_sum(h, chi, cutoff)
-            table.append({"character": chi.label(), "pretend_sum": s,
-                          "principal": chi.is_principal})
-            best = min(best, s)
         branch2 = multfunc.pretend_condition_holds(best, c, Q1)
         verdict = {(True, True): "both", (True, False): "branch1",
                    (False, True): "branch2", (False, False): "neither"}[(branch1, branch2)]
         rows.append({"q": q, "Q1": Q1, "c": c, "cap": cap, "verdict": verdict,
-                     "R": res.R_value, "pretend_cutoff": cutoff,
-                     "min_pretend_sum": best, "pretend_table": table})
+                     "R": res.R_value, "pretend_cutoff": cutoff, "min_pretend_sum": best,
+                     "pretend_table": [{"character": chi.label(), "pretend_sum": s,
+                                        "principal": chi.is_principal}
+                                       for chi, s in zip(qchars, sums)]})
     return rows
 
 

@@ -65,6 +65,23 @@ def test_exit_codes(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "ramare", "--q", "101", "--Q1", "10", "--M", "1e11",
                            "--j", "2", "--overrides", "10:100")
     assert code == 3 and "resource" in err and "Traceback" not in err, err
+    # a batch whose witness tables would pass the byte budget, refused before
+    # any scan: the scans and the sieve are replaced by a failure here
+    from linnik_lab import arith, pipeline
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a refused batch reached the scan")
+
+    with monkeypatch.context() as m:
+        for mod, name in ((pipeline, "R_block"), (pipeline, "audit_block"),
+                          (arith, "factor_window")):
+            m.setattr(mod, name, refused)
+        # audit keeps each q's unit group too, so it is refused at a smaller qmax
+        for argv in (("batch", "--qmin", "3", "--qmax", "10000000"),
+                     ("batch", "--what", "audit", "--qmin", "3", "--qmax", "3400")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3 and out == "" and "resource" in err and "budget" in err, err
+            assert "Traceback" not in err, err
     code, _, _ = run_cli(capsys)
     assert code == 1
     # malformed h specs, character indices, ladder overrides, batch ranges

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tracemalloc
@@ -69,18 +70,33 @@ def test_R_of_h_q_examples():
     assert res.R_value is None and not res.complete
 
 
+# the tracemalloc peak of verify_block over the rfunc batch tables of
+# q = 3..400: its groups of ~2^14 members peak near 1.5 MB
+VERIFY_BLOCK_PEAK = 2 << 20
+
+
 def test_verify_witnesses_retains_nothing():
     """The oracle keeps no table or memo of what it evaluated: after a
-    verify at q = 2003 nothing it allocated is still held."""
+    verify at q = 2003, or of the block q = 3..400, nothing it allocated is
+    still held, and the block's groups keep its peak small.  Each verify
+    runs once untraced first, so the interpreter's free lists are filled."""
     h = mf.liouville_fn()
     res = pl.R_of_h_q(h, 2003, 10**7)
-    tracemalloc.start()
-    try:
-        assert pl.verify_witnesses(res, h, 2003)
-        kept = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert kept <= 16 * 1024, kept
+    qs = range(3, 401)
+    block = list(pl.R_block(h, qs, [int(q * q * 20 * max(math.log(q), 1.0)) + 1 for q in qs]))
+    for verify in (lambda: pl.verify_witnesses(res, h, 2003),
+                   lambda: all(pl.verify_block(block, h))):
+        assert verify()
+        tracemalloc.start()
+        try:
+            assert verify()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept <= 16 * 1024, kept
+    assert peak <= VERIFY_BLOCK_PEAK, peak
+    with pytest.raises(DomainError):
+        pl.verify_witnesses(res, h, 2011)
 
 
 def test_R_of_character_never_exists():
@@ -161,6 +177,38 @@ def test_mu_equals_lambda_threshold():
         assert pl.R_of_h_q(mu, q, cap).R_value == pl.R_of_h_q(LAM, q, cap).R_value
 
 
+@pytest.mark.parametrize("cutoff", [None, 1e4])
+def test_block_pretend_sums_match_pretend_sum(cutoff):
+    """audit_block's pretend table, read for the whole block at once, holds
+    pretend_sum's values float for float, at the default cutoff sqrt(q) and
+    at 10^4."""
+    qs = range(3, 121)
+    for h in WITNESS_FNS:
+        for q, row in zip(qs, pl.audit_block(h, qs, 10.0, 1.0, pretend_cutoff=cutoff)):
+            want = cutoff if cutoff is not None else math.sqrt(q)
+            sums = [mf.pretend_sum(h, chi, want) for chi in g.real_characters(q)]
+            assert row["pretend_cutoff"] == want
+            assert [t["pretend_sum"] for t in row["pretend_table"]] == sums, (h.name, q)
+            assert [t["character"] for t in row["pretend_table"]] == \
+                [chi.label() for chi in g.real_characters(q)]
+            assert row["min_pretend_sum"] == min(sums)
+
+
+def test_unit_mask_matches_the_unit_group():
+    for q in range(1, 2001):
+        assert np.array_equal(np.flatnonzero(pl._unit_mask(q)), g.UnitGroup(q).units), q
+
+
+def test_scan_builds_no_unit_group(monkeypatch):
+    """The scan, the tables and their verify read each q's unit mask only."""
+    monkeypatch.setattr(g, "_group_cache", {})
+    qs = range(1, 200)
+    results = list(pl.R_block(LAM, qs, [20 * q * q for q in qs]))
+    assert all(pl.verify_block(results, LAM))
+    assert all(res.complete for res in results[1:])
+    assert g._group_cache == {}
+
+
 def test_theorem_audit():
     quad = [c for c in g.real_characters(7) if not c.is_principal][0]
     aud = pl.theorem_audit(mf.character_fn(quad), 7, 10.0, 1.0)
@@ -197,6 +245,13 @@ def _walk_verify(result, h, q):
 WITNESS_FNS = (LAM, mf.mobius_fn(), mf.character_fn(g.real_characters(7)[1]),
                mf.MultiplicativeFunction("generic", lambda p, e: 0.0 if p == 11
                                          else (-0.5) ** e if p % 3 == 1 else 2.0))
+
+
+@functools.cache
+def _witness_block(i):
+    """The tables of WITNESS_FNS[i] for q = 1..60 at cap 20 q^2, one block."""
+    qs = range(1, 61)
+    return tuple(pl.R_block(WITNESS_FNS[i], qs, [20 * q * q for q in qs]))
 
 
 def _next_member(q, after, want):
@@ -239,6 +294,33 @@ def test_verify_witnesses_matches_the_walk(h, q, mutation, data):
     want = mutation == "none"
     assert _walk_verify(bad, h, q) is want
     assert pl.verify_witnesses(bad, h, q) is want
+    # the same table inside the block q = 1..60 fails that q alone
+    block = list(_witness_block(WITNESS_FNS.index(h)))
+    block[q - 1] = bad
+    assert pl.verify_block(block, h) == [want or r is not bad for r in block]
+
+
+@pytest.mark.parametrize("group, chunk", [(pl._VERIFY_GROUP, pl._VERIFY_BLOCK),
+                                          (1, pl._VERIFY_BLOCK), (64, 7)])
+def test_verify_block_agrees_with_each_table(group, chunk, monkeypatch):
+    """Groups of one table or of many, and chunks that cut through hits and
+    tables, flag exactly the tables verify_witnesses fails: every fifth
+    table of the block q = 1..60 gets a witness of the wrong sign."""
+    monkeypatch.setattr(pl, "_VERIFY_GROUP", group)
+    monkeypatch.setattr(pl, "_VERIFY_BLOCK", chunk)
+    for i, h in enumerate(WITNESS_FNS):
+        block = list(_witness_block(i))
+        for j in range(0, len(block), 5):
+            res = block[j]
+            rows, cols = np.nonzero(pl._hits(res.first))
+            if rows.size:
+                first = res.first.copy()
+                first[rows[0], 1 - cols[0]] = first[rows[0], cols[0]]
+                block[j] = pl.RFunctionResult(res.q, res.cap, first)
+        flags = pl.verify_block(block, h)
+        assert flags == [pl.verify_witnesses(r, h, r.q) for r in block]
+        assert flags == [r is _witness_block(i)[j] for j, r in enumerate(block)]
+        assert pl.verify_block([], h) == []
 
 
 def test_block_matches_single_q_scans():
@@ -607,18 +689,27 @@ def test_each_window_is_sieved_once(monkeypatch):
 
 def test_batch_block_sieves_each_integer_once(monkeypatch, capsys):
     """A serial batch is one block: its scans read one stream of disjoint
-    windows from 0, and the witness oracle sieves nothing."""
+    windows from 0, and the witness oracle sieves nothing and reads the
+    tables of many moduli per call."""
     windows = []
     sieve = arith.factor_window
+    oracle_calls = []
+    oracle = mf.MultiplicativeFunction.squarefree_signs
 
     def counting(lo, hi):
         windows.append((lo, hi))
         return sieve(lo, hi)
 
+    def counting_oracle(self, ns):
+        oracle_calls.append(len(ns))
+        return oracle(self, ns)
+
     monkeypatch.setattr(arith, "factor_window", counting)
+    monkeypatch.setattr(mf.MultiplicativeFunction, "squarefree_signs", counting_oracle)
     assert cli.run(["batch", "--what", "rfunc", "--qmin", "3", "--qmax", "60"]) == 0
     rows = json.loads(capsys.readouterr().out)["result"]["table"]
     assert len(rows) == 58 and all(r["verified"] for r in rows)
+    assert 1 <= len(oracle_calls) <= 2, oracle_calls
     assert windows[0][0] == 0
     assert all(prev[1] == cur[0] for prev, cur in zip(windows, windows[1:])), windows
     assert sum(hi - lo for lo, hi in windows) == windows[-1][1]
