@@ -375,19 +375,20 @@ def _worker_count(threads: int) -> int:
     return max(1, min(threads, os.cpu_count() or 1))
 
 
-# bytes a batch may hold in first-hit tables (and, for audit, unit groups)
+# bytes a batch may hold in first-hit tables and cached unit groups
 _BATCH_BUDGET = 1 << 28
 # per unit of q: a first-hit table is 16 q bytes and lives until its block's
-# stream ends; an audit keeps each q's unit group with its real characters'
-# sign tables, about 30 q bytes (measured over q = 3..2000)
-_TABLE_BYTES, _GROUP_BYTES = 16, 32
+# stream ends; the scan caches each q's unit group, about 16 q bytes, and an
+# audit adds its real characters' sign tables, about 30 q bytes with the
+# group (both measured over q = 3..2000)
+_TABLE_BYTES, _GROUP_BYTES, _AUDIT_GROUP_BYTES = 16, 16, 32
 
 
 def cmd_batch(args):
     if not 1 <= args.qmin <= args.qmax:
         raise DomainError(f"batch needs 1 <= --qmin <= --qmax, got {args.qmin} and {args.qmax}")
     # every block runs at once (one per worker), so all the tables count
-    per_q = _TABLE_BYTES + (_GROUP_BYTES if args.what == "audit" else 0)
+    per_q = _TABLE_BYTES + (_AUDIT_GROUP_BYTES if args.what == "audit" else _GROUP_BYTES)
     need = per_q * (args.qmin + args.qmax) * (args.qmax - args.qmin + 1) // 2
     if need > _BATCH_BUDGET:
         raise ResourceError(f"batch {args.what} over q = {args.qmin}..{args.qmax} would hold "

@@ -118,7 +118,7 @@ class RFunctionResult:
     def __post_init__(self):
         self.first.flags.writeable = False
         hits = _hits(self.first)
-        self.complete = bool(hits[_unit_mask(self.q)].all())
+        self.complete = bool(hits[group_mod.build_unit_group(self.q).units].all())
         self.R_value = int(self.first.max(initial=0, where=hits)) if self.complete else None
 
     @functools.cached_property
@@ -139,8 +139,8 @@ class RFunctionResult:
 # first-hit tables hold this where a (class, sign) pair has no witness yet,
 # and 0 where h cannot take that sign on the class
 _NO_HIT = np.iinfo(np.int64).max
-# a verify reads whole tables in groups of about _VERIFY_GROUP class members,
-# and a group in chunks of at most _VERIFY_BLOCK members
+# a block verify reads smaller tables in groups of about _VERIFY_GROUP class
+# members, and every verify reads at most _VERIFY_BLOCK members per call
 _VERIFY_GROUP = 1 << 14
 _VERIFY_BLOCK = 1 << 18
 
@@ -150,23 +150,17 @@ def _hits(first: np.ndarray) -> np.ndarray:
     return (first > 0) & (first < _NO_HIT)
 
 
-def _unit_mask(q: int) -> np.ndarray:
-    """The residues 0 <= a < q prime to q, as a mask (just 0 when q = 1)."""
-    return np.gcd(np.arange(q), q) == 1
-
-
-def _first_hit_table(h, q: int, units: np.ndarray) -> np.ndarray:
-    """An empty (q, 2) first-hit table of _scan_block; units is q's unit
-    mask.  A sign h cannot take on a unit class is marked 0, so the class is
-    complete without it: the -1 column of h = one, and, for a real character
-    h whose modulus divides q, the sign it does not take on each class."""
-    first = np.full((q, 2), _NO_HIT, dtype=np.int64)
+def _first_hit_table(h, G: group_mod.UnitGroup) -> np.ndarray:
+    """An empty (q, 2) first-hit table of _scan_block.  A sign h cannot take
+    on a unit class is marked 0, so the class is complete without it: the
+    -1 column of h = one, and, for a real character h whose modulus divides
+    q, the sign it does not take on each class."""
+    first = np.full((G.q, 2), _NO_HIT, dtype=np.int64)
     if h.kind == "one":
-        first[units, 1] = 0
-    elif h.kind == "character" and q % h.character.group.q == 0:
-        a = np.flatnonzero(units)
+        first[G.units, 1] = 0
+    elif h.kind == "character" and G.q % h.character.group.q == 0:
         table = h.character.real_sign_table()
-        first[a, (table[a % h.character.group.q] > 0).astype(np.int64)] = 0
+        first[G.units, (table[G.units % h.character.group.q] > 0).astype(np.int64)] = 0
     return first
 
 
@@ -176,18 +170,23 @@ def _scan_block(h, qs, caps, stop_when_complete: bool = True) -> list[np.ndarray
     One stream of factor_window segments, (0, 2^13] and then doubling up to
     2^18 integers, serves every q of the block: each integer is sieved once
     per block and memory holds one segment.  Each pending q masks the
-    segment's squarefree integers with nonzero sign by its unit mask and
-    records its first hits with one scatter (np.minimum.at) into a (q, 2)
-    table, column 0 for sign +1 and 1 for -1 (see _first_hit_table).  A q
-    leaves the stream once every unit class holds every sign h can take on
-    it (if stop_when_complete) or once the stream has passed its cap.
-    Returns the tables in the order of qs.
+    segment's squarefree integers with nonzero sign by its units and records
+    its first hits with one scatter (np.minimum.at) into a (q, 2) table,
+    column 0 for sign +1 and 1 for -1 (see _first_hit_table).  A q leaves
+    the stream once every unit class holds every sign h can take on it (if
+    stop_when_complete) or once the stream has passed its cap.  Returns the
+    tables in the order of qs.
     """
-    units = [_unit_mask(q) for q in qs]
-    first = [_first_hit_table(h, q, u) for q, u in zip(qs, units)]
+    groups = [group_mod.build_unit_group(q) for q in qs]
+    first = [_first_hit_table(h, G) for G in groups]
+    # each q's unit mask, held by the scan only (the group's int64 unit_pos
+    # would stay cached with it)
+    units = [np.zeros(G.q, dtype=bool) for G in groups]
+    for G, mask in zip(groups, units):
+        mask[G.units] = True
     # the cells off the units, which the scan never writes: a table is
     # complete once they are its only _NO_HIT cells
-    idle = [2 * (q - np.count_nonzero(u)) for q, u in zip(qs, units)]
+    idle = [2 * (G.q - G.phi) for G in groups]
     pending = list(range(len(qs)))
     lo = 0
     chunk = 1 << 13
@@ -245,72 +244,92 @@ def R_of_h_q(h, q: int, cap: int) -> RFunctionResult:
     return next(R_block(h, [q], [cap]))
 
 
-def verify_witnesses(result: RFunctionResult, h, q: int) -> bool:
+def verify_witnesses(result: RFunctionResult, h, q: int, signs=None) -> bool:
     """Independent re-check of a witness table: squarefree, class, sign,
-    minimality.  This is verify_block for the block of one table; q must be
-    the table's modulus."""
+    minimality.
+
+    A hit n of class a and sign s is read with the class members a, a + q,
+    ... below it (from q when a = 0): n must be squarefree of sign s and no
+    earlier member may be.  A hit outside its class fails the table with no
+    member read.  The members' signs come from h.squarefree_signs, at most
+    _VERIFY_BLOCK integers per call: trial division, not the window sieve
+    the scan used.  verify_block passes them in as signs, read for a group
+    of tables in shared calls.  A member where h vanishes is a witness of
+    neither sign.  q must be the table's modulus.
+    """
     if q != result.q:
         raise DomainError(f"the table is one mod {result.q}, not mod {q}")
-    return verify_block([result], h)[0]
+    hits = _table_hits(result)
+    if hits is None:
+        return False
+    n, s, ends = hits
+    total = int(ends[-1]) if ends.size else 0
+    for lo in range(0, total, _VERIFY_BLOCK):
+        i, m = _members(hits, q, lo, min(lo + _VERIFY_BLOCK, total))
+        got = h.squarefree_signs(m) if signs is None else signs[lo:lo + m.size]
+        if ((got == s[i]) != (m == n[i])).any():
+            return False
+    return True
 
 
 def verify_block(results, h) -> list[bool]:
     """verify_witnesses for each table of a block, in the order of results.
 
-    A hit n of class a and sign s is read with the class members a, a + q,
-    ... below it (from q when a = 0): n must be squarefree of sign s and no
-    earlier member may be.  A hit outside its class fails its table with no
-    member read.  Consecutive tables are read together, in groups of whole
-    tables that close once they hold _VERIFY_GROUP members, and a group's
-    members in chunks of at most _VERIFY_BLOCK, one h.squarefree_signs call
-    each: trial division, not the window sieve the scan used.  A member
-    where h vanishes is a witness of neither sign.
+    Tables of fewer than _VERIFY_GROUP members are read together, in groups
+    of consecutive tables that close once they hold _VERIFY_GROUP members:
+    one h.squarefree_signs call per _VERIFY_BLOCK members of a group, whose
+    signs each table's verify_witnesses then checks.  A larger table, or
+    one with a hit outside its class, is verified on its own.
     """
     results = list(results)
-    ok = [True] * len(results)
-    group: list[tuple] = []   # (table index, *_table_hits) of each table
+    ok = [False] * len(results)
+    group: list[tuple[int, np.ndarray]] = []   # (table index, its members)
+
+    def read_group():
+        m = np.concatenate([mt for _, mt in group])
+        signs = np.concatenate([h.squarefree_signs(m[lo:lo + _VERIFY_BLOCK])
+                                for lo in range(0, m.size, _VERIFY_BLOCK)] or [m[:0]])
+        lo = 0
+        for t, mt in group:
+            ok[t] = verify_witnesses(results[t], h, results[t].q, signs[lo:lo + mt.size])
+            lo += mt.size
+        group.clear()
+
     size = 0
     for t, res in enumerate(results):
         hits = _table_hits(res)
-        if hits is None:
-            ok[t] = False
-        else:
-            group.append((t, *hits))
-            size += int(hits[-1].sum())
-        if group and (size >= _VERIFY_GROUP or t == len(results) - 1):
-            for bad in _verify_group(group, h):
-                ok[bad] = False
-            group, size = [], 0
+        total = int(hits[2][-1]) if hits is not None and hits[2].size else 0
+        if hits is None or total >= _VERIFY_GROUP:
+            ok[t] = verify_witnesses(res, h, res.q)
+            continue
+        group.append((t, _members(hits, res.q, 0, total)[1]))
+        size += total
+        if size >= _VERIFY_GROUP:
+            read_group()
+            size = 0
+    if group:
+        read_group()
     return ok
 
 
 def _table_hits(res: RFunctionResult):
-    """A table's hits n, their signs (int8), their class steps q and their
+    """A table's hits n, their signs (int8) and the running totals of their
     member counts, or None when some n lies outside its class."""
     q = res.q
     a, col = np.nonzero(_hits(res.first))
     n = res.first[a, col]
     if ((n - a) % q).any():
         return None
-    return (n, (1 - 2 * col).astype(np.int8), np.full(n.size, q),
-            (n - np.where(a > 0, a, q)) // q + 1)
+    return n, (1 - 2 * col).astype(np.int8), np.cumsum((n - np.where(a > 0, a, q)) // q + 1)
 
 
-def _verify_group(group, h) -> set[int]:
-    """The table indices of a verify_block group whose hits fail."""
-    tables, *columns = zip(*group)
-    hit_ends = np.cumsum([len(n) for n in columns[0]])
-    n, s, step, counts = (x[0] if len(x) == 1 else np.concatenate(x) for x in columns)
-    ends = np.cumsum(counts)
-    del columns, counts
-    bad: set[int] = set()
-    for lo in range(0, int(ends[-1]) if ends.size else 0, _VERIFY_BLOCK):
-        k = np.arange(lo, min(lo + _VERIFY_BLOCK, int(ends[-1])))
-        i = np.searchsorted(ends, k, side="right")   # member k belongs to hit i
-        m = n[i] - step[i] * (ends[i] - 1 - k)
-        wrong = i[(h.squarefree_signs(m) == s[i]) != (m == n[i])]
-        bad.update(tables[t] for t in np.searchsorted(hit_ends, wrong, side="right").tolist())
-    return bad
+def _members(hits, q: int, lo: int, hi: int):
+    """Members lo..hi-1 of a table's hits (_table_hits), in order: the hit i
+    each belongs to and its value."""
+    n, _, ends = hits
+    k = np.arange(lo, hi)
+    i = np.searchsorted(ends, k, side="right")
+    return i, n[i] - q * (ends[i] - 1 - k)
 
 
 # ---------------------------------------------------------------------------

@@ -73,13 +73,18 @@ def test_R_of_h_q_examples():
 # the tracemalloc peak of verify_block over the rfunc batch tables of
 # q = 3..400: its groups of ~2^14 members peak near 1.5 MB
 VERIFY_BLOCK_PEAK = 2 << 20
+# the peak of verify_block over the q = 2003 table (12,397 members) with
+# groups of 64 and chunks of 2^10 members: ~230 KB read 2^10 members per
+# call, ~570 KB if the table joined a group and was read whole
+LARGE_TABLE_PEAK = 320 << 10
 
 
-def test_verify_witnesses_retains_nothing():
+def test_verify_witnesses_retains_nothing(monkeypatch):
     """The oracle keeps no table or memo of what it evaluated: after a
     verify at q = 2003, or of the block q = 3..400, nothing it allocated is
-    still held, and the block's groups keep its peak small.  Each verify
-    runs once untraced first, so the interpreter's free lists are filled."""
+    still held, and the block's groups keep its peak small; a table larger
+    than a group is read in chunks.  Each verify runs once untraced first,
+    so the interpreter's free lists are filled."""
     h = mf.liouville_fn()
     res = pl.R_of_h_q(h, 2003, 10**7)
     qs = range(3, 401)
@@ -95,6 +100,16 @@ def test_verify_witnesses_retains_nothing():
             tracemalloc.stop()
         assert kept <= 16 * 1024, kept
     assert peak <= VERIFY_BLOCK_PEAK, peak
+    monkeypatch.setattr(pl, "_VERIFY_GROUP", 64)
+    monkeypatch.setattr(pl, "_VERIFY_BLOCK", 1 << 10)
+    assert pl.verify_block([res], h) == [True]
+    tracemalloc.start()
+    try:
+        assert pl.verify_block([res], h) == [True]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= LARGE_TABLE_PEAK, peak
     with pytest.raises(DomainError):
         pl.verify_witnesses(res, h, 2011)
 
@@ -194,19 +209,17 @@ def test_block_pretend_sums_match_pretend_sum(cutoff):
             assert row["min_pretend_sum"] == min(sums)
 
 
-def test_unit_mask_matches_the_unit_group():
-    for q in range(1, 2001):
-        assert np.array_equal(np.flatnonzero(pl._unit_mask(q)), g.UnitGroup(q).units), q
-
-
-def test_scan_builds_no_unit_group(monkeypatch):
-    """The scan, the tables and their verify read each q's unit mask only."""
+def test_scan_builds_one_unit_group_per_modulus(monkeypatch):
+    """The scan reads each q's units from its cached UnitGroup, built once;
+    the tables and their verify build none."""
     monkeypatch.setattr(g, "_group_cache", {})
     qs = range(1, 200)
     results = list(pl.R_block(LAM, qs, [20 * q * q for q in qs]))
+    assert set(g._group_cache) == set(qs)
+    cached = dict(g._group_cache)
     assert all(pl.verify_block(results, LAM))
     assert all(res.complete for res in results[1:])
-    assert g._group_cache == {}
+    assert g._group_cache == cached
 
 
 def test_theorem_audit():
@@ -704,12 +717,23 @@ def test_batch_block_sieves_each_integer_once(monkeypatch, capsys):
         oracle_calls.append(len(ns))
         return oracle(self, ns)
 
+    checked = []
+    check = pl.verify_witnesses
+
+    def counting_check(result, h, q, signs=None):
+        checked.append(q)
+        return check(result, h, q, signs)
+
     monkeypatch.setattr(arith, "factor_window", counting)
     monkeypatch.setattr(mf.MultiplicativeFunction, "squarefree_signs", counting_oracle)
+    monkeypatch.setattr(pl, "verify_witnesses", counting_check)
     assert cli.run(["batch", "--what", "rfunc", "--qmin", "3", "--qmax", "60"]) == 0
     rows = json.loads(capsys.readouterr().out)["result"]["table"]
     assert len(rows) == 58 and all(r["verified"] for r in rows)
     assert 1 <= len(oracle_calls) <= 2, oracle_calls
+    # each table is still checked by its own verify_witnesses call, on the
+    # signs of the shared oracle calls
+    assert checked == list(range(3, 61))
     assert windows[0][0] == 0
     assert all(prev[1] == cur[0] for prev, cur in zip(windows, windows[1:])), windows
     assert sum(hi - lo for lo, hi in windows) == windows[-1][1]
