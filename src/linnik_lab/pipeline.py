@@ -179,11 +179,6 @@ def _scan_block(h, qs, caps, stop_when_complete: bool = True) -> list[np.ndarray
     """
     groups = [group_mod.build_unit_group(q) for q in qs]
     first = [_first_hit_table(h, G) for G in groups]
-    # each q's unit mask, held by the scan only (the group's int64 unit_pos
-    # would stay cached with it)
-    units = [np.zeros(G.q, dtype=bool) for G in groups]
-    for G, mask in zip(groups, units):
-        mask[G.units] = True
     # the cells off the units, which the scan never writes: a table is
     # complete once they are its only _NO_HIT cells
     idle = [2 * (G.q - G.phi) for G in groups]
@@ -202,7 +197,7 @@ def _scan_block(h, qs, caps, stop_when_complete: bool = True) -> list[np.ndarray
             q, cap = qs[i], caps[i]
             k = ns.size if cap >= hi else int(np.searchsorted(ns, cap, side="right"))
             res = ns[:k] % q
-            unit = units[i][res]
+            unit = groups[i].unit_pos[res] >= 0
             np.minimum.at(first[i].reshape(-1), 2 * res[unit] + neg[:k][unit], ns[:k][unit])
             complete = np.count_nonzero(first[i] == _NO_HIT) == idle[i]
             if cap > hi and not (stop_when_complete and complete):
@@ -244,66 +239,62 @@ def R_of_h_q(h, q: int, cap: int) -> RFunctionResult:
     return next(R_block(h, [q], [cap]))
 
 
-def verify_witnesses(result: RFunctionResult, h, q: int, signs=None) -> bool:
+def verify_witnesses(result: RFunctionResult, h, q: int, read=None) -> bool:
     """Independent re-check of a witness table: squarefree, class, sign,
     minimality.
 
     A hit n of class a and sign s is read with the class members a, a + q,
     ... below it (from q when a = 0): n must be squarefree of sign s and no
     earlier member may be.  A hit outside its class fails the table with no
-    member read.  The members' signs come from h.squarefree_signs, at most
-    _VERIFY_BLOCK integers per call: trial division, not the window sieve
-    the scan used.  verify_block passes them in as signs, read for a group
-    of tables in shared calls.  A member where h vanishes is a witness of
-    neither sign.  q must be the table's modulus.
+    member read.  The members' signs come from h.squarefree_signs
+    (_member_signs): trial division, not the window sieve the scan used.  A
+    member where h vanishes is a witness of neither sign.  verify_block
+    passes read = (the table's _table_hits, its members' signs or None),
+    the signs read for a group of tables in shared calls.
     """
-    if q != result.q:
-        raise DomainError(f"the table is one mod {result.q}, not mod {q}")
-    hits = _table_hits(result)
+    hits, signs = read if read is not None else (_table_hits(result, q), None)
     if hits is None:
         return False
-    n, s, ends = hits
-    total = int(ends[-1]) if ends.size else 0
-    for lo in range(0, total, _VERIFY_BLOCK):
-        i, m = _members(hits, q, lo, min(lo + _VERIFY_BLOCK, total))
-        got = h.squarefree_signs(m) if signs is None else signs[lo:lo + m.size]
-        if ((got == s[i]) != (m == n[i])).any():
-            return False
-    return True
+    if signs is None:
+        signs = _member_signs(h, [(hits, q)])
+    _, s, ends = hits
+    # member k of hit i must have sign s[i] exactly when it is n[i], the
+    # last of its members
+    wrong = signs == np.repeat(s, np.diff(ends, prepend=0))
+    wrong[ends - 1] ^= True
+    return not wrong.any()
 
 
 def verify_block(results, h) -> list[bool]:
     """verify_witnesses for each table of a block, in the order of results.
 
     Tables of fewer than _VERIFY_GROUP members are read together, in groups
-    of consecutive tables that close once they hold _VERIFY_GROUP members:
-    one h.squarefree_signs call per _VERIFY_BLOCK members of a group, whose
-    signs each table's verify_witnesses then checks.  A larger table, or
-    one with a hit outside its class, is verified on its own.
+    of consecutive tables that close once they hold _VERIFY_GROUP members,
+    so that one group's signs come from one h.squarefree_signs call per
+    _VERIFY_BLOCK members.  A larger table, or one with a hit outside its
+    class, is verified on its own.
     """
     results = list(results)
     ok = [False] * len(results)
-    group: list[tuple[int, np.ndarray]] = []   # (table index, its members)
+    group: list[tuple[int, tuple]] = []   # (table index, its _table_hits)
 
     def read_group():
-        m = np.concatenate([mt for _, mt in group])
-        signs = np.concatenate([h.squarefree_signs(m[lo:lo + _VERIFY_BLOCK])
-                                for lo in range(0, m.size, _VERIFY_BLOCK)] or [m[:0]])
+        signs = _member_signs(h, [(hits, results[t].q) for t, hits in group])
         lo = 0
-        for t, mt in group:
-            ok[t] = verify_witnesses(results[t], h, results[t].q, signs[lo:lo + mt.size])
-            lo += mt.size
+        for t, hits in group:
+            hi = lo + _member_count(hits)
+            ok[t] = verify_witnesses(results[t], h, results[t].q, (hits, signs[lo:hi]))
+            lo = hi
         group.clear()
 
     size = 0
     for t, res in enumerate(results):
-        hits = _table_hits(res)
-        total = int(hits[2][-1]) if hits is not None and hits[2].size else 0
-        if hits is None or total >= _VERIFY_GROUP:
-            ok[t] = verify_witnesses(res, h, res.q)
+        hits = _table_hits(res, res.q)
+        if hits is None or _member_count(hits) >= _VERIFY_GROUP:
+            ok[t] = verify_witnesses(res, h, res.q, (hits, None))
             continue
-        group.append((t, _members(hits, res.q, 0, total)[1]))
-        size += total
+        group.append((t, hits))
+        size += _member_count(hits)
         if size >= _VERIFY_GROUP:
             read_group()
             size = 0
@@ -312,10 +303,9 @@ def verify_block(results, h) -> list[bool]:
     return ok
 
 
-def _table_hits(res: RFunctionResult):
+def _table_hits(res: RFunctionResult, q: int):
     """A table's hits n, their signs (int8) and the running totals of their
-    member counts, or None when some n lies outside its class."""
-    q = res.q
+    member counts, or None when some n lies outside its class mod q."""
     a, col = np.nonzero(_hits(res.first))
     n = res.first[a, col]
     if ((n - a) % q).any():
@@ -323,13 +313,35 @@ def _table_hits(res: RFunctionResult):
     return n, (1 - 2 * col).astype(np.int8), np.cumsum((n - np.where(a > 0, a, q)) // q + 1)
 
 
-def _members(hits, q: int, lo: int, hi: int):
-    """Members lo..hi-1 of a table's hits (_table_hits), in order: the hit i
-    each belongs to and its value."""
-    n, _, ends = hits
-    k = np.arange(lo, hi)
-    i = np.searchsorted(ends, k, side="right")
-    return i, n[i] - q * (ends[i] - 1 - k)
+def _member_count(hits) -> int:
+    return int(hits[2][-1]) if hits[2].size else 0
+
+
+def _member_signs(h, tables) -> np.ndarray:
+    """h.squarefree_signs of the members of consecutive tables ((_table_hits,
+    q) pairs), in order.  Each call reads at most _VERIFY_BLOCK members,
+    across tables, and expands no more than that at a time."""
+    out, parts, held = [], [], 0
+
+    def read():
+        out.append(h.squarefree_signs(np.concatenate(parts)))
+        parts.clear()
+
+    for hits, q in tables:
+        n, _, ends = hits
+        lo, total = 0, _member_count(hits)
+        while lo < total:
+            hi = min(total, lo + _VERIFY_BLOCK - held)
+            k = np.arange(lo, hi)
+            i = np.searchsorted(ends, k, side="right")   # member k belongs to hit i
+            parts.append(n[i] - q * (ends[i] - 1 - k))
+            held, lo = held + hi - lo, hi
+            if held == _VERIFY_BLOCK:
+                read()
+                held = 0
+    if parts:
+        read()
+    return np.concatenate(out) if out else np.zeros(0, dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
