@@ -179,6 +179,11 @@ def _scan_block(h, qs, caps, stop_when_complete: bool = True) -> list[np.ndarray
     """
     groups = [group_mod.build_unit_group(q) for q in qs]
     first = [_first_hit_table(h, G) for G in groups]
+    # each q's unit mask, held by the scan only: reading the group's int64
+    # unit_pos would build it and keep it cached, 8 q bytes per modulus
+    units = [np.zeros(G.q, dtype=bool) for G in groups]
+    for G, mask in zip(groups, units):
+        mask[G.units] = True
     # the cells off the units, which the scan never writes: a table is
     # complete once they are its only _NO_HIT cells
     idle = [2 * (G.q - G.phi) for G in groups]
@@ -197,7 +202,7 @@ def _scan_block(h, qs, caps, stop_when_complete: bool = True) -> list[np.ndarray
             q, cap = qs[i], caps[i]
             k = ns.size if cap >= hi else int(np.searchsorted(ns, cap, side="right"))
             res = ns[:k] % q
-            unit = groups[i].unit_pos[res] >= 0
+            unit = units[i][res]
             np.minimum.at(first[i].reshape(-1), 2 * res[unit] + neg[:k][unit], ns[:k][unit])
             complete = np.count_nonzero(first[i] == _NO_HIT) == idle[i]
             if cap > hi and not (stop_when_complete and complete):

@@ -213,12 +213,14 @@ def test_block_pretend_sums_match_pretend_sum(cutoff):
 
 
 def test_scan_builds_one_unit_group_per_modulus(monkeypatch):
-    """The scan reads each q's units from its cached UnitGroup, built once;
-    the tables and their verify build none."""
+    """The scan reads each q's units from its cached UnitGroup, built once,
+    and leaves no unit_pos table cached with it; the tables and their
+    verify build no group."""
     monkeypatch.setattr(g, "_group_cache", {})
     qs = range(1, 200)
     results = list(pl.R_block(LAM, qs, [20 * q * q for q in qs]))
     assert set(g._group_cache) == set(qs)
+    assert not any("unit_pos" in vars(G) for G in g._group_cache.values())
     cached = dict(g._group_cache)
     assert all(pl.verify_block(results, LAM))
     assert all(res.complete for res in results[1:])
