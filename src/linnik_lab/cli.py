@@ -233,6 +233,8 @@ def cmd_densemodel(args):
 
 def cmd_kneser(args):
     import random
+    if args.trials < 0:
+        raise DomainError(f"kneser needs --trials >= 0, got {args.trials}")
     rng = random.Random(args.seed)
     G = group_mod.build_unit_group(args.q)
     units = [int(a) for a in G.units]
@@ -246,10 +248,16 @@ def cmd_kneser(args):
 
 
 def cmd_triple(args):
+    if args.trials < 0:
+        raise DomainError(f"triple needs --trials >= 0, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     G = group_mod.build_unit_group(args.q)
     units = [int(a) for a in G.units]
     phi = G.phi
+    # some set size s must satisfy (2/5 + eps) phi < s <= phi
+    if not (args.epsilon > 0 and (0.4 + args.epsilon) * phi < phi):
+        raise DomainError(f"triple needs --epsilon > 0 with (2/5 + eps) phi < phi = {phi}, "
+                          f"got {args.epsilon}")
     floor_size = int((0.4 + args.epsilon) * phi) + 1
     outcomes = {}
     for t in range(args.trials):

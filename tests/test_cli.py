@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -101,7 +102,12 @@ def test_exit_codes(capsys, monkeypatch):
                  ("charsum", "halmon", "--q", "1", "--N", "5"),
                  ("charsum", "amplify", "--q", "11", "--Y1", "1"),
                  ("charsum", "amplify", "--q", "11", "--Y1", "0.5"),
-                 ("charsum", "amplify", "--q", "11", "--Y2", "0.001")):
+                 ("charsum", "amplify", "--q", "11", "--Y2", "0.001"),
+                 # no set size s with (2/5 + eps) phi < s <= phi, or eps <= 0
+                 ("triple", "--q", "1009", "--epsilon", "0.7"),
+                 ("triple", "--q", "1009", "--epsilon", "-1"),
+                 ("triple", "--q", "101", "--trials", "-1"),
+                 ("kneser", "--q", "101", "--trials", "-3")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and "Traceback" not in err, (argv, err)
 
@@ -111,6 +117,26 @@ def test_determinism(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+# sha256 of the product-set audit reports: their convolutions are exact integer
+# counts, so any convolution kernel must reproduce them byte for byte
+PRODUCT_SET_DIGESTS = [
+    (("triple", "--q", "1009", "--seed", "1"),
+     "12ce65ebabe9b640a7bd9b59279608a3c8b0df92bd672a483eb1abbd547a7186"),
+    (("kneser", "--q", "211", "--seed", "1"),
+     "d49589cb2429782dcc33588c9e947d11cf5bf0deaebbbcfb9211667dc88a68e5"),
+    (("triple", "--q", "105", "--seed", "3"),
+     "caddaca2686124d35b1421412b250e18c6809d065cb66ab6592c19aa2d1e9b75"),
+    (("kneser", "--q", "720", "--seed", "2"),
+     "b2e78a7b6f0f6b7345e58a67ed3770dec5c4207150b5b2bf4782c29992d8526a"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PRODUCT_SET_DIGESTS)
+def test_product_set_reports_are_unchanged(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_out_file(tmp_path, capsys):

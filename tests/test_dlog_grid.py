@@ -6,9 +6,11 @@ double loops."""
 import cmath
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from linnik_lab import charsums as cs, group as g, setcomb as sc
@@ -139,6 +141,43 @@ def test_grid_convolutions_match_double_loops(case):
     rng = np.random.default_rng(len(A))
     f, h = rng.integers(-5, 6, (2, G.phi))
     assert np.array_equal(g.convolve_group(G, f, h), loop_conv(G, f, h))
+
+
+@pytest.mark.parametrize("q", [101, 720])
+def test_convolution_on_both_sides_of_the_support_cut(q):
+    # supports from empty to the full group, either side of _FULL_SHARE phi,
+    # against a factor that is nonzero everywhere, in either argument order
+    G = g.build_unit_group(q)
+    rng = np.random.default_rng(q)
+    cut = math.ceil(g._FULL_SHARE * G.phi)
+    dense = rng.integers(1, 6, G.phi) * rng.choice((-1, 1), G.phi)
+    for size in (0, 1, cut - 1, cut, G.phi):
+        sparse = np.zeros(G.phi, dtype=np.int64)
+        sparse[rng.choice(G.phi, size, replace=False)] = rng.integers(1, 4, size)
+        want = loop_conv(G, sparse, dense)
+        for dtype, out_dtype in ((np.int64, np.int64), (float, float), (complex, float)):
+            f, h = sparse.astype(dtype), dense.astype(dtype)
+            for got in (g.convolve_group(G, f, h), g.convolve_group(G, h, f)):
+                assert got.dtype == out_dtype and np.array_equal(got, want), (size, dtype)
+
+
+def test_convolution_peak_memory():
+    # dense 0/1 factors take the whole-grid contraction, a 600-point factor the
+    # row gather; neither builds a table of support pairs
+    G = g.build_unit_group(4001)
+    rng = np.random.default_rng(4001)
+    f, h = (rng.random((2, G.phi)) < 0.75).astype(np.int64)
+    sparse = np.zeros(G.phi, dtype=np.int64)
+    sparse[rng.choice(G.phi, 600, replace=False)] = 1
+    G.unit_grid  # cached before tracing
+    for a, b, bound in ((f, h, 2 * 10**6), (sparse, h, 10 * 10**6)):
+        tracemalloc.start()
+        try:
+            g.convolve_group(G, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
 
 
 @EXAMPLES
