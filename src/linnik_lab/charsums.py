@@ -112,26 +112,31 @@ def f_support(G: group_mod.UnitGroup, h, z: float,
 def f_hat_table(G: group_mod.UnitGroup, delta: int, h, z: float,
                 interval: arith.IntegerInterval) -> np.ndarray:
     """F^Delta(chi) = E_{n in [I]_q} f^Delta(n) conj(chi(n)) for all chi."""
-    members = [n for n in interval.members() if math.gcd(n, G.q) == 1]
-    if not members:
+    count = arith.count_units_in_interval(interval, G.q)[0]
+    if not count:
         raise DomainError("[I]_q is empty")
     supp = f_support(G, h, z, interval)[delta][0]
     norm = arith.mertens_product(z, G.q, inverse=True)
-    return all_char_sums(G, supp) * (norm / len(members))
+    return all_char_sums(G, supp, np.full(len(supp), norm)) / count
 
 
 # ---------------------------------------------------------------------------
 # the sets Q, U, M and their normalized character sums
 
-def q_set(G: group_mod.UnitGroup, h, Q1: float, B=None, delta: int | None = None) -> list[int]:
-    """Primes p in (Q1/e, Q1] with p in B and sgn(h(p)) = delta."""
-    ps = arith.primes_in(Q1 / math.e, Q1)
-    if ps.size == 0:
-        return []
+def _signed_primes(G: group_mod.UnitGroup, h, lo: float, hi: float, B,
+                   delta: int | None) -> list[int]:
+    """Primes p in (lo, hi] with p in B and sgn(h(p)) = delta (any sign when
+    delta is None; a prime where h vanishes has neither sign)."""
+    ps = arith.primes_in(lo, hi)
     mask = _coset_mask(B, G, ps)
     if delta is not None:
         mask &= np.sign([h.rule(p, 1) for p in ps.tolist()]) == delta
-    return [int(p) for p in ps[mask]]
+    return ps[mask].tolist()
+
+
+def q_set(G: group_mod.UnitGroup, h, Q1: float, B=None, delta: int | None = None) -> list[int]:
+    """Primes p in (Q1/e, Q1] with p in B and sgn(h(p)) = delta."""
+    return _signed_primes(G, h, Q1 / math.e, Q1, B, delta)
 
 
 def _squarefree_signed(G, h, lo: int, hi: int, B, delta):
@@ -399,15 +404,8 @@ def ladder_prime_sums(G, h, ladder: LadderSpec, j: int, B, delta: int) -> dict[i
     where h vanishes has neither sign and lies in no subwindow)."""
     P, Q = ladder.interval(j)
     H = _H_j(j, ladder.Q1)
-    ps = [int(p) for p in arith.primes_in(P, Q)]
     buckets: dict[int, list[int]] = {}
-    for p in ps:
-        if not G.is_unit(p % G.q):
-            continue
-        if np.sign(h.rule(p, 1)) != delta:
-            continue
-        if B is not None and not B.contains(p):
-            continue
+    for p in _signed_primes(G, h, P, Q, B, delta):
         buckets.setdefault(_w_of_p(p, H), []).append(p)
     out = {}
     for w, plist in buckets.items():

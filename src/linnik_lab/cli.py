@@ -152,7 +152,7 @@ def cmd_rfunc(args):
     h = _fn(args.h)
     res = pipeline.R_of_h_q(h, args.q, args.cap)
     out = res.as_dict()
-    out["witnesses_verified"] = pipeline.verify_witnesses(res, h, args.q)
+    out["witnesses_verified"] = pipeline.verify_witnesses(res, h)
     return report_for(args, "sign-change-threshold", out)
 
 

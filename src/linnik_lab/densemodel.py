@@ -12,13 +12,10 @@ absolute-value variant recorded side by side.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from . import arith
 from . import group as group_mod
 from .errors import DomainError
 
@@ -33,38 +30,18 @@ class DenseModel:
     f_hat: np.ndarray                  # E_{n in [I]_q} f(n) conj(chi(n))
     g_hat: np.ndarray                  # truncated coefficients
     g: np.ndarray                      # real values over group.units
-    interval_count: int
 
     def mean_g(self) -> float:
         return float(np.mean(self.g))
 
 
-def interval_transform(G: group_mod.UnitGroup, interval: arith.IntegerInterval,
-                       fvals: Callable[[int], float]) -> tuple[np.ndarray, int, np.ndarray]:
-    """F(chi) = E_{n in [I]_q} f(n) conj(chi(n)) for all chi, plus class sums.
-
-    Returns (f_hat over characters, |[I]_q|, class-collapsed weight vector).
-    """
-    q = G.q
-    members = [n for n in interval.members() if math.gcd(n, q) == 1]
-    if not members:
-        raise DomainError(f"[I]_q is empty for I=({interval.lo}, {interval.hi}], q={q}")
-    w = np.zeros(len(G.units), dtype=float)
-    for n in members:
-        v = fvals(n)
-        if v:
-            w[G.unit_pos[n % q]] += v
-    f_hat = group_mod.transform(G, w) / len(members)
-    return f_hat, len(members), w
-
-
-def build_dense_model(G: group_mod.UnitGroup, interval: arith.IntegerInterval,
-                      fvals: Callable[[int], float], delta: float,
+def build_dense_model(G: group_mod.UnitGroup, f_hat: np.ndarray, delta: float,
                       eta: float = 0.0, source: str = "") -> DenseModel:
-    """Spectral-truncation dense model of f: [I]_q -> R_{>=0} at threshold delta."""
+    """Spectral-truncation dense model at threshold delta of f: [I]_q -> R_{>=0},
+    given by its coefficients f_hat[chi] = E_{n in [I]_q} f(n) conj(chi(n)),
+    aligned with G.characters()."""
     if delta <= 0:
         raise DomainError("delta must be positive")
-    f_hat, count, _ = interval_transform(G, interval, fvals)
     keep = np.abs(f_hat) >= delta
     keep[0] = True  # principal character always retained so means agree
     g_hat = np.where(keep, f_hat, 0.0)
@@ -73,13 +50,10 @@ def build_dense_model(G: group_mod.UnitGroup, interval: arith.IntegerInterval,
         raise AssertionError("dense model is not real; input f was not real?")
     spectrum = tuple(int(i) for i in np.nonzero(keep)[0])
     return DenseModel(G, float(delta), float(eta), source, spectrum,
-                      f_hat, g_hat, g_vals.real.copy(), count)
+                      f_hat, g_hat, g_vals.real.copy())
 
 
-def verify_model(model: DenseModel, nu: Callable[[int], float] | None = None,
-                 interval: arith.IntegerInterval | None = None,
-                 fvals: Callable[[int], float] | None = None,
-                 tol: float = 1e-12) -> dict:
+def verify_model(model: DenseModel, tol: float = 1e-12) -> dict:
     """Check the five dense-model properties; assert the constructive ones.
 
     (ii) max_chi |F - G| <= delta, (iii) |G| <= |F| and |F - G| <= |F|, and
@@ -100,20 +74,6 @@ def verify_model(model: DenseModel, nu: Callable[[int], float] | None = None,
 
     gmin = float(model.g.min())
     gmax = float(model.g.max())
-    nu_report = None
-    if nu is not None and interval is not None and fvals is not None:
-        members = [n for n in interval.members() if math.gcd(n, G.q) == 1]
-        nu_vals = np.array([nu(n) for n in members])
-        dominated = all(fvals(n) <= nu(n) + tol for n in members)
-        nu_mean = float(np.mean(nu_vals)) if members else float("nan")
-        w = np.zeros(len(G.units), dtype=float)
-        for n in members:
-            w[G.unit_pos[n % G.q]] += nu(n)
-        nu_hat = group_mod.transform(G, w) / max(len(members), 1)
-        max_nonprincipal = float(np.abs(nu_hat[1:]).max()) if len(nu_hat) > 1 else 0.0
-        nu_report = {"dominates_f": dominated, "mean_nu": nu_mean,
-                     "mean_gap": abs(nu_mean - 1.0),
-                     "max_nonprincipal_coeff": max_nonprincipal}
 
     coset_rows = []
     worst = 0.0
@@ -131,7 +91,7 @@ def verify_model(model: DenseModel, nu: Callable[[int], float] | None = None,
     return {
         "asserted": {"ii": ok_ii, "iii": ok_iii, "iv": ok_iv, "mean_gap": mean_gap},
         "range": {"min": gmin, "max": gmax, "upper_shape": 1.0 + model.eta},
-        "majorant": nu_report,
+        "majorant": None,
         "coset_averages": coset_rows,
         "max_coset_gap": worst,
         "spectrum_size": len(model.spectrum),
@@ -218,4 +178,4 @@ def model_from_json(data: dict) -> DenseModel:
     g_hat = group_mod.fourier_forward(G, g)
     f_hat = g_hat.copy()
     return DenseModel(G, float(data["delta"]), float(data["eta"]), data.get("source", ""),
-                      spectrum, f_hat, g_hat, g, interval_count=0)
+                      spectrum, f_hat, g_hat, g)

@@ -164,7 +164,7 @@ def _first_hit_table(h, G: group_mod.UnitGroup) -> np.ndarray:
     return first
 
 
-def _scan_block(h, qs, caps, stop_when_complete: bool = True) -> list[np.ndarray]:
+def _scan_block(h, qs, caps) -> list[np.ndarray]:
     """First squarefree witness per (class, sign) for a block of moduli.
 
     One stream of factor_window segments, (0, 2^13] and then doubling up to
@@ -173,9 +173,9 @@ def _scan_block(h, qs, caps, stop_when_complete: bool = True) -> list[np.ndarray
     segment's squarefree integers with nonzero sign by its units and records
     its first hits with one scatter (np.minimum.at) into a (q, 2) table,
     column 0 for sign +1 and 1 for -1 (see _first_hit_table).  A q leaves
-    the stream once every unit class holds every sign h can take on it (if
-    stop_when_complete) or once the stream has passed its cap.  Returns the
-    tables in the order of qs.
+    the stream once every unit class holds every sign h can take on it or
+    once the stream has passed its cap.  Returns the tables in the order of
+    qs.
     """
     groups = [group_mod.build_unit_group(q) for q in qs]
     first = [_first_hit_table(h, G) for G in groups]
@@ -205,7 +205,7 @@ def _scan_block(h, qs, caps, stop_when_complete: bool = True) -> list[np.ndarray
             unit = units[i][res]
             np.minimum.at(first[i].reshape(-1), 2 * res[unit] + neg[:k][unit], ns[:k][unit])
             complete = np.count_nonzero(first[i] == _NO_HIT) == idle[i]
-            if cap > hi and not (stop_when_complete and complete):
+            if cap > hi and not complete:
                 still.append(i)
         pending = still
         lo = hi
@@ -244,7 +244,7 @@ def R_of_h_q(h, q: int, cap: int) -> RFunctionResult:
     return next(R_block(h, [q], [cap]))
 
 
-def verify_witnesses(result: RFunctionResult, h, q: int, read=None) -> bool:
+def verify_witnesses(result: RFunctionResult, h, read=None) -> bool:
     """Independent re-check of a witness table: squarefree, class, sign,
     minimality.
 
@@ -257,11 +257,11 @@ def verify_witnesses(result: RFunctionResult, h, q: int, read=None) -> bool:
     passes read = (the table's _table_hits, its members' signs or None),
     the signs read for a group of tables in shared calls.
     """
-    hits, signs = read if read is not None else (_table_hits(result, q), None)
+    hits, signs = read if read is not None else (_table_hits(result), None)
     if hits is None:
         return False
     if signs is None:
-        signs = _member_signs(h, [(hits, q)])
+        signs = _member_signs(h, [(hits, result.q)])
     _, s, ends = hits
     # member k of hit i must have sign s[i] exactly when it is n[i], the
     # last of its members
@@ -288,15 +288,15 @@ def verify_block(results, h) -> list[bool]:
         lo = 0
         for t, hits in group:
             hi = lo + _member_count(hits)
-            ok[t] = verify_witnesses(results[t], h, results[t].q, (hits, signs[lo:hi]))
+            ok[t] = verify_witnesses(results[t], h, (hits, signs[lo:hi]))
             lo = hi
         group.clear()
 
     size = 0
     for t, res in enumerate(results):
-        hits = _table_hits(res, res.q)
+        hits = _table_hits(res)
         if hits is None or _member_count(hits) >= _VERIFY_GROUP:
-            ok[t] = verify_witnesses(res, h, res.q, (hits, None))
+            ok[t] = verify_witnesses(res, h, (hits, None))
             continue
         group.append((t, hits))
         size += _member_count(hits)
@@ -308,9 +308,10 @@ def verify_block(results, h) -> list[bool]:
     return ok
 
 
-def _table_hits(res: RFunctionResult, q: int):
+def _table_hits(res: RFunctionResult):
     """A table's hits n, their signs (int8) and the running totals of their
-    member counts, or None when some n lies outside its class mod q."""
+    member counts, or None when some n lies outside its class mod res.q."""
+    q = res.q
     a, col = np.nonzero(_hits(res.first))
     n = res.first[a, col]
     if ((n - a) % q).any():
@@ -421,13 +422,14 @@ def build_context(h, q: int, params: ParamSet, ks=None) -> SignContext:
     for k in ks:
         iv = params.interval(k)
         counts[k] = arith.count_units_in_interval(iv, q)[0]
+        if not counts[k]:
+            raise DomainError(f"[I]_q is empty for I=({iv.lo}, {iv.hi}], q={q}")
         for delta, (supp, sqf) in charsums.f_support(G, h, params.z, iv).items():
             supports[(k, delta)] = supp
             squarefree[(k, delta)] = sqf
-            supp_set = set(supp)
+            f_hat = charsums.all_char_sums(G, supp, np.full(len(supp), norm)) / counts[k]
             models[(k, delta)] = densemodel.build_dense_model(
-                G, iv, lambda n, s=supp_set: norm if n in s else 0.0,
-                params.delta, eta=params.epsilon**2,
+                G, f_hat, params.delta, eta=params.epsilon**2,
                 source=f"f^{'+' if delta > 0 else '-'}_k={k}(h={h.name}, q={q})")
     return SignContext(h, q, params, G, norm, supports, squarefree, counts, models)
 

@@ -35,7 +35,7 @@ class DichotomyOutcome:
 def _indicator(G: group_mod.UnitGroup, A) -> np.ndarray:
     """0/1 vector over unit positions; raises on a non-unit."""
     q = G.q
-    res = np.fromiter((a % q for a in A), dtype=np.int64)
+    res = np.fromiter(A, np.int64, count=len(A)) % q
     pos = G.unit_pos[res]
     if np.any(pos < 0):
         bad = next(a for a in A if G.unit_pos[a % q] < 0)

@@ -168,6 +168,9 @@ def build_beta_sieve(z: float, D: float, kappa: float = 1.0) -> tuple[SieveWeigh
     def side(levels, sign):
         d = np.concatenate([ds for ds, _ in levels])
         mu = np.concatenate([np.full(ds.size, w, dtype=np.int8) for ds, w in levels])
+        # freed before the sort so that it reuses their memory: the peak
+        # then does not depend on where the allocator placed the levels
+        levels.clear()
         order = np.argsort(d)
         d, mu = d[order], mu[order]
         d.setflags(write=False)

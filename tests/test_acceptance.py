@@ -43,8 +43,8 @@ def test_criterion_01_exact_R_values_and_batch():
         res_m = pl.R_of_h_q(MU, q, cap)
         assert res_l.complete, f"R(lambda; {q}) not found below q^2 * 20 log q"
         assert res_l.R_value <= q * q * 20 * math.log(q)
-        assert pl.verify_witnesses(res_l, LAM, q), q
-        assert pl.verify_witnesses(res_m, MU, q), q
+        assert pl.verify_witnesses(res_l, LAM), q
+        assert pl.verify_witnesses(res_m, MU), q
         assert res_l.R_value == res_m.R_value, q  # mu and lambda agree on squarefrees
         table[q] = res_l.R_value
     elapsed = time.time() - t0

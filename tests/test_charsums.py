@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 
@@ -206,12 +207,15 @@ def test_ladder_primes_where_h_vanishes_have_no_sign():
     G = g.build_unit_group(11)
     lad = cs.ladder_build(5.0, 11, overrides=[(5.0, 60.0)])
     H = cs._H_j(2, lad.Q1)
-    for delta in (1, -1):
-        sums = cs.ladder_prime_sums(G, chi7, lad, 2, None, delta)
+    # the full group and both cosets of the squares mod 11 (2 is a non-square)
+    psi = [c for c in g.real_characters(11, G) if not c.is_principal][0]
+    for B, delta in itertools.product((None, g.CosetSpec(psi, 1), g.CosetSpec(psi, 2)),
+                                      (1, -1)):
+        sums = cs.ladder_prime_sums(G, chi7, lad, 2, B, delta)
         assert cs._w_of_p(7, H) not in sums
         byhand: dict[int, np.ndarray] = {}
         for p in arith.primes_in(5.0, 60.0).tolist():
-            if p != 11 and chi(p).real * delta > 0:
+            if p != 11 and chi(p).real * delta > 0 and (B is None or B.contains(p)):
                 w = cs._w_of_p(p, H)
                 row = np.array([c(p).conjugate() for c in G.characters()]) * math.exp(-w / H)
                 byhand[w] = byhand.get(w, 0) + row

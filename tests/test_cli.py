@@ -97,6 +97,8 @@ def test_exit_codes(capsys, monkeypatch):
                  ("batch", "--qmin", "0", "--qmax", "3"),
                  ("--format", "csv", "batch", "--qmin", "5", "--qmax", "3"),
                  ("stcompare", "--q", "35", "--a", "7"),
+                 # (R/e, R] = (2.39, 6.5] holds no unit mod 30
+                 ("densemodel", "--q", "30", "--R", "6.5"),
                  ("charsum", "halmon", "--q", "101", "--N", "0"),
                  ("charsum", "halmon", "--q", "101", "--N", "-5"),
                  ("charsum", "halmon", "--q", "1", "--N", "5"),
@@ -133,8 +135,34 @@ PRODUCT_SET_DIGESTS = [
 ]
 
 
+# sha256 of dense-model and S/T reports: every f_hat comes from the class
+# collapse of an f-support, which adds the normalizer once per point (a
+# count times the normalizer can differ in the last bit).  The reports hold
+# FFT floats; the digests were taken with numpy 2.4.
+DENSE_MODEL_DIGESTS = [
+    (("densemodel", "--q", "4001"),
+     "27759172dff53b8682dc61e00f738ed9616f06e200276efaeec4446f5a068490"),
+    (("densemodel", "--q", "101", "--R", "101"),
+     "921fa6c5c9afe35a6d79b25ce2553b7603a891eefbbbb7d5b38065b8e9145e3b"),
+    (("densemodel", "--q", "1009", "--R", "20000"),
+     "cfd210c588b54c9e1c1bd81b07c2d1c4d571c4c7bdde42a15e2201eac365f95f"),
+    (("stcompare", "--q", "101"),
+     "d3b6d3db8bc4f77d111222110ce8d030988c29f36b37bffae518920d013191b0"),
+    (("stcompare", "--q", "101", "--variant", "general"),
+     "505c92087e514e50b96c376b79d6aba612473397690e6c514fa19713eac25a0a"),
+    (("stcompare", "--q", "211", "--a", "5"),
+     "009cf45fbfbe30082035ad6d5dd42108ba2862e81e29da36741049702ef73755"),
+]
+
+
 @pytest.mark.parametrize("argv,digest", PRODUCT_SET_DIGESTS)
 def test_product_set_reports_are_unchanged(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", DENSE_MODEL_DIGESTS)
+def test_dense_model_reports_are_unchanged(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,58 @@ def toy_model(q=101, eps=0.04, delta=None, R=None):
     return ctx, params
 
 
+def loop_f_hat(G, interval, fvals):
+    """The per-integer reference for the coefficients of f on [I]_q:
+    F(chi) = E_{n in [I]_q} f(n) conj(chi(n)), one fvals call and one class
+    update per n of [I]_q, in increasing n."""
+    members = [n for n in interval.members() if math.gcd(n, G.q) == 1]
+    w = np.zeros(G.phi)
+    for n in members:
+        v = fvals(n)
+        if v:
+            w[G.unit_pos[n % G.q]] += v
+    return g.transform(G, w) / len(members)
+
+
+def _quadratic_fn(q):
+    return mf.character_fn([c for c in g.real_characters(q) if not c.is_principal][0])
+
+
+@pytest.mark.parametrize("h, q, R, ks", [
+    (mf.liouville_fn(), 101, None, None),
+    (mf.liouville_fn(), 101, 101.0, None),
+    (mf.liouville_fn(), 1009, 20000.0, None),
+    (mf.liouville_fn(), 720, 3000.0, (-1, 0, 1)),
+    # h = 1 has no sign -1 point: the minus support is empty
+    (mf.one_fn(), 211, 500.0, None),
+    # the quadratic character mod 5 on a modulus that 5 divides
+    (_quadratic_fn(5), 35, 400.0, (0, 1)),
+])
+def test_models_match_the_per_integer_transform(h, q, R, ks):
+    """build_context takes each f_hat from one class collapse of the
+    support; it equals the per-integer loop's exactly, and so do the
+    models built from either."""
+    params = pl.ParamSet.from_q(q, 0.04, easy_mode=True, **({"R": R} if R else {}))
+    ctx = pl.build_context(h, q, params, ks)
+    assert ctx.models
+    for (k, delta), model in ctx.models.items():
+        supp = set(ctx.supports[(k, delta)])
+        want = loop_f_hat(ctx.G, params.interval(k),
+                          lambda n: ctx.norm if n in supp else 0.0)
+        assert np.array_equal(model.f_hat, want), (k, delta)
+        ref = dm.build_dense_model(ctx.G, want, params.delta)
+        assert model.spectrum == ref.spectrum
+        assert np.array_equal(model.g, ref.g)
+        if not supp:
+            assert not model.f_hat.any() and model.spectrum == (0,)
+    if h.kind == "one":
+        assert not ctx.supports[(0, -1)]
+
+
 def test_zero_function_gives_zero_model():
     G = g.build_unit_group(35)
     iv = arith.IntegerInterval(10, 30)
-    model = dm.build_dense_model(G, iv, lambda n: 0.0, 0.3)
+    model = dm.build_dense_model(G, loop_f_hat(G, iv, lambda n: 0.0), 0.3)
     assert np.all(model.g == 0)
     assert model.spectrum == (0,)
 
@@ -26,7 +76,7 @@ def test_large_delta_collapses_to_constant():
     G = g.build_unit_group(35)
     iv = arith.IntegerInterval(10, 60)
     f = lambda n: 1.0 if n % 3 == 0 else 0.0
-    big = dm.build_dense_model(G, iv, f, delta=10.0)
+    big = dm.build_dense_model(G, loop_f_hat(G, iv, f), delta=10.0)
     assert big.spectrum == (0,)
     mean = big.f_hat[0].real
     assert np.allclose(big.g, mean)
@@ -45,8 +95,9 @@ def test_constructive_properties_and_monotone_spectrum():
     supp = set(ctx.supports[(0, -1)])
     f = lambda n: ctx.norm if n in supp else 0.0
     spectra = []
+    f_hat = loop_f_hat(G, iv, f)
     for delta in (0.01, 0.05, 0.2, 0.8):
-        spectra.append(set(dm.build_dense_model(G, iv, f, delta).spectrum))
+        spectra.append(set(dm.build_dense_model(G, f_hat, delta).spectrum))
     for small, large in zip(spectra, spectra[1:]):
         assert large <= small
 
@@ -93,6 +144,9 @@ def test_model_json_roundtrip():
 
 
 def test_empty_interval_raises():
-    G = g.build_unit_group(35)
-    with pytest.raises(DomainError):
-        dm.build_dense_model(G, arith.IntegerInterval(34.2, 34.8), lambda n: 1.0, 0.3)
+    # (R/e, R] holds no integer, or only 3, 4, 5, 6, none a unit mod 30
+    for q, R in ((35, 0.9), (30, 6.5)):
+        params = pl.ParamSet.from_q(q, 0.04, easy_mode=True, R=R)
+        assert arith.count_units_in_interval(params.interval(0), q)[0] == 0
+        with pytest.raises(DomainError, match=r"\[I\]_q is empty"):
+            pl.build_context(mf.liouville_fn(), q, params)

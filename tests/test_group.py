@@ -166,7 +166,7 @@ def test_large_modulus_has_units_and_R():
     res = pl.R_of_h_q(lam, q, 10**7)
     assert res.complete and res.R_value == 2833555
     # the oracle re-checks the whole table: 420,230 class members
-    assert pl.verify_witnesses(res, lam, q)
+    assert pl.verify_witnesses(res, lam)
 
 
 def _dlog_oracle(m: int, comps) -> list[np.ndarray]:

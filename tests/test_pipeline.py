@@ -51,7 +51,7 @@ def test_R_of_h_q_examples():
     res = pl.R_of_h_q(LAM, 3, 100)
     assert res.R_value == 14
     assert res.witnesses[2][1] == 14
-    assert pl.verify_witnesses(res, LAM, 3)
+    assert pl.verify_witnesses(res, LAM)
     # the witnesses are a read-only view of the first-hit table
     assert res.first.shape == (3, 2) and res.first[2, 0] == 14
     with pytest.raises(TypeError):
@@ -61,7 +61,7 @@ def test_R_of_h_q_examples():
     # a table with no hits is verified vacuously, with no member read
     empty = pl.RFunctionResult(5, 1, np.full((5, 2), pl._NO_HIT))
     assert not empty.complete and empty.R_value is None and empty.witnesses == {}
-    assert pl.verify_witnesses(empty, LAM, 5)
+    assert pl.verify_witnesses(empty, LAM)
     # R is the first x at which both E-sets fill up
     plus, minus = pl.E_sets(LAM, 3, 13)
     assert plus != {1, 2} or minus != {1, 2}
@@ -90,13 +90,13 @@ def test_verify_witnesses_retains_nothing(monkeypatch):
         return [int(q * q * 20 * max(math.log(q), 1.0)) + 1 for q in qs]
 
     other = mf.liouville_fn()
-    assert pl.verify_witnesses(pl.R_of_h_q(other, 2011, 10**7), other, 2011)
+    assert pl.verify_witnesses(pl.R_of_h_q(other, 2011, 10**7), other)
     assert all(pl.verify_block(list(pl.R_block(other, range(401, 421), caps(range(401, 421)))), other))
     h = mf.liouville_fn()
     res = pl.R_of_h_q(h, 2003, 10**7)
     qs = range(3, 401)
     block = list(pl.R_block(h, qs, caps(qs)))
-    for verify in (lambda: pl.verify_witnesses(res, h, 2003),
+    for verify in (lambda: pl.verify_witnesses(res, h),
                    lambda: all(pl.verify_block(block, h))):
         tracemalloc.start()
         try:
@@ -185,7 +185,7 @@ def test_one_stops_once_every_plus_witness_is_in(monkeypatch):
     expect = {a: {1: next(n for n in range(a, 10**6, 50) if arith.is_squarefree(n))}
               for a in range(1, 50) if math.gcd(a, 50) == 1}
     assert res.witnesses == expect and max(w[1] for w in expect.values()) == 149
-    assert pl.verify_witnesses(res, mf.one_fn(), 50)
+    assert pl.verify_witnesses(res, mf.one_fn())
 
 
 def test_mu_equals_lambda_threshold():
@@ -311,7 +311,7 @@ def test_verify_witnesses_matches_the_walk(h, q, mutation, data):
     bad = pl.RFunctionResult(q, res.cap, first)
     want = mutation == "none"
     assert _walk_verify(bad, h, q) is want
-    assert pl.verify_witnesses(bad, h, q) is want
+    assert pl.verify_witnesses(bad, h) is want
     # the same table inside the block q = 1..60 fails that q alone
     block = list(_witness_block(WITNESS_FNS.index(h)))
     block[q - 1] = bad
@@ -345,7 +345,7 @@ def test_verify_block_agrees_with_each_table(group, chunk, monkeypatch):
                 first[rows[0], 1 - cols[0]] = first[rows[0], cols[0]]
                 block[j] = pl.RFunctionResult(res.q, res.cap, first)
         flags = pl.verify_block(block, h)
-        assert flags == [pl.verify_witnesses(r, h, r.q) for r in block]
+        assert flags == [pl.verify_witnesses(r, h) for r in block]
         assert flags == [r is _witness_block(i)[j] for j, r in enumerate(block)]
         assert pl.verify_block([], h) == []
     assert 0 < max(sizes) <= chunk
@@ -707,7 +707,7 @@ def test_each_window_is_sieved_once(monkeypatch):
         (lambda: cs.ramare_decompose(G, LAM, None, 1, 0, 2, lad, 600.0), m_iv.ihi),
         (lambda: cs.f_support(G, LAM, 3.0, f_iv), f_iv.count()),
         # cap 1000 lies inside the first chunk of the scan
-        (lambda: pl._scan_block(LAM, [35], [1000], stop_when_complete=False), 1000),
+        (lambda: pl._scan_block(LAM, [35], [1000]), 1000),
     ]
     for call, length in cases:
         sieved.clear()
@@ -735,9 +735,9 @@ def test_batch_block_sieves_each_integer_once(monkeypatch, capsys):
     checked = []
     check = pl.verify_witnesses
 
-    def counting_check(result, h, q, read=None):
-        checked.append(q)
-        return check(result, h, q, read)
+    def counting_check(result, h, read=None):
+        checked.append(result.q)
+        return check(result, h, read)
 
     monkeypatch.setattr(arith, "factor_window", counting)
     monkeypatch.setattr(mf.MultiplicativeFunction, "squarefree_signs", counting_oracle)
