@@ -80,18 +80,6 @@ def _coset_mask(B, G: group_mod.UnitGroup, ns: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # sign-restricted interval transforms f^Delta
 
-def f_delta_value(n: int, delta: int, h, q: int, z: float,
-                  interval: arith.IntegerInterval) -> float:
-    """f^Delta(n): Mertens-normalized indicator of sign-delta rough [I]_q points."""
-    if n not in interval or math.gcd(n, q) != 1:
-        return 0.0
-    if not arith.is_rough(n, z):
-        return 0.0
-    if h.sign(n) != delta:
-        return 0.0
-    return arith.mertens_product(z, q, inverse=True)
-
-
 def f_support(G: group_mod.UnitGroup, h, z: float,
               interval: arith.IntegerInterval) -> dict[int, tuple[list[int], np.ndarray]]:
     """Integers of [I]_q that are z-rough, split by sign of h: {+1: (the
@@ -107,17 +95,6 @@ def f_support(G: group_mod.UnitGroup, h, z: float,
         raise DomainError("h vanishes on a unit of the interval")
     return {d: (ns[keep & (signs == d)].tolist(), wf.squarefree[keep & (signs == d)])
             for d in (1, -1)}
-
-
-def f_hat_table(G: group_mod.UnitGroup, delta: int, h, z: float,
-                interval: arith.IntegerInterval) -> np.ndarray:
-    """F^Delta(chi) = E_{n in [I]_q} f^Delta(n) conj(chi(n)) for all chi."""
-    count = arith.count_units_in_interval(interval, G.q)[0]
-    if not count:
-        raise DomainError("[I]_q is empty")
-    supp = f_support(G, h, z, interval)[delta][0]
-    norm = arith.mertens_product(z, G.q, inverse=True)
-    return all_char_sums(G, supp, np.full(len(supp), norm)) / count
 
 
 # ---------------------------------------------------------------------------
@@ -320,44 +297,100 @@ def large_values_census(a_p, P: float, q: int, alpha: float, C: float = 1.0) -> 
 # ---------------------------------------------------------------------------
 # Polya-Vinogradov (asserted) and Burgess shapes (reported)
 
-def _diameter(points: np.ndarray) -> float:
-    """max |z - w| over complex points z, w: the convex hull by Andrew's
-    monotone chain, then every pair of hull vertices (Shamos 1978)."""
-    pts = np.unique(points)  # sorted by real part, then by imaginary part
-    xs, ys = pts.real.tolist(), pts.imag.tolist()
+# prefix cells per block of characters, and pair distances per step of one
+# character's candidates.  A block holds about 110 bytes a cell (64 of them
+# its projections), ~0.45 MiB in all, so the sweep stays in cache and adds
+# little to a process's peak.
+_PV_CELLS = 1 << 12
+# directions theta_j = j pi / K the prefix points are projected on
+_PV_DIRECTIONS = 8
 
-    def chain(order):
-        out: list[int] = []
-        for i in order:
-            while len(out) >= 2:
-                j, k = out[-2], out[-1]
-                if (xs[k] - xs[j]) * (ys[i] - ys[j]) - (ys[k] - ys[j]) * (xs[i] - xs[j]) > 0:
-                    break
-                out.pop()
-            out.append(i)
-        return out
 
-    n = len(pts)
-    hull = pts[chain(range(n))[:-1] + chain(range(n - 1, -1, -1))[:-1]] if n > 2 else pts
-    return float(np.abs(hull[:, None] - hull[None, :]).max())
+def _max_pair_distance(points: np.ndarray) -> float:
+    """max |z - w| over all pairs of the given complex points, _PV_CELLS
+    distances at a time."""
+    step = max(1, _PV_CELLS // len(points))
+    return max(float(np.abs(points[s:s + step, None] - points[None, :]).max())
+               for s in range(0, len(points), step))
+
+
+def pv_max_windows(G: group_mod.UnitGroup, rows=None) -> np.ndarray:
+    """pv_max_window for each chi = G.characters()[i], i in rows (default:
+    every non-principal character, 1..phi-1), aligned with rows.
+
+    Blocks of about _PV_CELLS prefix cells: a block's angle table comes from
+    G.character_angles, its prefix sums from one np.cumsum along the rows,
+    its projections on the K directions from one product, and only each
+    complex row's candidates (see pv_max_window) reach the pairwise step.
+    """
+    if rows is None:
+        rows = np.arange(1, G.phi)
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    if np.any(rows == 0):
+        raise DomainError("principal character excluded")
+    roots = np.append(G.root_table(), 0)   # angle -1 (off the units) reads 0
+    theta = np.pi * np.arange(_PV_DIRECTIONS) / _PV_DIRECTIONS
+    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    cos_half = math.cos(math.pi / (2 * _PV_DIRECTIONS))
+    # a character is real iff 2 t_c = 0 mod d_c on every component
+    real = np.ones(len(rows), dtype=bool)
+    for t, d in zip(np.unravel_index(rows, G.grid_shape), G.grid_shape):
+        real &= 2 * t % d == 0
+    out = np.empty(len(rows))
+    step = max(1, _PV_CELLS // G.q)
+    for s in range(0, len(rows), step):
+        prefix = roots[G.character_angles(rows[s:s + step])]
+        np.cumsum(prefix, axis=1, out=prefix)
+        xy = prefix.view(np.float64).reshape(len(prefix), G.q, 2)
+        proj = dirs @ xy.transpose(0, 2, 1)       # (rows, K, q)
+        hi, lo = proj.max(axis=2), proj.min(axis=2)
+        width = hi - lo
+        W = width.max(axis=1, keepdims=True)
+        tau = width - W * cos_half + 1e-9 * (1 + W)
+        near = ((proj >= (hi - tau)[:, :, None]) | (proj <= (lo + tau)[:, :, None])).any(axis=1)
+        del proj   # freed before the next block is built
+        for i in range(len(prefix)):
+            if real[s + i]:
+                re = prefix[i].real
+                out[s + i] = float(re.max() - re.min())
+            else:
+                out[s + i] = _max_pair_distance(np.unique(prefix[i][near[i]]))
+    return out
 
 
 def pv_max_window(chi) -> tuple[float, dict]:
-    """Exact sup over all windows (M, M+N] of |sum chi(n)|.
+    """Exact sup over all windows (M, M+N] of |sum chi(n)|, chi non-principal:
+    the one-row case of pv_max_windows.
 
-    For non-principal chi the prefix sums are q-periodic with zero period
-    sum, so the sup is the diameter of one period of prefix values (for real
-    chi, max - min).  O(q) memory.
+    The prefix sums S(n) are q-periodic with zero period sum, so the sup is
+    the diameter D of the points S(0), ..., S(q-1) (S(q) = S(q-1), as
+    chi(q) = 0).  A real chi takes max - min.  For a complex chi, D is the
+    max of |z - w| over the pairs of a few candidate points, chosen so that
+    the answer is exact:
+
+    - Project the points on K = _PV_DIRECTIONS directions theta_j = j pi / K:
+      p_j(z) = Re(z e^(-i theta_j)), with range [lo_j, hi_j], width w_j and
+      W = max_j w_j <= D.
+    - Take a diameter pair (a, b), labelled so that b -> a makes an angle
+      delta <= pi / 2K with some theta_j.  Then p_j(a) - p_j(b) = D cos(delta)
+      >= W cos(pi / 2K).
+    - As p_j(b) >= lo_j, p_j(a) >= hi_j - tau_j with tau_j = w_j - W cos(pi / 2K);
+      likewise p_j(b) <= lo_j + tau_j.  tau_j <= W (1 - cos(pi / 2K)) <=
+      D (1 - cos(pi / 2K)), a band of about 2% of D at K = 8, and a direction
+      with tau_j < 0 is near no diameter pair.
+    - So both ends of every diameter pair are among the candidates: the
+      points within tau_j of hi_j or lo_j for some j.  The margin
+      1e-9 (1 + W) added to tau_j is far above the rounding of the
+      projections, and it also admits every pair whose distance is within
+      that of D, so the max of |z - w| over the candidate pairs (np.unique,
+      _PV_CELLS distances at a time) is the float max over all pairs.
+
+    O(q) memory.
     """
     if chi.is_principal:
         raise DomainError("principal character excluded")
-    vals = np.roll(chi.values(), -1)  # chi(1), ..., chi(q)
-    prefix = np.concatenate([[0.0 + 0j], np.cumsum(vals)])
-    if chi.is_real:
-        re = prefix.real
-        best = float(re.max() - re.min())
-    else:
-        best = _diameter(prefix)
+    G = chi.group
+    best = float(pv_max_windows(G, [G.character_index(chi)])[0])
     return best, {"max_window_sum": best}
 
 

@@ -281,11 +281,11 @@ def cmd_charsum(args):
         rep = charsums.mvt_check(coeffs, args.N, args.q)
         return report_for(args, "mvt-mean-value", jsonable(rep))
     if sub == "pv":
-        chars = [c for c in group_mod.characters(args.q) if not c.is_principal]
-        worst = 0.0
-        for chi in chars:
-            sup, _ = charsums.pv_max_window(chi)
-            worst = max(worst, sup)
+        G = group_mod.build_unit_group(args.q)
+        if G.phi < 2:
+            raise DomainError(f"charsum pv needs a non-principal character mod q, "
+                              f"and there is none for q = {args.q}")
+        worst = float(charsums.pv_max_windows(G).max())
         bound = math.sqrt(args.q) * math.log(args.q)
         if worst > bound + 1e-9:
             raise AssertionError("Polya-Vinogradov bound violated")
@@ -304,10 +304,10 @@ def cmd_charsum(args):
         coeffs = {n: complex(rng.choice((-1.0, 1.0))) for n in rough[:args.N]}
         if not coeffs:
             raise DomainError("charsum halmon needs --N >= 1 and a q^eps-rough n in [2, 100 N + 1]")
-        chars = list(group_mod.characters(args.q))
-        pick = rng.choice(len(chars), size=min(args.nchars, len(chars)), replace=False)
-        rep = charsums.halasz_montgomery_report(coeffs, [chars[i] for i in pick],
-                                                max(coeffs), args.q, args.eps)
+        G = group_mod.build_unit_group(args.q)
+        pick = rng.choice(G.phi, size=min(args.nchars, G.phi), replace=False)
+        chars = [group_mod.DirichletCharacter(G, G.dual_vector(i)) for i in pick]
+        rep = charsums.halasz_montgomery_report(coeffs, chars, max(coeffs), args.q, args.eps)
         return report_for(args, "halasz-montgomery-mean", jsonable(rep))
     if sub == "large":
         count, rep = charsums.large_values_census(None, args.P, args.q, args.alpha, args.C)

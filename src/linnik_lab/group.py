@@ -271,6 +271,21 @@ class UnitGroup:
             pos = pos * comp.order + t
         return pos
 
+    def character_angles(self, rows) -> np.ndarray:
+        """Integer angles of characters()[rows] over residues 0..q-1, one row
+        per character: chi(n) = e(k/L) with L = angle_modulus, -1 off the
+        units.  Row i sums t_c (L / d_c) x_c over the components c, t its
+        dual vector and x the dlogs of the units."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        L = self.angle_modulus
+        acc = np.zeros((len(rows), self.phi), dtype=np.int64)
+        for t, x, c in zip(np.unravel_index(rows, self.grid_shape), self.unit_dlogs(),
+                           self.components):
+            acc += np.multiply.outer(t * (L // c.order), x)
+        out = np.full((len(rows), max(self.q, 1)), -1, dtype=np.int64)
+        out[:, self.units] = acc % L
+        return out
+
     def dual_vector(self, i: int) -> tuple[int, ...]:
         """The dual vector of characters()[i]."""
         out = []
@@ -363,15 +378,7 @@ class DirichletCharacter:
     def angles(self) -> np.ndarray:
         """Integer angles k over residues 0..q-1, chi(n) = e(k/L) with
         L = group.angle_modulus; -1 off the units."""
-        G = self.group
-        L = G.angle_modulus
-        acc = np.zeros(G.phi, dtype=np.int64)
-        for t, x, c in zip(self.vector, G.unit_dlogs(), G.components):
-            if t:
-                acc += (t * (L // c.order)) * x
-        k = np.full(max(G.q, 1), -1, dtype=np.int64)
-        k[G.units] = acc % L
-        return k
+        return self.group.character_angles(self.group.character_index(self))[0]
 
     def values(self) -> np.ndarray:
         """chi(n) over residues 0..q-1 (0 off the units)."""

@@ -212,14 +212,9 @@ def test_criterion_08_explicit_constant_checks():
     worst = {}
     for q in (101, 203):
         bound = math.sqrt(q) * math.log(q)
-        w = 0.0
-        for chi in g.characters(q):
-            if chi.is_principal:
-                continue
-            sup, _ = cs.pv_max_window(chi)
-            assert sup <= bound, (q, chi.label())
-            w = max(w, sup)
-        worst[q] = w
+        sups = cs.pv_max_windows(g.build_unit_group(q))
+        assert sups.max() <= bound, (q, g.characters(q)[1 + int(sups.argmax())].label())
+        worst[q] = float(sups.max())
     _report(8, "mean-value inequality (1000 vectors) and PV sqrt(q) log q",
             f"worst window sums {worst[101]:.2f}@101, {worst[203]:.2f}@203")
 

@@ -2,40 +2,83 @@ import cmath
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from linnik_lab import arith, charsums as cs, group as g, multfunc as mf
+from linnik_lab import arith, charsums as cs, group as g, multfunc as mf, pipeline as pl
 from linnik_lab.errors import DomainError, PreconditionError
+
+
+def f_delta_value(n: int, delta: int, h, q: int, z: float,
+                  interval: arith.IntegerInterval) -> float:
+    """The per-integer oracle for f^Delta(n): the Mertens-normalized indicator
+    of the sign-delta, z-rough points of [I]_q."""
+    if n not in interval or math.gcd(n, q) != 1:
+        return 0.0
+    if not arith.is_rough(n, z):
+        return 0.0
+    if h.sign(n) != delta:
+        return 0.0
+    return arith.mertens_product(z, q, inverse=True)
+
+
+def context_f_hat(h, q: int, R: float, z: float, delta: int) -> np.ndarray:
+    """F^Delta(chi) for every chi, as pipeline.build_context computes it on
+    I = (R/e, R]."""
+    params = pl.ParamSet.from_q(q, 0.1, easy_mode=True, R=R, z=z)
+    return pl.build_context(h, q, params).models[(0, delta)].f_hat
 
 
 def test_f_delta_and_transform():
     lam = mf.liouville_fn()
     G = g.build_unit_group(7)
     iv = arith.IntegerInterval(7.0, 21.0)
+    # build_context's I = (21/e, 21] holds the same integers
+    assert list(arith.IntegerInterval.e_adic(21.0, 0).members()) == list(iv.members())
     norm = arith.mertens_product(3.0, 7, inverse=True)
     # pointwise values
-    assert cs.f_delta_value(9, 1, lam, 7, 3.0, iv) == norm
-    assert cs.f_delta_value(11, 1, lam, 7, 3.0, iv) == 0.0
-    assert cs.f_delta_value(11, -1, lam, 7, 3.0, iv) == norm
-    assert cs.f_delta_value(14, -1, lam, 7, 3.0, iv) == 0.0  # not coprime
-    assert cs.f_delta_value(12, -1, lam, 7, 3.0, iv) == 0.0  # not rough
+    assert f_delta_value(9, 1, lam, 7, 3.0, iv) == norm
+    assert f_delta_value(11, 1, lam, 7, 3.0, iv) == 0.0
+    assert f_delta_value(11, -1, lam, 7, 3.0, iv) == norm
+    assert f_delta_value(14, -1, lam, 7, 3.0, iv) == 0.0  # not coprime
+    assert f_delta_value(12, -1, lam, 7, 3.0, iv) == 0.0  # not rough
     # h = 1: F^- vanishes identically
     one = mf.one_fn()
-    tbl = cs.f_hat_table(G, -1, one, 3.0, iv)
+    tbl = context_f_hat(one, 7, 21.0, 3.0, -1)
     assert np.abs(tbl).max() == 0.0
     # transform table matches a hand-rolled expectation
-    tbl = cs.f_hat_table(G, -1, lam, 3.0, iv)
+    tbl = context_f_hat(lam, 7, 21.0, 3.0, -1)
     members = [n for n in iv.members() if math.gcd(n, 7) == 1]
     supp = [n for n in members if arith.is_rough(n, 3.0) and lam.sign(n) == -1]
     chi = G.characters()[1]
     byhand = norm * sum(chi(n).conjugate() for n in supp) / len(members)
     assert cmath.isclose(tbl[1], byhand, abs_tol=1e-12)
     # F^+(chi0) + F^-(chi0) is the normalized rough density (about 1)
-    tot = cs.f_hat_table(G, 1, lam, 3.0, iv)[0] + tbl[0]
+    tot = context_f_hat(lam, 7, 21.0, 3.0, 1)[0] + tbl[0]
     dens = norm * len([n for n in members if arith.is_rough(n, 3.0)]) / len(members)
     assert tot.real == pytest.approx(dens, abs=1e-12)
+
+
+@pytest.mark.parametrize("h, q, R, z", [
+    (mf.liouville_fn(), 7, 21.0, 3.0),
+    (mf.one_fn(), 7, 21.0, 3.0),
+    (mf.liouville_fn(), 35, 200.0, 5.0),
+    (mf.liouville_fn(), 24, 150.0, 4.0),
+])
+def test_context_f_hat_matches_the_per_integer_oracle(h, q, R, z):
+    """Every coefficient build_context computes is E_{n in [I]_q}
+    f^Delta(n) conj(chi(n)) with f^Delta read one integer at a time."""
+    G = g.build_unit_group(q)
+    iv = arith.IntegerInterval.e_adic(R, 0)
+    members = [n for n in iv.members() if math.gcd(n, q) == 1]
+    for delta in (1, -1):
+        got = context_f_hat(h, q, R, z, delta)
+        for i, chi in enumerate(G.characters()):
+            want = sum(f_delta_value(n, delta, h, q, z, iv) * chi(n).conjugate()
+                       for n in members) / len(members)
+            assert cmath.isclose(got[i], want, abs_tol=1e-12), (delta, i)
 
 
 def test_sets_and_sums():
@@ -155,13 +198,75 @@ def test_pv_and_burgess():
     assert rep.lhs == 0.0
     for q in (101, 203):
         bound = math.sqrt(q) * math.log(q)
-        for chi in g.characters(q):
-            if chi.is_principal:
-                continue
-            sup, _ = cs.pv_max_window(chi)
-            assert sup <= bound
+        sups = cs.pv_max_windows(g.build_unit_group(q))
+        assert len(sups) == g.build_unit_group(q).phi - 1
+        assert sups.max() <= bound
     with pytest.raises(DomainError):
         cs.pv_burgess_check(g.characters(5)[0], 0, 5)
+
+
+def brute_window_sup(chi) -> float:
+    """max |S(m) - S(n)| over all pairs of the prefix sums S(0..q), each
+    chi(n) from its exact rotation."""
+    q = chi.group.q
+    prefix = np.concatenate([[0j], np.cumsum([chi(n) for n in range(1, q + 1)])])
+    return float(np.abs(prefix[:, None] - prefix[None, :]).max())
+
+
+@pytest.mark.parametrize("q", [3, 5, 8, 15, 16, 24, 35, 101, 105, 720])
+def test_block_pv_matches_all_pairs(q):
+    """Every non-principal character, cyclic and non-cyclic groups, and
+    characters of small order whose prefix points repeat many times."""
+    G = g.build_unit_group(q)
+    sups = cs.pv_max_windows(G)
+    assert sups.shape == (G.phi - 1,)
+    for i, chi in enumerate(G.characters()[1:], start=1):
+        assert abs(sups[i - 1] - brute_window_sup(chi)) <= 1e-12, (q, chi.label())
+        # the single-character API is the block route's row
+        assert cs.pv_max_window(chi)[0] == sups[i - 1]
+    # any rows, in any order, read the same values
+    rows = np.random.default_rng(q).permutation(np.arange(1, G.phi))[:7]
+    assert np.array_equal(cs.pv_max_windows(G, rows), sups[rows - 1])
+    with pytest.raises(DomainError):
+        cs.pv_max_windows(G, [0])
+
+
+def test_block_pv_blocks_and_directions_do_not_move_the_sup(monkeypatch):
+    """One row per block, many rows per block, and other direction counts
+    all give the same floats: the filter only drops points that cannot end
+    a diameter."""
+    G = g.build_unit_group(105)
+    want = cs.pv_max_windows(G)
+    for cells, dirs in ((1, 8), (1 << 16, 8), (1 << 12, 2), (1 << 12, 3), (1 << 12, 32)):
+        monkeypatch.setattr(cs, "_PV_CELLS", cells)
+        monkeypatch.setattr(cs, "_PV_DIRECTIONS", dirs)
+        assert np.array_equal(cs.pv_max_windows(G), want), (cells, dirs)
+
+
+def test_block_pv_peak_memory():
+    """The sweep at q = 1009 holds one block of _PV_CELLS prefix cells at a
+    time, and one character's pair distances in steps of _PV_CELLS."""
+    G = g.build_unit_group(1009)
+    G.unit_dlogs(), G.units, G.root_table()   # cached before tracing
+    cs.pv_max_windows(g.build_unit_group(7))   # and numpy's one-time set-up
+    budget = 160 * cs._PV_CELLS + (1 << 16)
+    tracemalloc.start()
+    try:
+        cs.pv_max_windows(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget, (peak, budget)
+    # many candidates in one row: the pair matrix is chunked, not m x m
+    pts = np.exp(2j * np.pi * np.arange(3000) / 3000)
+    tracemalloc.start()
+    try:
+        d = cs._max_pair_distance(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == pytest.approx(2.0, abs=1e-12)
+    assert peak <= 48 * cs._PV_CELLS + 16 * len(pts) + (1 << 16), peak
 
 
 def test_partition_characters():

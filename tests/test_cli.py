@@ -102,6 +102,9 @@ def test_exit_codes(capsys, monkeypatch):
                  ("charsum", "halmon", "--q", "101", "--N", "0"),
                  ("charsum", "halmon", "--q", "101", "--N", "-5"),
                  ("charsum", "halmon", "--q", "1", "--N", "5"),
+                 # no non-principal character: a max over an empty set
+                 ("charsum", "pv", "--q", "1"),
+                 ("charsum", "pv", "--q", "2"),
                  ("charsum", "amplify", "--q", "11", "--Y1", "1"),
                  ("charsum", "amplify", "--q", "11", "--Y1", "0.5"),
                  ("charsum", "amplify", "--q", "11", "--Y2", "0.001"),
@@ -153,6 +156,29 @@ DENSE_MODEL_DIGESTS = [
     (("stcompare", "--q", "211", "--a", "5"),
      "009cf45fbfbe30082035ad6d5dd42108ba2862e81e29da36741049702ef73755"),
 ]
+
+
+# sha256 of the Polya-Vinogradov sweep over every non-principal character and
+# of the Halasz-Montgomery report, recorded with the per-character convex-hull
+# sweep and the report that built every character before drawing ten
+CHARSUM_DIGESTS = [
+    (("charsum", "pv", "--q", "101"),
+     "fe52e208ba851524d73ea5c82da31a4ec5545daa881fea435d829ec9bbe49a1a"),
+    (("charsum", "pv", "--q", "307"),
+     "8f13d3adf1e5f0ee176b2d7941a436314536db9e677d0b406a86fc4cbcc48d35"),
+    (("charsum", "pv", "--q", "720"),
+     "8c240deb59abf55d8adf9c8d0b92ecb1415305f44b65757c0eb1dc89c3e3ae38"),
+    (("charsum", "halmon", "--q", "4001"),
+     "7efc328633cf5271b4506a5e62f79a6d79940461264f67209f6dbdffb8878d44"),
+    (("charsum", "halmon", "--q", "4001", "--seed", "7"),
+     "7f1f932b8def11ec1dacc6a2d87e140e081248554a462ebf96d12dc157098747"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CHARSUM_DIGESTS)
+def test_charsum_reports_are_unchanged(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv,digest", PRODUCT_SET_DIGESTS)

@@ -78,6 +78,22 @@ def test_integer_angles_match_fraction_rotations(q, data):
     assert G.dual_vector(G.character_index(chi)) == chi.vector
 
 
+@pytest.mark.parametrize("q", QS)
+def test_block_angles_match_fraction_rotations(q):
+    """character_angles over rows in shuffled order (at most 12 of them) is
+    the exact rotation of each row's character at every residue."""
+    G = g.build_unit_group(q)
+    rows = np.random.default_rng(q).permutation(G.phi)[:12]
+    A = G.character_angles(rows)
+    assert A.shape == (len(rows), max(q, 1)) and A.dtype == np.int64
+    L = G.angle_modulus
+    for r, i in enumerate(rows):
+        chi = G.characters()[i]
+        for n in range(max(q, 1)):
+            rot = fraction_rotation(chi, n)
+            assert A[r, n] == -1 if rot is None else Fraction(int(A[r, n]), L) == rot
+
+
 def test_real_characters_are_the_filtered_dual_in_order():
     for q in QS + tuple(range(3, 60)):
         G = g.UnitGroup(q)
@@ -178,13 +194,3 @@ def test_convolution_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak <= bound, (peak, bound)
-
-
-@EXAMPLES
-@given(st.sampled_from((3, 5, 8, 16, 24, 35, 101, 105)), st.data())
-def test_hull_pv_matches_pairwise_differences(q, data):
-    chars = [c for c in g.build_unit_group(q).characters() if not c.is_principal]
-    chi = chars[data.draw(st.integers(0, len(chars) - 1))]
-    prefix = np.concatenate([[0j], np.cumsum([chi(n) for n in range(1, q + 1)])])
-    brute = float(np.abs(prefix[:, None] - prefix[None, :]).max())
-    assert abs(cs.pv_max_window(chi)[0] - brute) <= 1e-12
