@@ -107,7 +107,7 @@ def _signed_primes(G: group_mod.UnitGroup, h, lo: float, hi: float, B,
     ps = arith.primes_in(lo, hi)
     mask = _coset_mask(B, G, ps)
     if delta is not None:
-        mask &= np.sign([h.rule(p, 1) for p in ps.tolist()]) == delta
+        mask &= h.prime_signs(ps) == delta
     return ps[mask].tolist()
 
 
@@ -571,9 +571,8 @@ def ramare_decompose(G: group_mod.UnitGroup, h, B, delta: int, v: int, j: int,
 
     # --- marked main term Mtilde ------------------------------------------
     primes_j = [p for p in arith.primes_in(P_j, Q_j).tolist() if math.gcd(p, q) == 1]
-    # sign and coset of each prime; one above the factor table asks h directly
-    p_sign = {p: int(sign[p - 1]) if p <= n_hi else int(np.sign(h.rule(p, 1)))
-              for p in primes_j}
+    # sign and coset of each prime
+    p_sign = dict(zip(primes_j, h.prime_signs(np.array(primes_j, dtype=np.int64)).tolist()))
     p_coset = {p: int(psi_table[p % q]) if psi_table is not None else 1 for p in primes_j}
     if 0 in p_sign.values():
         raise DomainError("h vanishes at a prime of the j-th ladder interval")

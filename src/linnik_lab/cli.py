@@ -128,11 +128,11 @@ def _overrides(spec: str | None):
     for part in spec.split(","):
         try:
             a, b = map(float, part.split(":"))
-            ok = a < b
+            ok = a < b and math.isfinite(a) and math.isfinite(b)
         except ValueError:
             ok = False
         if not ok:
-            raise DomainError("--overrides expects lo:hi pairs with lo < hi, "
+            raise DomainError("--overrides expects finite lo:hi pairs with lo < hi, "
                               f"comma-separated (e.g. 10:100,150:1500), got {spec!r}")
         out.append((a, b))
     return out
@@ -301,6 +301,7 @@ def cmd_charsum(args):
             rough += wf.ns[wf.rough(z)].tolist()
             if len(rough) >= args.N:
                 break
+        wf = None   # the window is not needed by the group and the report below
         coeffs = {n: complex(rng.choice((-1.0, 1.0))) for n in rough[:args.N]}
         if not coeffs:
             raise DomainError("charsum halmon needs --N >= 1 and a q^eps-rough n in [2, 100 N + 1]")
@@ -582,6 +583,9 @@ def run(argv=None) -> int:
         if missing:
             raise _UsageError(f"missing required arguments for {args.command}: "
                               + ", ".join(f"--{m}" for m in missing))
+        for name, val in vars(args).items():
+            if isinstance(val, float) and not math.isfinite(val):
+                raise DomainError(f"--{name.replace('_', '-')} must be finite, got {val}")
         report = args.func(args)
         emit(report, args)
         return 0

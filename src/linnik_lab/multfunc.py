@@ -28,15 +28,17 @@ def sgn(x: float) -> int:
 
 
 class MultiplicativeFunction:
-    """A real multiplicative function given by its rule on prime powers.
+    """A real multiplicative function given by an array rule on prime powers.
 
-    h(1) = 1 and h(prod p^e) = prod rule(p, e), from one factorize per
-    evaluation; nothing is memoized.  h at a prime p is rule(p, 1), which
-    callers that only need primes read directly.  `kind` marks built-ins
-    whose signs are read without the rule.
+    rule(ps, es) maps two int64 arrays of one shape to the floats h(p^e) of
+    that shape; one p^e is a one-element call.  h(1) = 1 and h(prod p^e) =
+    prod rule(p, e), from one factorize and one rule call; nothing is
+    memoized.  Signs multiply the rule's signs, never its values, so they
+    neither underflow nor overflow.  `kind` marks built-ins whose signs are
+    read without the rule.
     """
 
-    def __init__(self, name: str, prime_power_rule: Callable[[int, int], float],
+    def __init__(self, name: str, prime_power_rule: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  kind: str = "generic", character=None):
         self.name = name
         self.rule = prime_power_rule
@@ -46,23 +48,30 @@ class MultiplicativeFunction:
     def __repr__(self):
         return f"MultiplicativeFunction({self.name!r})"
 
-    def value(self, n: int) -> float:
+    def _rule_at(self, n: int) -> np.ndarray:
         if n < 1:
             raise DomainError("multiplicative functions are defined on n >= 1")
-        return math.prod((self.rule(p, e) for p, e in arith.factorize(n).factors), start=1.0)
+        return self.rule(*np.array(arith.factorize(n).factors, dtype=np.int64).reshape(-1, 2).T)
+
+    def value(self, n: int) -> float:
+        return math.prod(self._rule_at(n).tolist(), start=1.0)
 
     __call__ = value
 
     def sign(self, n: int) -> int:
-        return sgn(self.value(n))
+        return sgn(int(np.prod(np.sign(self._rule_at(n)).astype(np.int8))))
+
+    def prime_signs(self, ps: np.ndarray) -> np.ndarray:
+        """sgn h(p) over an int64 array of primes, as int8 (0 where h(p) = 0)."""
+        return np.sign(self.rule(ps, np.ones_like(ps))).astype(np.int8)
 
     def squarefree_signs(self, ns: np.ndarray) -> np.ndarray:
         """sgn h(n) where n is squarefree and 0 elsewhere, as int8, for n >= 1.
 
         Independent of the window sieve: trial division of the distinct n by
-        the primes p <= sqrt(max n).  A second factor p marks n not
-        squarefree; a single one multiplies its sign by sgn rule(p, 1).  A
-        cofactor left below p^2 is 1 or a prime, its rule read once per value.
+        the primes p <= sqrt(max n), their signs read in one rule call.  A
+        second factor p marks n not squarefree; a single one multiplies its
+        sign by sgn h(p).  A cofactor left below p^2 is 1 or a prime.
         """
         ns = np.asarray(ns, dtype=np.int64)
         if int(ns.min(initial=1)) < 1:
@@ -70,23 +79,24 @@ class MultiplicativeFunction:
         rest, inverse = np.unique(ns, return_inverse=True)
         signs = np.ones(rest.size, dtype=np.int8)
         live = np.flatnonzero(rest > 1)
-        for p in arith.primes_upto(math.isqrt(int(ns.max(initial=1)))).tolist():
+        ps = arith.primes_upto(math.isqrt(int(ns.max(initial=1))))
+        for p, s in zip(ps.tolist(), self.prime_signs(ps).tolist()):
             r = rest[live]
             divides = r % p == 0
             if divides.any():
                 hit = live[divides]
                 rest[hit] = left = r[divides] // p
-                signs[hit] *= np.int8(np.sign(self.rule(p, 1)))
+                signs[hit] *= s
                 square = hit[left % p == 0]   # not squarefree: done
                 signs[square], rest[square] = 0, 1
             live = live[r > p * p]
         big = (signs != 0) & (rest > 1)
-        cofactors, at = np.unique(rest[big], return_inverse=True)
-        signs[big] *= np.sign([self.rule(c, 1) for c in cofactors.tolist()]).astype(np.int8)[at]
+        signs[big] *= self.prime_signs(rest[big])
         return signs[inverse]
 
     def signs(self, wf: arith.WindowFactors) -> np.ndarray:
         """Signs of h(n) over a factor window as int8 (+1/-1; 0 where h(n)=0)."""
+        # the parity of big_omega needs no factor arrays, which cost 3x the sieve
         if self.kind in ("liouville", "mobius"):
             lam = 1 - 2 * (wf.big_omega & 1)
             return lam if self.kind == "liouville" else np.where(wf.squarefree, lam, 0)
@@ -95,23 +105,19 @@ class MultiplicativeFunction:
         if self.kind == "character":
             chi = self.character
             return chi.real_sign_table()[wf.ns % chi.group.q]
-        pairs, inverse = np.unique(np.stack([wf.primes, wf.exps], axis=1), axis=0,
-                                   return_inverse=True)
-        rule = np.array([float(self.rule(p, e)) for p, e in pairs.tolist()])
-        v = wf.prod(rule[inverse.reshape(-1)])
-        return np.where(v == 0, 0, np.where(v > 0, 1, -1)).astype(np.int8)
+        return wf.prod(np.sign(self.rule(wf.primes, wf.exps)).astype(np.int8))
 
 
 def liouville_fn() -> MultiplicativeFunction:
-    return MultiplicativeFunction("liouville", lambda p, e: float((-1) ** e), kind="liouville")
+    return MultiplicativeFunction("liouville", lambda p, e: (-1.0) ** e, kind="liouville")
 
 
 def mobius_fn() -> MultiplicativeFunction:
-    return MultiplicativeFunction("mobius", lambda p, e: -1.0 if e == 1 else 0.0, kind="mobius")
+    return MultiplicativeFunction("mobius", lambda p, e: np.where(e == 1, -1.0, 0.0), kind="mobius")
 
 
 def one_fn() -> MultiplicativeFunction:
-    return MultiplicativeFunction("one", lambda p, e: 1.0, kind="one")
+    return MultiplicativeFunction("one", lambda p, e: np.ones(np.shape(p)), kind="one")
 
 
 def character_fn(chi) -> MultiplicativeFunction:
@@ -120,7 +126,7 @@ def character_fn(chi) -> MultiplicativeFunction:
         raise DomainError("character_fn requires a real (order <= 2) character")
     q = chi.group.q
     return MultiplicativeFunction(
-        f"character-mod-{q}", lambda p, e: float(chi.real_sign_table()[p % q]) ** e,
+        f"character-mod-{q}", lambda p, e: chi.real_sign_table()[p % q].astype(float) ** e,
         kind="character", character=chi)
 
 
@@ -137,15 +143,15 @@ def builtin_function(name: str) -> MultiplicativeFunction:
 
 def pretentious_distance_squared(f: MultiplicativeFunction, g: MultiplicativeFunction,
                                  x: float, r: int = 1) -> float:
-    """D_r(f,g;x)^2 = sum_{p <= x, p not | r} (1 - f(p) g(p)) / p."""
+    """D_r(f,g;x)^2 = sum_{p <= x, p not | r} (1 - f(p) g(p)) / p in increasing p."""
     if x < 2:
         raise DomainError("x must be >= 2")
-    total = 0.0
-    for p in arith.primes_upto(int(x)).tolist():
-        if r % p == 0:
-            continue
-        total += (1.0 - f.rule(p, 1) * g.rule(p, 1)) / p
-    return total
+    if r < 1:
+        raise DomainError(f"r must be >= 1, got {r}")
+    ps = arith.primes_upto(int(x))
+    ps = ps[r % ps.astype(object) != 0]   # exact for any integer r
+    terms = (1.0 - f.rule(ps, np.ones_like(ps)) * g.rule(ps, np.ones_like(ps))) / ps
+    return float(np.cumsum(np.append(0.0, terms))[-1])
 
 
 def pretentious_distance(f, g, x: float, r: int = 1) -> float:
@@ -156,26 +162,19 @@ def pretend_sum(h: MultiplicativeFunction, chi, cutoff: float) -> float:
     """sum over p <= cutoff with h(p) chi(p) < 0 of 1/p (chi real/principal)."""
     if not chi.is_real:
         raise DomainError("the pretend criterion is defined for characters of order <= 2")
-    ps = arith.primes_upto(int(cutoff))
-    signs = chi.real_sign_table()[ps % chi.group.q]
-    total = 0.0
-    for p, s in zip(ps.tolist(), signs.tolist()):
-        if h.rule(p, 1) * s < 0:
-            total += 1.0 / p
-    return total
+    return float(pretend_sums(h, [[chi]], [cutoff])[0][0])
 
 
 def pretend_sums(h: MultiplicativeFunction, chars_by_q, cutoffs) -> list[np.ndarray]:
     """pretend_sum(h, chi, cutoff) for each real character chi in each entry
     of chars_by_q at that entry's cutoff, one float array per entry.
 
-    h is read once per prime up to the largest cutoff.  Each sum is the
-    running sum (np.cumsum) of its terms in increasing p, 1/p where
-    h(p) chi(p) < 0 and 0 elsewhere: pretend_sum's additions in its order,
-    so the values are bit-identical to it.
+    h is read in one rule call over the primes up to the largest cutoff.
+    Each sum is the running sum (np.cumsum) of its terms in increasing p,
+    1/p where h(p) chi(p) < 0 and 0 elsewhere.
     """
     ps = arith.primes_upto(int(max(cutoffs, default=0)))
-    h_signs = np.sign([h.rule(p, 1) for p in ps.tolist()])
+    h_signs = h.prime_signs(ps)
     inverse = 1.0 / ps
     out = []
     for chars, cutoff in zip(chars_by_q, cutoffs):
@@ -214,12 +213,9 @@ def sign_density_counts(h: MultiplicativeFunction, q: int, y: int, delta: int,
     count = int(np.count_nonzero(coprime & wf.squarefree & (h.signs(wf) == delta)))
     shape = arith.euler_phi(q) / q * y
     neg_cut = y / q ** (eps / 8) if q > 1 else float(y)
-    neg_sum = 0.0
-    for p in arith.primes_upto(int(neg_cut)).tolist():
-        if q % p == 0:
-            continue
-        if h.rule(p, 1) < 0:
-            neg_sum += 1.0 / p
+    ps = arith.primes_upto(int(neg_cut))
+    terms = np.where((q % ps != 0) & (h.prime_signs(ps) < 0), 1.0 / ps, 0.0)
+    neg_sum = float(np.cumsum(np.append(0.0, terms))[-1])
     if delta == MINUS:
         shape *= min(1.0, neg_sum)
     report = {
@@ -231,24 +227,23 @@ def sign_density_counts(h: MultiplicativeFunction, q: int, y: int, delta: int,
     return count, report
 
 
-def rough_squarefree_density(x: int, prime_predicate: Callable[[int], bool]) -> tuple[float, dict]:
+def rough_squarefree_density(x: int, prime_predicate: Callable) -> tuple[float, dict]:
     """(1/x) sum_{n<=x, p|n => p in P} |mu(n)|, with the sieve-product shape.
 
-    The right-hand shape is prod_{p <= x, p not in P} (1 - 1/p); the ratio is
-    reported, never asserted.
+    prime_predicate maps the int64 array of primes up to x to a bool array,
+    membership in P.  The right-hand shape is prod_{p <= x, p not in P}
+    (1 - 1/p); the ratio is reported, never asserted.
     """
     if x < 10:
         raise DomainError("x must be >= 10")
+    ps = arith.primes_upto(x)
+    allowed = np.zeros(x + 1, dtype=bool)
+    allowed[ps] = prime_predicate(ps)
     wf = arith.factor_window(0, x)
-    ps, inverse = np.unique(wf.primes, return_inverse=True)
-    allowed = np.array([bool(prime_predicate(p)) for p in ps.tolist()], dtype=bool)
-    outside = np.bincount(wf.rows[~allowed[inverse]], minlength=x) > 0
+    outside = np.bincount(wf.rows[~allowed[wf.primes]], minlength=x) > 0
     count = int(np.count_nonzero(wf.squarefree & ~outside))
     lhs = count / x
-    rhs = 1.0
-    for p in arith.primes_upto(x):
-        if not prime_predicate(int(p)):
-            rhs *= 1.0 - 1.0 / int(p)
+    rhs = float(np.cumprod(np.where(allowed[ps], 1.0, 1.0 - 1.0 / ps))[-1])
     return lhs, {"lhs_density": lhs, "rhs_product": rhs,
                  "ratio": lhs / rhs if rhs > 0 else float("inf")}
 
@@ -300,17 +295,15 @@ def L_of_q(q: int, prime_cutoff: int | None = None) -> tuple[float, list[dict]]:
     G = group_mod.build_unit_group(q)
     best = -math.inf
     rows = []
+    ps = arith.primes_upto(prime_cutoff)
     for chi in group_mod.real_characters(q, G):
         if chi.is_principal:
             continue
         L1 = dirichlet_L1(chi)
-        ps = arith.primes_upto(prime_cutoff)
-        prod = euler = 1.0
-        for p, cp in zip(ps.tolist(), chi.real_sign_table()[ps % q].astype(float).tolist()):
-            if cp:
-                if p <= q:
-                    prod *= 1.0 - cp / p
-                euler /= 1.0 - cp / p
+        # 1 - chi(p)/p (1 where chi(p) = 0), multiplied and divided out in increasing p
+        local = 1.0 - chi.real_sign_table()[ps % q] / ps
+        prod = float(np.cumprod(np.append(1.0, np.where(ps <= q, local, 1.0)))[-1])
+        euler = float(np.divide.accumulate(np.append(1.0, local))[-1])
         val = (1.0 / L1) * (1.0 / prod)
         rows.append({"character": chi.label(), "L1": L1, "value": val,
                      "L1_euler_truncated": euler})
@@ -341,10 +334,9 @@ def one_star_psi_sum(q: int, psi, y: int, z: float) -> tuple[float, dict]:
     if not psi.is_principal:
         L1 = dirichlet_L1(psi)
         shape = y * L1 * arith.euler_phi(q) / q
-        signs = psi.real_sign_table()
-        for p in arith.primes_upto(q).tolist():
-            if p > 2 and signs[p % psi.group.q] > 0:
-                shape *= 1.0 - 2.0 / p
+        ps = arith.primes_upto(q)[1:]   # the odd primes, multiplied in increasing p
+        local = np.where(psi.real_sign_table()[ps % psi.group.q] > 0, 1.0 - 2.0 / ps, 1.0)
+        shape = float(np.cumprod(np.append(shape, local))[-1])
     report = {"lhs": total, "rhs_shape": shape,
               "ratio": total / shape if shape else float("inf")}
     return total, report

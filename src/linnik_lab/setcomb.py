@@ -208,14 +208,17 @@ def subgroups_of_index_below(G: group_mod.UnitGroup, bound: float) -> list[froze
     """
     if bound > 6:
         raise PreconditionError("subgroup enumeration implemented for index < 6 only")
-    chars = G.characters()
-    small = [c for c in chars if 1 < c.order < bound]
+    # the order of dual vector t is lcm_i d_i / gcd(d_i, t_i); no character is built
+    orders = np.ones(G.phi, dtype=np.int64)
+    for t, d in zip(np.unravel_index(np.arange(G.phi), G.grid_shape), G.grid_shape):
+        orders = np.lcm(orders, d // np.gcd(d, t))
+    small = [G.dual_vector(i) for i in np.flatnonzero((orders > 1) & (orders < bound)).tolist()]
     seen: set[frozenset[tuple[int, ...]]] = set()
     out: list[frozenset[int]] = []
-    for i, c1 in enumerate(small):
-        for c2 in small[i:]:
-            # subgroup of the dual generated by c1, c2
-            vecs = {c1.vector, c2.vector}
+    for i, v1 in enumerate(small):
+        for v2 in small[i:]:
+            # subgroup of the dual generated by v1, v2
+            vecs = {v1, v2}
             frontier = True
             while frontier:
                 frontier = False

@@ -148,10 +148,11 @@ def build_beta_sieve(z: float, D: float, kappa: float = 1.0) -> tuple[SieveWeigh
         room = np.minimum(D_eff // c, top).astype(np.int64)
         k = np.minimum(low, np.searchsorted(ps, room, "right"))
         k_budget = np.minimum(k, np.searchsorted(pair, room, "right"))
+        del room   # the loop's peak holds a few arrays of c's size: one fewer
         # odd depths check the upper side, even depths the lower side; the
         # unchecked side keeps all k children, the checked one the budget prefix
         checked, free = (keep_plus, keep_minus) if depth % 2 else (keep_minus, keep_plus)
-        n = np.where(free, k, np.where(checked, k_budget, 0))
+        n = np.where(free, k, k_budget * checked)
         count += int(n.sum())
         if count > _SUPPORT_BUDGET:
             raise ResourceError("sieve support enumeration exceeded 1e7 divisors")

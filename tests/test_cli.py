@@ -112,9 +112,25 @@ def test_exit_codes(capsys, monkeypatch):
                  ("triple", "--q", "1009", "--epsilon", "0.7"),
                  ("triple", "--q", "1009", "--epsilon", "-1"),
                  ("triple", "--q", "101", "--trials", "-1"),
-                 ("kneser", "--q", "101", "--trials", "-3")):
-        code, _, err = run_cli(capsys, *argv)
-        assert code == 2 and "Traceback" not in err, (argv, err)
+                 ("kneser", "--q", "101", "--trials", "-3"),
+                 # every p divides 0: no coprimality modulus r < 1
+                 ("distance", "--x", "100", "--r", "0"),
+                 ("distance", "--x", "100", "--r", "-2"),
+                 # non-finite floats, refused before any command runs; JSON
+                 # has no inf or nan
+                 ("distance", "--x", "inf"),
+                 ("distance", "--x", "nan"),
+                 ("pretend", "--q", "5", "--cutoff", "inf"),
+                 ("pretend", "--q", "5", "--cutoff", "nan"),
+                 ("ladder", "--Q1", "nan", "--q", "101"),
+                 ("ladder", "--Q1", "10", "--q", "101", "--overrides", "10:inf"),
+                 ("rough", "--q", "35", "--cap", "1000", "--z", "nan"),
+                 ("charsum", "large", "--q", "101", "--P", "nan"),
+                 ("charsum", "amplify", "--q", "11", "--Y1", "nan"),
+                 ("sieve", "--z", "100", "--D", "inf"),
+                 ("sieve", "--z", "100", "--D=-inf")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "Traceback" not in err, (argv, err)
 
 
 def test_determinism(capsys):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from linnik_lab import arith, group, multfunc as mf
+from linnik_lab import arith, charsums, group, multfunc as mf, pipeline
 from linnik_lab.errors import DomainError
+from test_pipeline import WITNESS_FNS
 
 
 def test_sgn():
@@ -46,9 +47,9 @@ def _sign(v):
 
 
 def test_signs_match_values():
-    generic = mf.MultiplicativeFunction("generic", lambda p, e: (-0.5) ** e if p % 3 == 1
-                                        else float(e % 3))
-    for h in (mf.liouville_fn(), mf.mobius_fn(), mf.one_fn(), generic):
+    generic = mf.MultiplicativeFunction("generic", lambda p, e: np.where(p % 3 == 1, (-0.5) ** e,
+                                                                         e % 3))
+    for h in (mf.liouville_fn(), mf.mobius_fn(), mf.one_fn(), generic) + WITNESS_FNS:
         for lo in (0, 10**6):
             win = h.signs(arith.factor_window(lo, lo + 300))
             assert win.dtype == np.int8
@@ -64,13 +65,13 @@ def test_signs_match_values():
 SQUAREFREE_SIGN_FNS = (
     mf.liouville_fn(), mf.mobius_fn(), mf.one_fn(),
     mf.character_fn(group.real_characters(7)[1]),
-    # kind "generic": the rule product over the factor arrays
-    mf.MultiplicativeFunction("generic", lambda p, e: -1.0 if p % 4 == 3 else float(e % 3)),
+    # kind "generic": the product of the rule's signs over the factor arrays
+    mf.MultiplicativeFunction("generic", lambda p, e: np.where(p % 4 == 3, -1.0, e % 3)),
 )
 
 
-@given(st.sampled_from(SQUAREFREE_SIGN_FNS), st.integers(min_value=0, max_value=10**5),
-       st.integers(min_value=0, max_value=500))
+@given(st.sampled_from(SQUAREFREE_SIGN_FNS + WITNESS_FNS),
+       st.integers(min_value=0, max_value=10**5), st.integers(min_value=0, max_value=500))
 @settings(max_examples=100, deadline=None)
 def test_squarefree_signs_match_values(h, lo, width):
     """Signs masked by the window's squarefree flags, the way the witness
@@ -104,7 +105,7 @@ _ORACLE_INPUTS = st.one_of(
 )
 
 
-@given(st.sampled_from(SQUAREFREE_SIGN_FNS), st.lists(_ORACLE_INPUTS, max_size=60))
+@given(st.sampled_from(SQUAREFREE_SIGN_FNS + WITNESS_FNS), st.lists(_ORACLE_INPUTS, max_size=60))
 @example(mf.liouville_fn(), [])
 @example(mf.liouville_fn(), [3163 * 3163])
 @example(mf.mobius_fn(), [3163 * 3167, 3163 * 3163, 3167])
@@ -127,6 +128,110 @@ def test_squarefree_sign_table_matches_values(h, ns):
     assert np.array_equal(got, np.array(want, dtype=np.int8))
 
 
+# a rule whose values underflow in a product (-1e-200 at every p^e), and one
+# that mixes a zero at p = 7 with values whose products overflow to +-inf
+TINY = mf.MultiplicativeFunction("tiny", lambda p, e: np.full(np.shape(p), -1e-200))
+HUGE = mf.MultiplicativeFunction("huge", lambda p, e: np.where(
+    p == 7, 0.0, np.where(p % 3 == 1, 1e200, -1e200)))
+
+
+@pytest.mark.parametrize("h", (TINY, HUGE))
+def test_window_signs_multiply_signs_not_values(h):
+    """The window route multiplies the signs of the rule's values, so a
+    product that would underflow to 0 or overflow to inf (0 * inf = nan)
+    keeps its sign: the squarefree signs match the trial-division oracle."""
+    for lo in (0, 10**6):
+        wf = arith.factor_window(lo, lo + 3000)
+        signs = h.signs(wf)
+        assert np.array_equal(np.where(wf.squarefree, signs, 0), h.squarefree_signs(wf.ns))
+        if h is TINY:
+            # h(n) has the sign (-1)^omega(n) at every n
+            assert np.array_equal(signs, 1 - 2 * (wf.omega & 1))
+        else:
+            assert np.array_equal(signs == 0, wf.ns % 7 == 0)
+
+
+def test_tiny_rule_has_the_thresholds_of_liouville():
+    """sgn TINY(n) = (-1)^omega(n) = lambda(n) on squarefree n, so R is R(lambda)."""
+    assert TINY.sign(6) == TINY.sign(12) == 1 and TINY.sign(30) == -1
+    res = pipeline.R_of_h_q(TINY, 5, 500)
+    assert res.R_value == 33 == pipeline.R_of_h_q(mf.liouville_fn(), 5, 500).R_value
+    assert pipeline.verify_witnesses(res, TINY)
+
+
+@pytest.mark.parametrize("h", SQUAREFREE_SIGN_FNS + WITNESS_FNS + (TINY, HUGE))
+def test_rule_on_empty_arrays(h):
+    empty = np.empty(0, dtype=np.int64)
+    assert h.rule(empty, empty).shape == (0,)
+    assert h.value(1) == 1.0 and h.sign(1) == 1
+
+
+# scalar per-prime loops: each reads h at one prime at a time through
+# value(p), which is rule(p, 1), and adds its terms from 0.0 in increasing p
+
+def _distance_loop(f, g, x, r):
+    total = 0.0
+    for p in arith.primes_upto(int(x)).tolist():
+        if r % p:
+            total += (1.0 - f.value(p) * g.value(p)) / p
+    return total
+
+
+def _pretend_loop(h, chi, cutoff):
+    table = chi.real_sign_table()
+    total = 0.0
+    for p in arith.primes_upto(int(cutoff)).tolist():
+        if h.value(p) * int(table[p % chi.group.q]) < 0:
+            total += 1.0 / p
+    return total
+
+
+def _negative_prime_sum_loop(h, q, y, eps):
+    total = 0.0
+    for p in arith.primes_upto(int(y / q ** (eps / 8) if q > 1 else y)).tolist():
+        if q % p and h.value(p) < 0:
+            total += 1.0 / p
+    return total
+
+
+def _q_set_loop(h, q, Q1, delta):
+    return [p for p in arith.primes_in(Q1 / math.e, Q1).tolist()
+            if math.gcd(p, q) == 1 and _sign(h.value(p)) == delta]
+
+
+def _rough_density_loop(h, x):
+    """(lhs, rhs) of rough_squarefree_density for P = {p : h(p) > 0}."""
+    count = sum(1 for n in range(1, x + 1) if arith.is_squarefree(n)
+                and all(h.value(p) > 0 for p in arith.factorize(n).primes))
+    rhs = 1.0
+    for p in arith.primes_upto(x).tolist():
+        if not h.value(p) > 0:
+            rhs *= 1.0 - 1.0 / p
+    return count / x, rhs
+
+
+@pytest.mark.parametrize("h", SQUAREFREE_SIGN_FNS + WITNESS_FNS)
+def test_prime_sites_match_scalar_loops(h):
+    """Each site that reads h at a list of primes, with one rule call,
+    against a loop over the primes: float for float, list for list."""
+    lam = mf.liouville_fn()
+    for g, x, r in ((lam, 5000, 1), (h, 3000, 1), (lam, 2000, 30), (mf.one_fn(), 7919, 7)):
+        assert mf.pretentious_distance_squared(h, g, x, r) == _distance_loop(h, g, x, r)
+        assert mf.pretentious_distance_squared(g, h, x, r) == _distance_loop(g, h, x, r)
+    for q in (1, 4, 7, 24):
+        for chi in group.real_characters(q):
+            assert mf.pretend_sum(h, chi, 4000) == _pretend_loop(h, chi, 4000)
+    for q, y in ((1, 700), (6, 2000), (35, 3000)):
+        _, rep = mf.sign_density_counts(h, q, y, -1)
+        assert rep["negative_prime_sum"] == _negative_prime_sum_loop(h, q, y, 0.1)
+    for q, Q1 in ((7, 60.0), (35, 500.0), (101, 3000.0)):
+        G = group.build_unit_group(q)
+        for delta in (1, -1):
+            assert charsums.q_set(G, h, Q1, None, delta) == _q_set_loop(h, q, Q1, delta)
+    lhs, rep = mf.rough_squarefree_density(600, lambda ps: h.prime_signs(ps) > 0)
+    assert (lhs, rep["rhs_product"]) == _rough_density_loop(h, 600)
+
+
 def test_pretentious_distance():
     lam, one = mf.liouville_fn(), mf.one_fn()
     assert mf.pretentious_distance(lam, lam, 100) == 0.0
@@ -136,6 +241,13 @@ def test_pretentious_distance():
         math.sqrt(2 * (1 / 3 + 1 / 5 + 1 / 7)), abs=1e-12)
     # symmetry
     assert mf.pretentious_distance(lam, one, 50) == mf.pretentious_distance(one, lam, 50)
+    # every p divides 0: r < 1 is refused rather than read as a sum over no primes
+    for r in (0, -6):
+        with pytest.raises(DomainError):
+            mf.pretentious_distance_squared(lam, one, 10, r)
+    # r past 2^63 stays exact
+    assert mf.pretentious_distance_squared(lam, one, 10, 2 * 3**50) == \
+        mf.pretentious_distance_squared(lam, one, 10, 6)
 
 
 def test_pretend_sum():

@@ -261,8 +261,8 @@ def _walk_verify(result, h, q):
 # liouville, mobius, chi_7 (vanishes on multiples of 7) and a generic rule
 # (vanishes on multiples of 11, sign -1 at the primes 1 mod 3)
 WITNESS_FNS = (LAM, mf.mobius_fn(), mf.character_fn(g.real_characters(7)[1]),
-               mf.MultiplicativeFunction("generic", lambda p, e: 0.0 if p == 11
-                                         else (-0.5) ** e if p % 3 == 1 else 2.0))
+               mf.MultiplicativeFunction("generic", lambda p, e: np.where(
+                   p == 11, 0.0, np.where(p % 3 == 1, (-0.5) ** e, 2.0))))
 
 
 @functools.cache

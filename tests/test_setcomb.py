@@ -155,6 +155,39 @@ def test_subgroups_of_index_below():
                 assert a * b % 24 in H
 
 
+def _subgroups_from_characters(G, bound):
+    """subgroups_of_index_below with the generators filtered from every
+    DirichletCharacter of G, one order at a time."""
+    small = [c.vector for c in G.characters() if 1 < c.order < bound]
+    out, seen = [], set()
+    for i, v1 in enumerate(small):
+        for v2 in small[i:]:
+            vecs = {v1, v2, tuple(0 for _ in G.components)}
+            while True:
+                more = {tuple((a + b) % c.order for a, b, c in zip(v, w, G.components))
+                        for v in vecs for w in vecs} - vecs
+                if not more:
+                    break
+                vecs |= more
+            if 1 < len(vecs) < bound and frozenset(vecs) not in seen:
+                seen.add(frozenset(vecs))
+                out.append(frozenset.intersection(
+                    *(g.DirichletCharacter(G, v).kernel() for v in vecs)))
+    return out
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5, 7, 8, 15, 16, 24, 35, 60, 101, 211, 1009])
+def test_subgroups_of_index_below_match_character_orders(q):
+    """The orders read from the dual vectors against each character's own,
+    through the subgroups both generator lists give, in the same order."""
+    G = g.UnitGroup(q)
+    for bound in (2, 3, 4.5, 6):
+        assert sc.subgroups_of_index_below(G, bound) == _subgroups_from_characters(
+            g.UnitGroup(q), bound)
+    # the characters themselves were never built
+    assert "_characters" not in vars(G)
+
+
 def test_triple_conv_classify():
     G = g.build_unit_group(101)
     full = frozenset(int(a) for a in G.units)
