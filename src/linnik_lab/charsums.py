@@ -476,10 +476,8 @@ def partition_characters(q: int, ladder: LadderSpec, H, h, eta: float) -> Charac
         cosets = [None]
     else:
         psi = H if isinstance(H, group_mod.DirichletCharacter) else H.psi
-        reps = [1]
-        if psi.order == 2:
-            table = psi.real_sign_table()
-            reps.append(next(int(a) for a in G.units if table[int(a)] == -1))
+        # 1 and, for a non-principal psi, the least unit off its kernel
+        reps = [1] + G.units[psi.real_sign_table()[G.units] == -1][:1].tolist()
         cosets = [group_mod.CosetSpec(psi, b) for b in reps]
 
     small = np.ones((ladder.J + 1, nchars), dtype=bool)  # small[j][i]

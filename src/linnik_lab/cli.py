@@ -118,7 +118,7 @@ def _coset(args, q: int):
         return None
     chars = [c for c in group_mod.real_characters(q) if not c.is_principal]
     psi = _pick(chars, psi_idx, "--psi expects a non-principal real character index")
-    return group_mod.CosetSpec(psi, getattr(args, "b", 1) or 1)
+    return group_mod.CosetSpec(psi, args.b)
 
 
 def _overrides(spec: str | None):
@@ -292,12 +292,12 @@ def cmd_charsum(args):
         return report_for(args, "polya-vinogradov",
                           {"max_over_characters_windows": worst, "bound": bound})
     if sub == "halmon":
-        # the first N rough n in [2, 100 N + 1], read in blocks of 2^18
+        # the first N rough n in [2, 100 N + 1], read in blocks of 2^12
         z = args.q**args.eps
         top = 100 * args.N + 1
         rough: list[int] = []
-        for lo in range(1, top, 1 << 18):
-            wf = arith.factor_window(lo, min(lo + (1 << 18), top))
+        for lo in range(1, top, 1 << 12):
+            wf = arith.factor_window(lo, min(lo + (1 << 12), top))
             rough += wf.ns[wf.rough(z)].tolist()
             if len(rough) >= args.N:
                 break
@@ -384,21 +384,21 @@ def _worker_count(threads: int) -> int:
     return max(1, min(threads, os.cpu_count() or 1))
 
 
-# bytes a batch may hold in first-hit tables and cached unit groups
+# bytes a batch may hold while it runs
 _BATCH_BUDGET = 1 << 28
-# per unit of q: a first-hit table is 16 q bytes and lives until its block's
-# stream ends; the scan caches each q's unit group, about 16 q bytes, and an
-# audit adds its real characters' sign tables, about 30 q bytes with the
-# group (both measured over q = 3..2000)
-_TABLE_BYTES, _GROUP_BYTES, _AUDIT_GROUP_BYTES = 16, 16, 32
+# per unit of q, for rfunc and audit alike: a first-hit table (16 q bytes)
+# and a unit mask (q bytes) live until their block's stream ends, and no
+# unit group outlives its setup.  The tracemalloc peak of a whole batch over
+# q = 3..2000 is 19.9 (rfunc) and 21.4 (audit) bytes per unit of q, and 17.9
+# and 18.4 over q = 3..4000, near the ranges this budget refuses.
+_Q_BYTES = 21
 
 
 def cmd_batch(args):
     if not 1 <= args.qmin <= args.qmax:
         raise DomainError(f"batch needs 1 <= --qmin <= --qmax, got {args.qmin} and {args.qmax}")
     # every block runs at once (one per worker), so all the tables count
-    per_q = _TABLE_BYTES + (_AUDIT_GROUP_BYTES if args.what == "audit" else _GROUP_BYTES)
-    need = per_q * (args.qmin + args.qmax) * (args.qmax - args.qmin + 1) // 2
+    need = _Q_BYTES * (args.qmin + args.qmax) * (args.qmax - args.qmin + 1) // 2
     if need > _BATCH_BUDGET:
         raise ResourceError(f"batch {args.what} over q = {args.qmin}..{args.qmax} would hold "
                             f"{need} bytes of tables, more than the budget {_BATCH_BUDGET}")

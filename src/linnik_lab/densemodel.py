@@ -75,18 +75,14 @@ def verify_model(model: DenseModel, tol: float = 1e-12) -> dict:
     gmin = float(model.g.min())
     gmax = float(model.g.max())
 
-    coset_rows = []
-    worst = 0.0
-    for psi in group_mod.real_characters(G.q, G):
-        if psi.is_principal:
-            continue
-        ipsi = G.character_index(psi)
-        # E f 1_{bH} - E g 1_{bH} = psi(b)/2 * (F(psi) - G(psi)) for real psi
-        gap = abs((model.f_hat[ipsi] - model.g_hat[ipsi]).real) / 2.0
-        for b_sign in (+1, -1):
-            coset_rows.append({"psi": psi.label(), "coset_sign": b_sign, "gap": gap,
-                               "slack_in_delta": gap / model.delta})
-        worst = max(worst, gap)
+    # E f 1_{bH} - E g 1_{bH} = psi(b)/2 * (F(psi) - G(psi)) for real psi
+    psis = G.real_characters()[1:]
+    at = [G.character_index(psi) for psi in psis]
+    gaps = (np.abs((model.f_hat[at] - model.g_hat[at]).real) / 2.0).tolist()
+    coset_rows = [{"psi": psi.label(), "coset_sign": b_sign, "gap": gap,
+                   "slack_in_delta": gap / model.delta}
+                  for psi, gap in zip(psis, gaps) for b_sign in (+1, -1)]
+    worst = max(gaps, default=0.0)
 
     return {
         "asserted": {"ii": ok_ii, "iii": ok_iii, "iv": ok_iv, "mean_gap": mean_gap},
@@ -135,16 +131,18 @@ def aprop_check(sets: SignedLevelSets, G: group_mod.UnitGroup,
     phi = G.phi
     total_ok = len(sets.plus) + len(sets.minus) >= (1 - eps) * phi
     rough_total = len(supp_plus) + len(supp_minus)
+
+    def counts(S):   # per non-principal real character: the elements where it is +1, -1
+        return G.real_sign_counts(np.fromiter(S, np.int64, count=len(S)))[1:].tolist()
+
+    sides = [(delta, counts(A), counts(supp)) for delta, A, supp in
+             ((+1, sets.plus, supp_plus), (-1, sets.minus, supp_minus))]
     rows = []
-    for psi in group_mod.real_characters(G.q, G):
-        if psi.is_principal:
-            continue
-        table = psi.real_sign_table()
-        for b_sign in (+1, -1):
-            for delta, A, supp in ((+1, sets.plus, supp_plus), (-1, sets.minus, supp_minus)):
-                in_coset = sum(1 for n in supp if table[n % G.q] == b_sign)
-                share = in_coset / rough_total if rough_total else 0.0
-                lhs = sum(1 for a in A if table[a] == b_sign)
+    for j, psi in enumerate(G.real_characters()[1:]):
+        for col, b_sign in enumerate((+1, -1)):
+            for delta, in_A, in_supp in sides:
+                share = in_supp[j][col] / rough_total if rough_total else 0.0
+                lhs = in_A[j][col]
                 bound = (share - eps) * phi
                 rows.append({"psi": psi.label(), "coset_sign": b_sign, "delta": delta,
                              "|A cap bH|": lhs, "bound": bound, "ok": lhs >= bound})

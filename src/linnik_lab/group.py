@@ -12,6 +12,10 @@ through a zero-copy window view of its grid tiled twice along each axis and
 contracted against the other's support, O(phi min(|supp f|, |supp g|)) time
 and O(2^k phi) memory for k cyclic components, with integer inputs exact.
 
+Every component has even order, so real character j (t_i = d_i/2 where bit
+i of j is set) is chi_j(a) = (-1)^popcount(j & code(a)), code(a) the packed
+parities x_i & 1: every real character at any integers is two gathers.
+
 Normalizations, fixed once: the Fourier transform uses the expectation
 E_a over units; convolution uses plain counting sums (no 1/phi factor).
 """
@@ -257,12 +261,51 @@ class UnitGroup:
 
     @cached_property
     def _real_characters(self) -> tuple["DirichletCharacter", ...]:
-        choices = [(0, c.order // 2) if c.order % 2 == 0 else (0,) for c in self.components]
+        choices = [(0, c.order // 2) for c in self.components]
         return tuple(DirichletCharacter(self, v) for v in itertools.product(*choices))
 
     def real_characters(self) -> tuple["DirichletCharacter", ...]:
-        """The characters of order <= 2, t_i in {0, d_i/2}, in characters() order."""
+        """The characters of order <= 2, t_i in {0, d_i/2}, in characters() order:
+        j = 0 is principal, and bit i of j (the first component most significant) is t_i != 0."""
         return self._real_characters
+
+    @cached_property
+    def _real_code(self) -> np.ndarray:
+        """Per residue: the bits x_i & 1 of a unit's dlogs in real_characters() bit
+        order, 2^k off the units.  Kept as int16 (2^k reaches 256 below _Q_LIMIT);
+        built in int64, whose numpy loops every command already runs (int16
+        arithmetic added ~0.13 MB to the peak RSS of `triple`)."""
+        code = np.zeros(self.q, dtype=np.int64)
+        for comp, table in zip(self.components, self._dlog_tables):
+            code *= 2
+            code += np.tile(table % 2, self.q // comp.modulus)
+        for p in arith.factorize(self.q).primes:
+            code[::p] = 1 << len(self.components)
+        return code.astype(np.int16)
+
+    @cached_property
+    def _real_matrix(self) -> np.ndarray:
+        """S[j, c] = (-1)^popcount(j & c), with a last column of 0 off the units."""
+        r = range(1 << len(self.components))
+        return np.array([[1 - 2 * ((j & c).bit_count() & 1) for c in r] + [0] for j in r],
+                        dtype=np.int8)
+
+    def real_signs(self, ns=None, rows=slice(None)) -> np.ndarray:
+        """real_characters()[rows] as int8 in {0, +-1} at the integers ns (at every
+        residue when None): one row per character, or one vector for one row."""
+        code = self._real_code if ns is None else self._real_code[np.asarray(ns) % self.q]
+        return self._real_matrix[rows][..., code]
+
+    def real_sign_counts(self, ns) -> np.ndarray:
+        """(2^k, 2): how many of the integers ns each real character sends to +1 and to -1,
+        from one histogram of their codes, with no (2^k, len(ns)) block."""
+        hist = np.bincount(self._real_code[np.asarray(ns) % self.q],
+                           minlength=len(self._real_matrix) + 1)
+        return np.stack([(self._real_matrix == s) @ hist for s in (1, -1)], axis=1)
+
+    def real_index(self, chi: "DirichletCharacter") -> int:
+        """Position of the real character chi in real_characters()."""
+        return sum(1 << i for i, t in enumerate(reversed(chi.vector)) if t)
 
     def character_index(self, chi: "DirichletCharacter") -> int:
         """Position of chi in characters(), i.e. its dual vector raveled in C order."""
@@ -314,7 +357,7 @@ class DirichletCharacter:
     complex on demand.  chi(n) = 0 whenever gcd(n, q) > 1.
     """
 
-    __slots__ = ("group", "vector", "_order", "_sign_table")
+    __slots__ = ("group", "vector", "_order")
 
     def __init__(self, group: UnitGroup, vector: tuple[int, ...]):
         if len(vector) != len(group.components):
@@ -326,7 +369,6 @@ class DirichletCharacter:
             if t:
                 o = math.lcm(o, c.order // math.gcd(c.order, t))
         self._order = o
-        self._sign_table = None
 
     def __eq__(self, other):
         return (isinstance(other, DirichletCharacter)
@@ -392,16 +434,13 @@ class DirichletCharacter:
         """For real chi: int8 table over residues 0..q-1 with values in {0,+-1}."""
         if not self.is_real:
             raise DomainError("sign table only defined for real characters")
-        if self._sign_table is None:
-            k = self.angles()
-            t = np.where(k == 0, 1, -1).astype(np.int8)
-            t[k < 0] = 0
-            self._sign_table = t
-        return self._sign_table
+        return self.group.real_signs(None, self.group.real_index(self))
 
     def kernel(self) -> frozenset[int]:
-        units = self.group.units
-        return frozenset(units[self.angles()[units] == 0].tolist())
+        G = self.group
+        one = (G.real_signs(G.units, G.real_index(self)) == 1 if self.is_real
+               else self.angles()[G.units] == 0)
+        return frozenset(G.units[one].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -453,21 +492,17 @@ class CosetSpec:
     def index(self) -> int:
         return self.psi.order
 
-    def contains(self, n: int) -> bool:
-        table = self.psi.real_sign_table()
-        q = self.group.q
-        return table[n % q] == table[self.b % q] and table[n % q] != 0
-
     def member_mask(self, n: np.ndarray) -> np.ndarray:
-        table = self.psi.real_sign_table()
-        q = self.group.q
-        target = table[self.b % q]
-        return table[n % q] == target
+        G = self.group   # psi(n) = psi(b), which is never 0
+        row = G.real_index(self.psi)
+        return G.real_signs(n, row) == G.real_signs(self.b, row)
+
+    def contains(self, n: int) -> bool:
+        return bool(self.member_mask(n))
 
     def members(self) -> frozenset[int]:
-        table = self.psi.real_sign_table()
-        target = table[self.b % self.group.q]
-        return frozenset(int(a) for a in self.group.units if table[a] == target)
+        units = self.group.units
+        return frozenset(units[self.member_mask(units)].tolist())
 
 
 def full_group_coset(q: int, G: UnitGroup | None = None) -> CosetSpec:
@@ -477,7 +512,7 @@ def full_group_coset(q: int, G: UnitGroup | None = None) -> CosetSpec:
 
 def index2_subgroups(q: int, G: UnitGroup | None = None) -> list[frozenset[int]]:
     """Kernels of the non-principal real characters (index-2 subgroups)."""
-    return [chi.kernel() for chi in real_characters(q, G) if not chi.is_principal]
+    return [chi.kernel() for chi in (G or build_unit_group(q)).real_characters()[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +562,12 @@ def parseval_gap(G: UnitGroup, f) -> float:
 
 
 # The sparser factor's support, as a share of phi, from which one contraction
-# over the whole grid beats gathering the window's rows at that support.  With
-# int64 inputs the contraction takes about 1 ns a cell on one axis and 2-3 ns
-# on several, the gather 1.2-2.4 ns a gathered cell on one axis and about 3 ns
-# on several; the two break even near a share of 0.55-0.6 on one axis
-# (q = 1009, 2048, 4001) and above 0.7 on several (q = 1001, 9240).
+# over a one-axis grid beats gathering the window's rows at that support.
+# With int64 inputs the contraction takes about 1 ns a cell on one axis, the
+# gather 1.2-2.4 ns a gathered cell; the two break even near a share of
+# 0.55-0.6 (q = 1009, 2048, 4001).  On several axes the contraction costs
+# 10-12 ns a cell at q = 720 and the gather wins at every share, so those
+# grids always gather.
 _FULL_SHARE = 0.5
 # window cells gathered per step below that share: 512 KiB of int64, which
 # stays in cache, where 2^20 cells cost 3.2 ns a cell at q = 4001
@@ -554,9 +590,10 @@ def convolve_group(G: UnitGroup, f, g) -> np.ndarray:
     Exact, with no transform: xy sits at the componentwise sum of the dlog
     vectors mod d_i, so (f*g)(a) = sum_x f(x) g(a - x) on the grid.  The
     denser factor is read as the window W[x, a] = g(a - x), a view with no
-    phi x phi table.  When the sparser factor's support is at least
-    _FULL_SHARE phi, one contraction over the whole grid; below that, the
-    window's rows at that support, gathered _GATHER_CELLS cells at a time.
+    phi x phi table.  On a one-axis grid where the sparser factor's support
+    is at least _FULL_SHARE phi, one contraction over the whole grid;
+    otherwise the window's rows at that support, gathered _GATHER_CELLS
+    cells at a time.
     Integer inputs stay exact and keep their dtype; complex inputs with zero
     imaginary parts are convolved as real.  Work phi min(|supp f|, |supp g|),
     memory O(2^k phi) for k cyclic components.
@@ -571,7 +608,7 @@ def convolve_group(G: UnitGroup, f, g) -> np.ndarray:
         fv, gv = gv, fv
     xs = np.flatnonzero(fv)
     W = _window(G.to_grid(gv))
-    if len(xs) >= _FULL_SHARE * G.phi:
+    if len(G.grid_shape) == 1 and len(xs) >= _FULL_SHARE * G.phi:
         x = string.ascii_letters[:len(G.grid_shape)]
         out = np.einsum(f"{x}...,{x}->...", W, G.to_grid(fv))
     else:

@@ -162,27 +162,28 @@ def pretend_sum(h: MultiplicativeFunction, chi, cutoff: float) -> float:
     """sum over p <= cutoff with h(p) chi(p) < 0 of 1/p (chi real/principal)."""
     if not chi.is_real:
         raise DomainError("the pretend criterion is defined for characters of order <= 2")
-    return float(pretend_sums(h, [[chi]], [cutoff])[0][0])
+    G = chi.group
+    ps = arith.primes_upto(int(cutoff))
+    return float(pretend_sums(h, ps, [G.real_signs(ps, [G.real_index(chi)])])[0][0])
 
 
-def pretend_sums(h: MultiplicativeFunction, chars_by_q, cutoffs) -> list[np.ndarray]:
-    """pretend_sum(h, chi, cutoff) for each real character chi in each entry
-    of chars_by_q at that entry's cutoff, one float array per entry.
+def pretend_sums(h: MultiplicativeFunction, ps: np.ndarray, sign_blocks) -> list[np.ndarray]:
+    """pretend_sum of h for every row of each sign block, one float array per
+    block.  ps holds the primes in increasing order; a block's k columns are
+    its characters' int8 signs at ps[:k], the primes up to its cutoff.
 
-    h is read in one rule call over the primes up to the largest cutoff.
-    Each sum is the running sum (np.cumsum) of its terms in increasing p,
-    1/p where h(p) chi(p) < 0 and 0 elsewhere.
+    h is read in one rule call over ps.  Each sum is the running sum
+    (np.cumsum) of its terms in increasing p, 1/p where h(p) chi(p) < 0 and
+    0 elsewhere.
     """
-    ps = arith.primes_upto(int(max(cutoffs, default=0)))
     h_signs = h.prime_signs(ps)
     inverse = 1.0 / ps
     out = []
-    for chars, cutoff in zip(chars_by_q, cutoffs):
-        k = int(np.searchsorted(ps, int(cutoff), side="right"))
-        if not chars or not k:
-            out.append(np.zeros(len(chars)))
+    for signs in sign_blocks:
+        k = signs.shape[1]
+        if not k:
+            out.append(np.zeros(len(signs)))
             continue
-        signs = np.stack([chi.real_sign_table()[ps[:k] % chi.group.q] for chi in chars])
         terms = np.where(signs * h_signs[:k] < 0, inverse[:k], 0.0)
         out.append(np.cumsum(terms, axis=1)[:, -1])
     return out
@@ -263,16 +264,23 @@ def dirichlet_L1(chi) -> float:
         raise DomainError("L(1, chi_0) diverges; principal character excluded")
     if not chi.is_real:
         raise DomainError("only real characters are supported here")
+    return _L1_values(chi.group, [chi.group.real_index(chi)])[0]
+
+
+def _L1_values(G, rows) -> list[float]:
+    """dirichlet_L1 of G's real_characters()[rows], psi(a/q) evaluated once for all."""
     import mpmath   # ~30 ms to import; only this function needs it
 
-    q = chi.group.q
-    signs = chi.real_sign_table().tolist()
+    q = G.q
     with mpmath.workdps(30):
-        total = mpmath.mpf(0)
-        for a in range(1, q):
-            if signs[a]:
-                total += mpmath.mpf(signs[a]) * mpmath.digamma(mpmath.mpf(a) / q)
-        return float(-total / q)
+        digammas = [mpmath.digamma(mpmath.mpf(a) / q) for a in G.units.tolist()]
+        out = []
+        for signs in G.real_signs(G.units, rows):   # one int8 row at a time
+            total = mpmath.mpf(0)
+            for s, d in zip(signs.tolist(), digammas):
+                total += mpmath.mpf(s) * d
+            out.append(float(-total / q))
+    return out
 
 
 def L_of_q(q: int, prime_cutoff: int | None = None) -> tuple[float, list[dict]]:
@@ -293,15 +301,13 @@ def L_of_q(q: int, prime_cutoff: int | None = None) -> tuple[float, list[dict]]:
     if prime_cutoff < q:
         raise DomainError("prime_cutoff must be >= q")
     G = group_mod.build_unit_group(q)
+    ps = arith.primes_upto(prime_cutoff)
+    signs = G.real_signs(ps, slice(1, None))   # int8, one row per non-principal character
     best = -math.inf
     rows = []
-    ps = arith.primes_upto(prime_cutoff)
-    for chi in group_mod.real_characters(q, G):
-        if chi.is_principal:
-            continue
-        L1 = dirichlet_L1(chi)
+    for chi, L1, row in zip(G.real_characters()[1:], _L1_values(G, slice(1, None)), signs):
         # 1 - chi(p)/p (1 where chi(p) = 0), multiplied and divided out in increasing p
-        local = 1.0 - chi.real_sign_table()[ps % q] / ps
+        local = 1.0 - row / ps
         prod = float(np.cumprod(np.append(1.0, np.where(ps <= q, local, 1.0)))[-1])
         euler = float(np.divide.accumulate(np.append(1.0, local))[-1])
         val = (1.0 / L1) * (1.0 / prod)

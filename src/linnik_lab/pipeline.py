@@ -107,7 +107,7 @@ class ParamSet:
 class RFunctionResult:
     """R(h; q) and its witnesses, read once from `first`, the read-only (q, 2)
     first-hit table of _scan_block: class a's first squarefree witness of
-    sign +1 in column 0 and of -1 in column 1 (see _first_hit_table)."""
+    sign +1 in column 0 and of -1 in column 1 (see _scan_setup)."""
 
     q: int
     cap: int
@@ -118,7 +118,8 @@ class RFunctionResult:
     def __post_init__(self):
         self.first.flags.writeable = False
         hits = _hits(self.first)
-        self.complete = bool(hits[group_mod.build_unit_group(self.q).units].all())
+        # the scan writes unit rows only: complete when all 2 phi unit cells are hits
+        self.complete = bool(np.count_nonzero(hits) == 2 * arith.euler_phi(self.q))
         self.R_value = int(self.first.max(initial=0, where=hits)) if self.complete else None
 
     @functools.cached_property
@@ -150,44 +151,41 @@ def _hits(first: np.ndarray) -> np.ndarray:
     return (first > 0) & (first < _NO_HIT)
 
 
-def _first_hit_table(h, G: group_mod.UnitGroup) -> np.ndarray:
-    """An empty (q, 2) first-hit table of _scan_block.  A sign h cannot take
-    on a unit class is marked 0, so the class is complete without it: the
-    -1 column of h = one, and, for a real character h whose modulus divides
-    q, the sign it does not take on each class."""
+def _scan_setup(h, G: group_mod.UnitGroup) -> tuple[np.ndarray, np.ndarray, int]:
+    """What _scan_block reads of a unit group: an empty (q, 2) first-hit
+    table, the unit mask and the number of table cells off the units.  A
+    sign h cannot take on a unit class is marked 0, so the class is complete
+    without it: the -1 column of h = one, and, for a real character h whose
+    modulus divides q, the sign it does not take on each class."""
     first = np.full((G.q, 2), _NO_HIT, dtype=np.int64)
     if h.kind == "one":
         first[G.units, 1] = 0
     elif h.kind == "character" and G.q % h.character.group.q == 0:
         table = h.character.real_sign_table()
         first[G.units, (table[G.units % h.character.group.q] > 0).astype(np.int64)] = 0
-    return first
+    mask = np.zeros(G.q, dtype=bool)
+    mask[G.units] = True
+    return first, mask, 2 * (G.q - G.phi)
 
 
-def _scan_block(h, qs, caps) -> list[np.ndarray]:
+def _scan_block(h, groups, caps) -> list[np.ndarray]:
     """First squarefree witness per (class, sign) for a block of moduli.
 
-    One stream of factor_window segments, (0, 2^13] and then doubling up to
-    2^18 integers, serves every q of the block: each integer is sieved once
-    per block and memory holds one segment.  Each pending q masks the
-    segment's squarefree integers with nonzero sign by its units and records
-    its first hits with one scatter (np.minimum.at) into a (q, 2) table,
-    column 0 for sign +1 and 1 for -1 (see _first_hit_table).  A q leaves
+    groups, one unit group per modulus, is read once, and no group is held
+    past its _scan_setup.  One stream of factor_window segments, (0, 2^13]
+    and then doubling up to 2^18 integers, serves every q of the block: each
+    integer is sieved once per block and memory holds one segment.  Each
+    pending q masks the segment's squarefree integers with nonzero sign by
+    its units and records its first hits with one scatter (np.minimum.at)
+    into its (q, 2) table, column 0 for sign +1 and 1 for -1.  A q leaves
     the stream once every unit class holds every sign h can take on it or
     once the stream has passed its cap.  Returns the tables in the order of
-    qs.
+    groups.
     """
-    groups = [group_mod.build_unit_group(q) for q in qs]
-    first = [_first_hit_table(h, G) for G in groups]
-    # each q's unit mask, held by the scan only: reading the group's int64
-    # unit_pos would build it and keep it cached, 8 q bytes per modulus
-    units = [np.zeros(G.q, dtype=bool) for G in groups]
-    for G, mask in zip(groups, units):
-        mask[G.units] = True
-    # the cells off the units, which the scan never writes: a table is
-    # complete once they are its only _NO_HIT cells
-    idle = [2 * (G.q - G.phi) for G in groups]
-    pending = list(range(len(qs)))
+    if any(cap < 1 for cap in caps):
+        raise DomainError("cap must be >= 1")
+    setup = [_scan_setup(h, G) for G in groups]
+    pending = list(range(len(setup)))
     lo = 0
     chunk = 1 << 13
     while pending:
@@ -199,25 +197,28 @@ def _scan_block(h, qs, caps) -> list[np.ndarray]:
         neg = (signs[pos] < 0).astype(np.int64)
         still = []
         for i in pending:
-            q, cap = qs[i], caps[i]
+            first, units, idle = setup[i]
+            cap = caps[i]
             k = ns.size if cap >= hi else int(np.searchsorted(ns, cap, side="right"))
-            res = ns[:k] % q
-            unit = units[i][res]
-            np.minimum.at(first[i].reshape(-1), 2 * res[unit] + neg[:k][unit], ns[:k][unit])
-            complete = np.count_nonzero(first[i] == _NO_HIT) == idle[i]
+            res = ns[:k] % units.size
+            unit = units[res]
+            np.minimum.at(first.reshape(-1), 2 * res[unit] + neg[:k][unit], ns[:k][unit])
+            # the cells off the units are never written: the table is
+            # complete once they are its only _NO_HIT cells
+            complete = np.count_nonzero(first == _NO_HIT) == idle
             if cap > hi and not complete:
                 still.append(i)
         pending = still
         lo = hi
         chunk = min(chunk * 2, 1 << 18)
-    return first
+    return [first for first, _, _ in setup]
 
 
 def E_sets(h, q: int, x: int) -> tuple[set[int], set[int]]:
     """E^+(x), E^-(x): classes holding a squarefree witness of each sign."""
     if x < 1:
         raise DomainError("x must be >= 1")
-    hits = _hits(_scan_block(h, [q], [x])[0])
+    hits = _hits(_scan_block(h, [group_mod.UnitGroup(q)], [x])[0])
     return set(np.flatnonzero(hits[:, 0]).tolist()), set(np.flatnonzero(hits[:, 1]).tolist())
 
 
@@ -226,12 +227,11 @@ def R_block(h, qs, caps):
 
     Every q is scanned by one shared stream (_scan_block) until its witness
     table holds every (class, sign) pair h can take or the stream passes its
-    cap.  The scan runs at once; the returned iterator wraps its tables.
+    cap.  Each q's unit group is built once, outside build_unit_group's memo.
+    The scan runs at once; the returned iterator wraps its tables.
     """
     qs, caps = list(qs), list(caps)
-    if any(cap < 1 for cap in caps):
-        raise DomainError("cap must be >= 1")
-    return map(RFunctionResult, qs, caps, _scan_block(h, qs, caps))
+    return map(RFunctionResult, qs, caps, _scan_block(h, map(group_mod.UnitGroup, qs), caps))
 
 
 def R_of_h_q(h, q: int, cap: int) -> RFunctionResult:
@@ -366,31 +366,38 @@ def theorem_audit(h, q: int, Q1: float, c: float,
 
 def audit_block(h, qs, Q1: float, c: float,
                 pretend_cutoff: float | None = None) -> list[dict]:
-    """theorem_audit for each q of a block; the R scans share one stream,
-    and the pretend sums of all its real characters read h once per prime
-    (multfunc.pretend_sums)."""
+    """theorem_audit for each q of a block; the R scans share one stream.
+    Each q's unit group, built once outside build_unit_group's memo, gives
+    the labels of its real characters and their signs at the primes up to
+    its cutoff on its way into the scan, which drops it after its setup.
+    The pretend sums of the block read h once per prime (multfunc.pretend_sums)."""
     qs = list(qs)
     caps = [int(q * q * Q1) for q in qs]
-    # the scan runs first, so its segments never sit on top of the
-    # characters' sign tables
-    results = R_block(h, qs, caps)
     cutoffs = [pretend_cutoff if pretend_cutoff is not None else math.sqrt(q) for q in qs]
-    chars = [group_mod.real_characters(q) for q in qs]
+    ps = arith.primes_upto(int(max(cutoffs, default=0)))
+    labels, signs = [], []
+
+    def read(G: group_mod.UnitGroup, cutoff: float) -> group_mod.UnitGroup:
+        labels.append([chi.label() for chi in G.real_characters()])
+        signs.append(G.real_signs(ps[:int(np.searchsorted(ps, int(cutoff), side="right"))]))
+        return G
+
+    first = _scan_block(h, map(read, map(group_mod.UnitGroup, qs), cutoffs), caps)
     rows = []
-    for q, cap, cutoff, qchars, sums, res in zip(qs, caps, cutoffs, chars,
-                                                 multfunc.pretend_sums(h, chars, cutoffs),
-                                                 results):
+    for q, cap, cutoff, qlabels, sums, table in zip(
+            qs, caps, cutoffs, labels, multfunc.pretend_sums(h, ps, signs), first):
         sums = sums.tolist()
         best = min(sums, default=math.inf)
-        branch1 = res.R_value is not None
+        R = RFunctionResult(q, cap, table).R_value
+        branch1 = R is not None
         branch2 = multfunc.pretend_condition_holds(best, c, Q1)
         verdict = {(True, True): "both", (True, False): "branch1",
                    (False, True): "branch2", (False, False): "neither"}[(branch1, branch2)]
         rows.append({"q": q, "Q1": Q1, "c": c, "cap": cap, "verdict": verdict,
-                     "R": res.R_value, "pretend_cutoff": cutoff, "min_pretend_sum": best,
-                     "pretend_table": [{"character": chi.label(), "pretend_sum": s,
-                                        "principal": chi.is_principal}
-                                       for chi, s in zip(qchars, sums)]})
+                     "R": R, "pretend_cutoff": cutoff, "min_pretend_sum": best,
+                     "pretend_table": [{"character": label, "pretend_sum": s,
+                                        "principal": j == 0}
+                                       for j, (label, s) in enumerate(zip(qlabels, sums))]})
     return rows
 
 
@@ -721,20 +728,13 @@ def _classify_k(ctx: SignContext, k: int, eps: float, c_case1: float) -> dict:
                 raise AssertionError("convolution lower bound violated")
             out[tag] = {"branch": "big-set", "min_conv": min_all, "bound": bound}
             continue
-        cert = None
-        for psi in group_mod.real_characters(G.q, G):
-            if psi.is_principal:
-                continue
-            H = psi.kernel()
-            inside = len(A & H)
-            outside = len(A) - inside
-            ov, rep = (inside, 1) if inside >= outside else \
-                (outside, next(iter(x for x in A if x not in H)))
-            if ov >= len(A) - eps * phi / 2:
-                cert = {"psi": psi.label(), "H": H, "rep": rep, "overlap": ov}
-                break
-        out[tag] = {"branch": "coset", **cert} if cert else {"branch": "undetermined",
-                                                             "min_conv": min_all}
+        overlap, rep = setcomb.coset_overlaps(G, A)
+        j = next((j for j in range(1, len(overlap))
+                  if overlap[j] >= len(A) - eps * phi / 2), None)
+        psi = G.real_characters()[j or 0]
+        out[tag] = {"branch": "undetermined", "min_conv": min_all} if j is None else {
+            "branch": "coset", "psi": psi.label(), "H": psi.kernel(), "rep": int(rep[j]),
+            "overlap": int(overlap[j])}
     return out
 
 
@@ -775,32 +775,33 @@ def case_analysis(h, q: int, params: ParamSet, eps: float | None = None,
     if not coset_ks:
         return CaseReport("Undetermined", {"reason": "no expansion and no clean cosets"},
                           per_k)
-    consistent = []
+    index = {chi.label(): j for j, chi in enumerate(G.real_characters())}
+    consistent = []   # (row, label of its common psi), the two reps on opposite cosets
     for r in coset_ks:
-        if r["+"]["psi"] != r["-"]["psi"]:
+        label = r["+"]["psi"]
+        if label != r["-"]["psi"]:
             continue
-        psi = next(c for c in group_mod.real_characters(q, G)
-                   if c.label() == r["+"]["psi"])
-        table = psi.real_sign_table()
-        if table[r["+"]["rep"] % q] != table[r["-"]["rep"] % q]:
-            consistent.append((r, psi))
+        s_plus, s_minus = G.real_signs([r["+"]["rep"], r["-"]["rep"]], index[label])
+        if s_plus != s_minus:
+            consistent.append((r, label))
     if not consistent:
         return CaseReport("Undetermined",
                           {"reason": "coset certificates disagree (H+ != H- or equal cosets)"},
                           per_k)
     by_psi: dict[str, list] = {}
-    for r, psi in consistent:
-        by_psi.setdefault(psi.label(), []).append((r, psi))
+    for r, label in consistent:
+        by_psi.setdefault(label, []).append(r)
     label, rows = max(by_psi.items(), key=lambda kv: len(kv[1]))
     if len(rows) * 2 >= len(coset_ks):
-        r0, psi0 = rows[0]
-        return CaseReport("Case3.1", {"psi": label, "H": psi0.kernel(),
+        r0 = rows[0]
+        return CaseReport("Case3.1", {"psi": label,
+                                      "H": G.real_characters()[index[label]].kernel(),
                                       "b_plus": r0["+"]["rep"], "b_minus": r0["-"]["rep"]},
                           per_k)
     # distinct subgroups: mixed triples must expand (Case 3.2 -> 1)
-    (r1, psi1), (r2, psi2) = rows[0], next(
-        (rp for rp in consistent if rp[1].label() != label), rows[0])
-    if psi1.label() != psi2.label():
+    r1 = rows[0]
+    r2 = next((r for r, other in consistent if other != label), None)
+    if r2 is not None:
         sets1 = densemodel.level_sets(ctx.models[(r1["k"], 1)], ctx.models[(r1["k"], -1)], eps)
         sets2 = densemodel.level_sets(ctx.models[(r2["k"], 1)], ctx.models[(r2["k"], -1)], eps)
         out = setcomb.triple_conv_classify(G, sets1.plus, sets2.plus, sets1.plus, eps)

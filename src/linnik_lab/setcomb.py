@@ -278,6 +278,21 @@ def _coset_id(G, s, H) -> frozenset[int]:
     return product_set(G, [s], H)
 
 
+def coset_overlaps(G: group_mod.UnitGroup, S) -> tuple[list[int], list[int]]:
+    """For each real character psi (rows in real_characters() order) and a
+    nonempty set S of units: the larger of |S cap ker psi| and |S minus ker psi|,
+    and a representative of that coset, 1 for the kernel and else the first
+    element of S, in its iteration order, off the kernel."""
+    arr = np.fromiter(S, np.int64, count=len(S))
+    # compared as int64, whose loops every command already runs: the first
+    # int8 comparison or bool argmax of a process adds ~64 kB to its peak RSS
+    off = G.real_signs(arr).astype(np.int64) != 1
+    outside = np.count_nonzero(off, axis=1).tolist()
+    return ([max(len(arr) - o, o) for o in outside],
+            [1 % G.q if 2 * o <= len(arr) else int(arr[np.flatnonzero(row)[0]])
+             for o, row in zip(outside, off)])
+
+
 def triple_conv_classify(G: group_mod.UnitGroup, A1, A2, A3, eps: float) -> DichotomyOutcome:
     """The triple-convolution dichotomy for sets larger than (2/5+eps) phi.
 
@@ -301,32 +316,20 @@ def triple_conv_classify(G: group_mod.UnitGroup, A1, A2, A3, eps: float) -> Dich
         assert abs(alt - cv).max() < 1e-6
 
     best_b = None
-    for psi in group_mod.real_characters(G.q, G):
-        if psi.is_principal:
+    fits = [coset_overlaps(G, S) for S in sets]
+    for j in range(1, len(G.real_characters())):
+        overlaps = [int(overlap[j]) for overlap, _ in fits]
+        if any(ov < len(S) - eps * phi / 2 for ov, S in zip(overlaps, sets)):
             continue
-        H = psi.kernel()
-        reps, overlaps, ok = [], [], True
-        for S in sets:
-            inside = len(S & H)
-            outside = len(S) - inside
-            if inside >= outside:
-                rep, ov = 1 if G.q > 1 else 0, inside
-            else:
-                rep = next(iter(s for s in S if s not in H))
-                ov = outside
-            if ov < len(S) - eps * phi / 2:
-                ok = False
-                break
-            reps.append(rep)
-            overlaps.append(ov)
-        if not ok:
-            continue
+        reps = [int(rep[j]) for _, rep in fits]
         prod_rep = math.prod(reps) % G.q if G.q > 1 else 0
-        coset = product_set(G, [prod_rep], H)
-        vals = [int(cv[G.unit_pos[c]]) for c in coset]
-        if min(vals) >= phi * phi / 25.0:
-            best_b = {"H": H, "psi": psi.label(), "representatives": reps,
-                      "overlaps": overlaps, "min_conv_on_coset": min(vals)}
+        # the coset prod_rep H: the units where psi takes its value at prod_rep
+        on_coset = G.real_signs(G.units, j) == G.real_signs(prod_rep, j)
+        min_coset = int(cv[on_coset].min())
+        if min_coset >= phi * phi / 25.0:
+            psi = G.real_characters()[j]
+            best_b = {"H": psi.kernel(), "psi": psi.label(), "representatives": reps,
+                      "overlaps": overlaps, "min_conv_on_coset": min_coset}
             break
     ok_b = best_b is not None
 

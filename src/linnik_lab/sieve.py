@@ -138,16 +138,19 @@ def build_beta_sieve(z: float, D: float, kappa: float = 1.0) -> tuple[SieveWeigh
     pair = ps * np.concatenate(([1], ps[:-1]))
     top = int(pair.max(initial=1))
 
+    # prime indices and child counts fit the smallest type holding ps.size,
+    # so the loop's per-chain arrays take 1 byte a chain where ps.size < 256
+    small = np.min_scalar_type(ps.size)
     c = np.ones(1, dtype=dtype)
-    low = np.array([ps.size])  # index of the chain's smallest prime
+    low = np.array([ps.size], dtype=small)  # index of the chain's smallest prime
     keep_plus = keep_minus = np.ones(1, dtype=bool)
     plus, minus = [(c, 1)], [(c, 1)]
     count = depth = 0
     while c.size:
         depth += 1
-        room = np.minimum(D_eff // c, top).astype(np.int64)
-        k = np.minimum(low, np.searchsorted(ps, room, "right"))
-        k_budget = np.minimum(k, np.searchsorted(pair, room, "right"))
+        room = np.minimum(D_eff // c, top).astype(np.int64, copy=False)
+        k = np.minimum(low, np.searchsorted(ps, room, "right").astype(small))
+        k_budget = np.minimum(k, np.searchsorted(pair, room, "right").astype(small))
         del room   # the loop's peak holds a few arrays of c's size: one fewer
         # odd depths check the upper side, even depths the lower side; the
         # unchecked side keeps all k children, the checked one the budget prefix
@@ -156,8 +159,9 @@ def build_beta_sieve(z: float, D: float, kappa: float = 1.0) -> tuple[SieveWeigh
         count += int(n.sum())
         if count > _SUPPORT_BUDGET:
             raise ResourceError("sieve support enumeration exceeded 1e7 divisors")
-        parent = np.repeat(np.arange(c.size), n)
-        low = np.arange(parent.size) - np.repeat(np.cumsum(n) - n, n)
+        parent = np.repeat(np.arange(c.size, dtype=np.int32), n)
+        first = np.cumsum(n, dtype=np.int64) - n   # each chain's first child
+        low = (np.arange(parent.size) - np.repeat(first, n)).astype(small)
         c = c[parent] * ps[low]
         checked = checked[parent] & (low < k_budget[parent])
         free = free[parent]
@@ -172,8 +176,17 @@ def build_beta_sieve(z: float, D: float, kappa: float = 1.0) -> tuple[SieveWeigh
         # freed before the sort so that it reuses their memory: the peak
         # then does not depend on where the allocator placed the levels
         levels.clear()
-        order = np.argsort(d)
-        d, mu = d[order], mu[order]
+        if d.dtype == object:
+            order = np.argsort(d)
+            d, mu = d[order], mu[order]
+        else:
+            # every d is at most D_eff < 2^62, so d and the bit mu < 0 pack
+            # into one int64 that sorts in place (the d are distinct)
+            d <<= 1
+            d |= mu < 0
+            d.sort()
+            mu = 1 - 2 * np.bitwise_and(d, 1, dtype=np.int8)
+            d >>= 1
         d.setflags(write=False)
         mu.setflags(write=False)
         return SieveWeights(z, float(D), kappa, sign, d, mu)

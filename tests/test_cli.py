@@ -77,12 +77,17 @@ def test_exit_codes(capsys, monkeypatch):
         for mod, name in ((pipeline, "R_block"), (pipeline, "audit_block"),
                           (arith, "factor_window")):
             m.setattr(mod, name, refused)
-        # audit keeps each q's unit group too, so it is refused at a smaller qmax
+        # rfunc and audit hold the same bytes per modulus: both take q = 3..5055
         for argv in (("batch", "--qmin", "3", "--qmax", "10000000"),
-                     ("batch", "--what", "audit", "--qmin", "3", "--qmax", "3400")):
+                     ("batch", "--what", "audit", "--qmin", "3", "--qmax", "5056")):
             code, out, err = run_cli(capsys, *argv)
             assert code == 3 and out == "" and "resource" in err and "budget" in err, err
             assert "Traceback" not in err, err
+        m.setattr(cli._BatchWorker, "__call__", lambda self, qs: [])
+        for what in ("rfunc", "audit"):
+            code, _, err = run_cli(capsys, "batch", "--what", what, "--qmin", "3",
+                                   "--qmax", "5055")
+            assert code == 0, err
     code, _, _ = run_cli(capsys)
     assert code == 1
     # malformed h specs, character indices, ladder overrides, batch ranges
@@ -92,6 +97,10 @@ def test_exit_codes(capsys, monkeypatch):
                  ("rfunc", "--h", "character:7:-1", "--q", "8", "--cap", "100"),
                  ("rough", "--q", "35", "--cap", "1000", "--z", "3", "--psi", "9"),
                  ("rough", "--q", "35", "--cap", "1000", "--z", "3", "--psi", "-1"),
+                 # the coset representative 0 is no unit
+                 ("rough", "--q", "8", "--cap", "100", "--z", "3", "--psi", "0", "--b", "0"),
+                 ("ramare", "--q", "101", "--Q1", "10", "--M", "2000", "--j", "2",
+                  "--overrides", "10:100,150:1500", "--psi", "0", "--b", "0"),
                  ("pretend", "--q", "5", "--cutoff", "10", "--chi", "-1"),
                  ("ladder", "--Q1", "10", "--q", "101", "--overrides", "10-100"),
                  ("batch", "--qmin", "0", "--qmax", "3"),

@@ -95,16 +95,40 @@ def test_block_angles_match_fraction_rotations(q):
 
 
 def test_real_characters_are_the_filtered_dual_in_order():
-    for q in QS + tuple(range(3, 60)):
+    for q in QS + tuple(range(3, 60)) + (240, 1155):
         G = g.UnitGroup(q)
         filtered = [c for c in G.characters() if c.is_real]
         fast = g.real_characters(q, G)
         assert [c.label() for c in fast] == [c.label() for c in filtered], q
+        kernels = []
         for chi in fast:
             signs = [0 if chi.rotation(n) is None else (1 if chi.rotation(n) == 0 else -1)
                      for n in range(max(q, 1))]
             assert chi.real_sign_table().tolist() == (signs if q > 1 else [1])
-            assert chi.kernel() == frozenset(int(a) for a in G.units if chi.rotation(int(a)) == 0)
+            kernels.append(frozenset(int(a) for a in G.units if chi.rotation(int(a)) == 0))
+            assert chi.kernel() == kernels[-1]
+        assert g.index2_subgroups(q, G) == kernels[1:]
+
+
+def test_real_signs_match_the_angle_route():
+    """Every real character's signs from the parity code equal its integer
+    angles (character_angles on its row of the dual), as int8 with 0 off the
+    units, in real_characters() order; kernels and index-2 subgroups are the
+    units of angle 0."""
+    for q in tuple(range(1, 3001)) + (9240, 30030, 65536):
+        G = g.UnitGroup(q)
+        reals = G.real_characters()
+        k = G.character_angles([G.character_index(chi) for chi in reals])
+        signs = G.real_signs()
+        assert signs.dtype == np.int8 and signs.shape == k.shape, q
+        assert np.array_equal(signs, np.where(k < 0, 0, np.where(k == 0, 1, -1))), q
+        assert np.array_equal(G.real_signs(np.arange(-q, 2 * q)), np.tile(signs, 3)), q
+        assert [G.real_index(chi) for chi in reals] == list(range(len(reals)))
+        if q in (720, 9240, 30030, 65536) or q % 97 == 0:
+            units = G.units
+            kernels = [frozenset(units[row[units] == 0].tolist()) for row in k]
+            assert [chi.kernel() for chi in reals] == kernels, q
+            assert g.index2_subgroups(q, G) == kernels[1:], q
 
 
 @functools.lru_cache(maxsize=None)

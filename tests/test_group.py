@@ -132,6 +132,17 @@ def test_convolution():
     direct = g.convolve_group(G, f, h)
     trans = g.convolve_group_transform(G, f, h)
     assert np.abs(direct - trans).max() < 1e-9
+    # multi-axis grids take the row gather at every support share
+    for q in (720, 9240):
+        G = g.build_unit_group(q)
+        h = rng.integers(-5, 6, size=G.phi)
+        for share in np.arange(1, 10) / 10:
+            f = np.zeros(G.phi, dtype=np.int64)
+            size = int(share * G.phi)
+            f[rng.choice(G.phi, size, replace=False)] = rng.integers(-5, 6, size)
+            direct = g.convolve_group(G, f, h)
+            assert direct.dtype == np.int64
+            assert np.abs(direct - g.convolve_group_transform(G, f, h)).max() < 1e-6, (q, share)
 
 
 def test_convolution_commutative_associative_exact():

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +334,25 @@ def test_L_of_q():
     # the Euler-product cross-check stays within a few percent at this scale
     _, rows = mf.L_of_q(5, prime_cutoff=100000)
     assert rows[0]["L1_euler_truncated"] == pytest.approx(rows[0]["L1"], rel=0.05)
+
+
+def test_L_of_q_peak_memory():
+    """L_of_q reads one int8 sign per (character, prime) and runs the float
+    Euler products one character at a time: at q = 120 (15 non-principal
+    real characters) and the 155,611 primes below 2^21 its peak stays below
+    r + 32 bytes a prime, where float rows of every character at once would
+    take several times 8 r."""
+    import mpmath  # noqa: F401  (imported before the trace starts)
+    q, cutoff = 120, 1 << 21
+    r = len(group.build_unit_group(q).real_characters()) - 1
+    n = len(arith.primes_upto(cutoff))
+    tracemalloc.start()
+    try:
+        mf.L_of_q(q, cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (r + 32) * n, peak / n
 
 
 def test_one_star_psi_sum():

@@ -213,18 +213,45 @@ def test_block_pretend_sums_match_pretend_sum(cutoff):
 
 
 def test_scan_builds_one_unit_group_per_modulus(monkeypatch):
-    """The scan reads each q's units from its cached UnitGroup, built once,
-    and leaves no unit_pos table cached with it; the tables and their
+    """R_block and audit_block each build every q's unit group exactly once
+    and leave build_unit_group's memo as they found it; the tables and their
     verify build no group."""
-    monkeypatch.setattr(g, "_group_cache", {})
     qs = range(1, 200)
-    results = list(pl.R_block(LAM, qs, [20 * q * q for q in qs]))
-    assert set(g._group_cache) == set(qs)
-    assert not any("unit_pos" in vars(G) for G in g._group_cache.values())
+    g.build_unit_group(7)
     cached = dict(g._group_cache)
+    built = []
+    init = g.UnitGroup.__init__
+
+    def counting(self, q):
+        built.append(q)
+        init(self, q)
+
+    monkeypatch.setattr(g.UnitGroup, "__init__", counting)
+    results = list(pl.R_block(LAM, qs, [20 * q * q for q in qs]))
     assert all(pl.verify_block(results, LAM))
     assert all(res.complete for res in results[1:])
+    assert built == list(qs)
+    built.clear()
+    assert [row["q"] for row in pl.audit_block(LAM, qs, 10.0, 1.0)] == list(qs)
+    assert built == list(qs)
     assert g._group_cache == cached
+
+
+def test_real_sign_table_peak_memory():
+    """One real character's sign table at q = 510510 (64 real characters),
+    the parity code built on the way, peaks below 20 q bytes: no (64, q)
+    table and no int64 angle rows."""
+    q = 510510
+    G = g.UnitGroup(q)
+    chi = G.real_characters()[37]
+    tracemalloc.start()
+    try:
+        table = chi.real_sign_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.int8 and table.shape == (q,)
+    assert peak < 20 * q, peak / q
 
 
 def test_theorem_audit():
@@ -707,7 +734,7 @@ def test_each_window_is_sieved_once(monkeypatch):
         (lambda: cs.ramare_decompose(G, LAM, None, 1, 0, 2, lad, 600.0), m_iv.ihi),
         (lambda: cs.f_support(G, LAM, 3.0, f_iv), f_iv.count()),
         # cap 1000 lies inside the first chunk of the scan
-        (lambda: pl._scan_block(LAM, [35], [1000]), 1000),
+        (lambda: pl.E_sets(LAM, 35, 1000), 1000),
     ]
     for call, length in cases:
         sieved.clear()
