@@ -276,6 +276,8 @@ def large_values_census(a_p, P: float, q: int, alpha: float, C: float = 1.0) -> 
     """
     if not 0 <= alpha <= 0.5:
         raise DomainError("alpha must lie in [0, 1/2]")
+    if not C > 0:
+        raise DomainError(f"C must be > 0, got {C}")
     G = group_mod.build_unit_group(q)
     ps = [int(p) for p in arith.primes_in(P / math.e, P)]
     if callable(a_p):
@@ -677,6 +679,8 @@ def square_and_shorts_moments(q: int, N: int, P: float, Q: float, M: float,
     (M e^(k-1/H), M e^k], |k| <= 2K+1, and l rough, shape (phi/q)(N+N^2/q)/H.
     Coefficients are seeded +-1.
     """
+    if not H > 0:
+        raise DomainError(f"H must be > 0, got {H}")
     G = group_mod.build_unit_group(q)
     rng = np.random.default_rng(seed)
     phi = G.phi

@@ -65,7 +65,10 @@ def emit(report: dict, args) -> None:
             writer.writerow(jsonable(row))
         text = buf.getvalue()
     if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise PreconditionError(f"cannot write --out {args.out}: {exc.strerror}") from None
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -274,9 +277,9 @@ def cmd_triple(args):
 
 
 def cmd_charsum(args):
-    rng = np.random.default_rng(args.seed)
     sub = args.variant
     if sub == "mvt":
+        rng = np.random.default_rng(args.seed)
         coeffs = {n: complex(rng.choice((-1.0, 1.0))) for n in range(1, args.N + 1)}
         rep = charsums.mvt_check(coeffs, args.N, args.q)
         return report_for(args, "mvt-mean-value", jsonable(rep))
@@ -292,6 +295,7 @@ def cmd_charsum(args):
         return report_for(args, "polya-vinogradov",
                           {"max_over_characters_windows": worst, "bound": bound})
     if sub == "halmon":
+        rng = np.random.default_rng(args.seed)
         # the first N rough n in [2, 100 N + 1], read in blocks of 2^12
         z = args.q**args.eps
         top = 100 * args.N + 1
@@ -387,10 +391,11 @@ def _worker_count(threads: int) -> int:
 # bytes a batch may hold while it runs
 _BATCH_BUDGET = 1 << 28
 # per unit of q, for rfunc and audit alike: a first-hit table (16 q bytes)
-# and a unit mask (q bytes) live until their block's stream ends, and no
-# unit group outlives its setup.  The tracemalloc peak of a whole batch over
-# q = 3..2000 is 19.9 (rfunc) and 21.4 (audit) bytes per unit of q, and 17.9
-# and 18.4 over q = 3..4000, near the ranges this budget refuses.
+# lives until its block's stream ends, and no unit group outlives its setup.
+# The tracemalloc peak of a whole batch (h = liouville) over q = 3..2000 is
+# 18.8 (rfunc) and 19.7 (audit) bytes per unit of q, and 16.7 and 17.8 over
+# q = 3..4000, near the ranges this budget refuses; 21 keeps the ranges the
+# budget took when each q also held a unit mask.
 _Q_BYTES = 21
 
 
@@ -457,31 +462,36 @@ class _UsageError(Exception):
     pass
 
 
-def _common_flags(p, suppress: bool):
-    d = argparse.SUPPRESS if suppress else None
-
-    def dflt(v):
-        return argparse.SUPPRESS if suppress else v
-
-    p.add_argument("--config", default=d, help="JSON config file (schema linnik-lab/1)")
-    p.add_argument("--out", default=d, help="write the report to this path instead of stdout")
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=dflt("json"))
-    p.add_argument("--seed", type=int, default=dflt(0))
-    p.add_argument("--threads", type=int, default=dflt(1))
+# the flags of every command, and their values when neither the command line
+# nor a config file gives them
+COMMON = {"config": None, "out": None, "fmt": "json", "seed": 0, "threads": 1}
 
 
+def _common_flags(p) -> list[argparse.Action]:
+    return [p.add_argument("--config", help="JSON config file (schema linnik-lab/1)"),
+            p.add_argument("--out", help="write the report to this path instead of stdout"),
+            p.add_argument("--format", dest="fmt", choices=("json", "csv")),
+            p.add_argument("--seed", type=int),
+            p.add_argument("--threads", type=int)]
+
+
+# per command: its required flags, the defaults of its own flags, and every
+# flag it takes (dest -> action), the common ones included
 REQUIRED: dict[str, list[str]] = {}
 DEFAULTS: dict[str, dict[str, object]] = {}
+FLAGS: dict[str, dict[str, argparse.Action]] = {}
 
 
 def build_parser() -> _Parser:
-    p = _Parser(prog="linnik-lab", description=__doc__)
-    _common_flags(p, suppress=False)
+    """The parser sets only the flags given on the command line (every
+    default is SUPPRESS); _resolve fills in the others."""
+    p = _Parser(prog="linnik-lab", description=__doc__, argument_default=argparse.SUPPRESS)
+    _common_flags(p)
     sub = p.add_subparsers(dest="command")
 
     def add(name, fn, **flags):
-        sp = sub.add_parser(name)
-        _common_flags(sp, suppress=True)
+        sp = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        FLAGS[name] = {a.dest: a for a in _common_flags(sp)}
         REQUIRED[name] = []
         DEFAULTS[name] = {}
         for fname, spec in flags.items():
@@ -489,9 +499,8 @@ def build_parser() -> _Parser:
             if spec.pop("required", False):
                 # deferred so a config file may supply the value
                 REQUIRED[name].append(fname)
-                spec.setdefault("default", None)
-            DEFAULTS[name][fname] = spec.get("default")
-            sp.add_argument(f"--{fname.replace('_', '-')}", **spec)
+            DEFAULTS[name][fname] = spec.pop("default", None)
+            FLAGS[name][fname] = sp.add_argument(f"--{fname.replace('_', '-')}", **spec)
         sp.set_defaults(func=fn)
         return sp
 
@@ -552,20 +561,62 @@ def build_parser() -> _Parser:
     return p
 
 
-def _apply_config(args, parser):
-    if not args.config:
-        return args
-    with open(args.config) as fh:
-        data = json.load(fh)
+def _read_config(path: str, command: str) -> tuple[dict, dict]:
+    """A config file's "defaults" section and its section for command."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise PreconditionError(f"cannot read config {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise PreconditionError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise PreconditionError(f"config {path} must be a JSON object")
     if data.get("schema") != SCHEMA:
         raise PreconditionError(f"config schema must be {SCHEMA!r}")
-    merged = dict(data.get("defaults", {}))
-    merged.update(data.get(args.command or "", {}))
-    defaults = DEFAULTS.get(args.command, {})
-    for key, val in merged.items():
-        # flags given on the command line win over config values; a flag
-        # still holding its parser default is considered not given
-        if getattr(args, key, None) in (None, defaults.get(key)):
+    sections = data.get("defaults", {}), data.get(command, {})
+    if not all(isinstance(values, dict) for values in sections):
+        raise PreconditionError(f"config sections \"defaults\" and {command!r} must be JSON objects")
+    return sections
+
+
+def _config_value(action: argparse.Action, val):
+    """A config value through its flag's type, as if given on the command
+    line: a string is parsed, an int is taken where a float is wanted, and
+    any other JSON type is refused."""
+    kind = action.type or str
+    out = None
+    if isinstance(val, str):
+        try:
+            out = kind(val)
+        except ValueError:
+            pass
+    elif type(val) is int and kind in (int, float) or type(val) is float and kind is float:
+        out = kind(val)
+    if out is None or action.choices is not None and out not in action.choices:
+        want = f"one of {list(action.choices)}" if action.choices else f"of type {kind.__name__}"
+        raise PreconditionError(f"config value for {action.option_strings[0]} must be "
+                                f"{want}, got {val!r}")
+    return out
+
+
+def _resolve(args):
+    """Give every flag the command line left out its value: from the config
+    file when one is named (its command section over its "defaults"), else
+    its default."""
+    flags = FLAGS[args.command]
+    if hasattr(args, "config"):
+        defaults, own = _read_config(args.config, args.command)
+        unknown = sorted(set(own) - set(flags))
+        if unknown:
+            raise PreconditionError(f"config section {args.command!r} names flags "
+                                    f"{args.command} does not take: {', '.join(unknown)}")
+        # a shared default that names no flag of this command is left out
+        for key, val in {**defaults, **own}.items():
+            if key in flags and not hasattr(args, key):
+                setattr(args, key, _config_value(flags[key], val))
+    for key, val in {**COMMON, **DEFAULTS[args.command]}.items():
+        if not hasattr(args, key):
             setattr(args, key, val)
     return args
 
@@ -577,7 +628,7 @@ def run(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        args = _apply_config(args, parser)
+        args = _resolve(args)
         missing = [name for name in REQUIRED.get(args.command, ())
                    if getattr(args, name, None) is None]
         if missing:

@@ -76,6 +76,25 @@ def _geometric(g: int, n: int, m: int) -> np.ndarray:
     return out
 
 
+def _parity_bits(comp: CyclicComponent) -> np.ndarray:
+    """x & 1 for x the dlog of a unit in comp, as an int8 table over the
+    residues mod r | comp.modulus that decide it: for an odd p^e, whether
+    a is a non-square mod p (r = p; g is a primitive root mod p, whose
+    order p - 1 is even); for 4 and for <-1> of 2^e, a = 3 mod 4; for <5>
+    of 2^e, a = 3, 5 mod 8 (+-5^x is +-5 mod 8 for odd x, +-1 for even x).
+    Entries off the units are left for the caller to overwrite."""
+    m = comp.modulus
+    if m % 2:
+        p = m // math.gcd(m, comp.order)
+        bits = np.ones(p, dtype=np.int8)
+        k = np.arange((p + 1) // 2, dtype=np.int64)
+        bits[k * k % p] = 0
+        return bits
+    if comp.generator == 5:
+        return np.array([0, 0, 0, 1, 0, 1, 0, 0], dtype=np.int8)
+    return np.array([0, 0, 0, 1], dtype=np.int8)
+
+
 # dlog-table entries filled per step; bounds the construction peak
 _DLOG_CHUNK = 1 << 19
 
@@ -83,9 +102,9 @@ _DLOG_CHUNK = 1 << 19
 class UnitGroup:
     """Z_q^x with component-wise discrete logarithm tables.
 
-    For 2^e with e >= 3 the 2-part is split as <-1> x <5>.  Immutable: the
-    dlog tables are built with the group, every table derived from them is a
-    cached property built on first use.
+    For 2^e with e >= 3 the 2-part is split as <-1> x <5>.  Immutable:
+    construction finds the components only; the dlog tables and every other
+    table are cached properties built on first use.
     """
 
     def __init__(self, q: int):
@@ -116,11 +135,11 @@ class UnitGroup:
         # the dlog grid; a trivial group still gets one cell for its one unit
         self.grid_shape = tuple(c.order for c in comps) or (1,)
         self.angle_modulus = math.lcm(*(c.order for c in comps)) if comps else 1
-        self._dlog_tables = self._build_dlog_tables()
 
     # -- construction ------------------------------------------------------
 
-    def _build_dlog_tables(self) -> list[np.ndarray]:
+    @cached_property
+    def _dlog_tables(self) -> list[np.ndarray]:
         """One table per component over the residues of its prime power m:
         the component's exponent, -1 off the units.  The components of one m
         (<-1> x <5> of 2^e) are filled together: each element of the leading
@@ -272,13 +291,15 @@ class UnitGroup:
     @cached_property
     def _real_code(self) -> np.ndarray:
         """Per residue: the bits x_i & 1 of a unit's dlogs in real_characters() bit
-        order, 2^k off the units.  Kept as int16 (2^k reaches 256 below _Q_LIMIT);
+        order, 2^k off the units, read from residues with no dlog table
+        (_parity_bits).  Kept as int16 (2^k reaches 256 below _Q_LIMIT);
         built in int64, whose numpy loops every command already runs (int16
         arithmetic added ~0.13 MB to the peak RSS of `triple`)."""
         code = np.zeros(self.q, dtype=np.int64)
-        for comp, table in zip(self.components, self._dlog_tables):
+        for comp in self.components:
+            bits = _parity_bits(comp)
             code *= 2
-            code += np.tile(table % 2, self.q // comp.modulus)
+            code += np.tile(bits, self.q // len(bits))
         for p in arith.factorize(self.q).primes:
             code[::p] = 1 << len(self.components)
         return code.astype(np.int16)

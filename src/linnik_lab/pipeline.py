@@ -118,7 +118,7 @@ class RFunctionResult:
     def __post_init__(self):
         self.first.flags.writeable = False
         hits = _hits(self.first)
-        # the scan writes unit rows only: complete when all 2 phi unit cells are hits
+        # the cells off the units hold 0: complete when all 2 phi unit cells are hits
         self.complete = bool(np.count_nonzero(hits) == 2 * arith.euler_phi(self.q))
         self.R_value = int(self.first.max(initial=0, where=hits)) if self.complete else None
 
@@ -138,7 +138,7 @@ class RFunctionResult:
 
 
 # first-hit tables hold this where a (class, sign) pair has no witness yet,
-# and 0 where h cannot take that sign on the class
+# and 0 off the units and where h cannot take that sign on the class
 _NO_HIT = np.iinfo(np.int64).max
 # a block verify reads smaller tables in groups of about _VERIFY_GROUP class
 # members, and every verify reads at most _VERIFY_BLOCK members per call
@@ -151,21 +151,20 @@ def _hits(first: np.ndarray) -> np.ndarray:
     return (first > 0) & (first < _NO_HIT)
 
 
-def _scan_setup(h, G: group_mod.UnitGroup) -> tuple[np.ndarray, np.ndarray, int]:
+def _scan_setup(h, G: group_mod.UnitGroup) -> np.ndarray:
     """What _scan_block reads of a unit group: an empty (q, 2) first-hit
-    table, the unit mask and the number of table cells off the units.  A
-    sign h cannot take on a unit class is marked 0, so the class is complete
+    table.  Its unit cells hold _NO_HIT; the cells off the units hold 0, and
+    so does a sign h cannot take on a unit class, so the class is complete
     without it: the -1 column of h = one, and, for a real character h whose
     modulus divides q, the sign it does not take on each class."""
-    first = np.full((G.q, 2), _NO_HIT, dtype=np.int64)
+    first = np.zeros((G.q, 2), dtype=np.int64)
+    first[G.units] = _NO_HIT
     if h.kind == "one":
         first[G.units, 1] = 0
     elif h.kind == "character" and G.q % h.character.group.q == 0:
         table = h.character.real_sign_table()
         first[G.units, (table[G.units % h.character.group.q] > 0).astype(np.int64)] = 0
-    mask = np.zeros(G.q, dtype=bool)
-    mask[G.units] = True
-    return first, mask, 2 * (G.q - G.phi)
+    return first
 
 
 def _scan_block(h, groups, caps) -> list[np.ndarray]:
@@ -175,17 +174,18 @@ def _scan_block(h, groups, caps) -> list[np.ndarray]:
     past its _scan_setup.  One stream of factor_window segments, (0, 2^13]
     and then doubling up to 2^18 integers, serves every q of the block: each
     integer is sieved once per block and memory holds one segment.  Each
-    pending q masks the segment's squarefree integers with nonzero sign by
-    its units and records its first hits with one scatter (np.minimum.at)
-    into its (q, 2) table, column 0 for sign +1 and 1 for -1.  A q leaves
-    the stream once every unit class holds every sign h can take on it or
-    once the stream has passed its cap.  Returns the tables in the order of
-    groups.
+    pending q records its first hits with one scatter (np.minimum.at) of the
+    segment's squarefree integers with nonzero sign into its (q, 2) table,
+    cell (n mod q, 0) for sign +1 and (n mod q, 1) for -1, with no unit mask:
+    a cell that starts at 0 stays 0.  A q leaves the stream once no cell
+    holds _NO_HIT, that is once every unit class holds every sign h can take
+    on it, or once the stream has passed its cap.  Returns the tables in the
+    order of groups.
     """
     if any(cap < 1 for cap in caps):
         raise DomainError("cap must be >= 1")
-    setup = [_scan_setup(h, G) for G in groups]
-    pending = list(range(len(setup)))
+    tables = [_scan_setup(h, G) for G in groups]
+    pending = list(range(len(tables)))
     lo = 0
     chunk = 1 << 13
     while pending:
@@ -197,21 +197,18 @@ def _scan_block(h, groups, caps) -> list[np.ndarray]:
         neg = (signs[pos] < 0).astype(np.int64)
         still = []
         for i in pending:
-            first, units, idle = setup[i]
-            cap = caps[i]
+            first, cap = tables[i], caps[i]
             k = ns.size if cap >= hi else int(np.searchsorted(ns, cap, side="right"))
-            res = ns[:k] % units.size
-            unit = units[res]
-            np.minimum.at(first.reshape(-1), 2 * res[unit] + neg[:k][unit], ns[:k][unit])
-            # the cells off the units are never written: the table is
-            # complete once they are its only _NO_HIT cells
-            complete = np.count_nonzero(first == _NO_HIT) == idle
-            if cap > hi and not complete:
+            cells = ns[:k] % len(first)
+            cells *= 2
+            cells += neg[:k]
+            np.minimum.at(first.reshape(-1), cells, ns[:k])
+            if cap > hi and (first == _NO_HIT).any():
                 still.append(i)
         pending = still
         lo = hi
         chunk = min(chunk * 2, 1 << 18)
-    return [first for first, _, _ in setup]
+    return tables
 
 
 def E_sets(h, q: int, x: int) -> tuple[set[int], set[int]]:
@@ -361,16 +358,18 @@ def theorem_audit(h, q: int, Q1: float, c: float,
     character chi mod q has pretend sum <= c / Q1^(1/100) (cutoff sqrt(q)
     by default).  Verdict is branch1 / branch2 / both / neither.
     """
-    return audit_block(h, [q], Q1, c, pretend_cutoff)[0]
+    return next(audit_block(h, [q], Q1, c, pretend_cutoff))
 
 
 def audit_block(h, qs, Q1: float, c: float,
-                pretend_cutoff: float | None = None) -> list[dict]:
+                pretend_cutoff: float | None = None):
     """theorem_audit for each q of a block; the R scans share one stream.
     Each q's unit group, built once outside build_unit_group's memo, gives
     the labels of its real characters and their signs at the primes up to
     its cutoff on its way into the scan, which drops it after its setup.
-    The pretend sums of the block read h once per prime (multfunc.pretend_sums)."""
+    The pretend sums of the block read h once per prime (multfunc.pretend_sums).
+    The scan and the sums run at once; the returned iterator builds each
+    q's row, pretend table included, when it is read."""
     qs = list(qs)
     caps = [int(q * q * Q1) for q in qs]
     cutoffs = [pretend_cutoff if pretend_cutoff is not None else math.sqrt(q) for q in qs]
@@ -383,9 +382,8 @@ def audit_block(h, qs, Q1: float, c: float,
         return G
 
     first = _scan_block(h, map(read, map(group_mod.UnitGroup, qs), cutoffs), caps)
-    rows = []
-    for q, cap, cutoff, qlabels, sums, table in zip(
-            qs, caps, cutoffs, labels, multfunc.pretend_sums(h, ps, signs), first):
+
+    def row(q, cap, cutoff, qlabels, sums, table) -> dict:
         sums = sums.tolist()
         best = min(sums, default=math.inf)
         R = RFunctionResult(q, cap, table).R_value
@@ -393,12 +391,13 @@ def audit_block(h, qs, Q1: float, c: float,
         branch2 = multfunc.pretend_condition_holds(best, c, Q1)
         verdict = {(True, True): "both", (True, False): "branch1",
                    (False, True): "branch2", (False, False): "neither"}[(branch1, branch2)]
-        rows.append({"q": q, "Q1": Q1, "c": c, "cap": cap, "verdict": verdict,
-                     "R": R, "pretend_cutoff": cutoff, "min_pretend_sum": best,
-                     "pretend_table": [{"character": label, "pretend_sum": s,
-                                        "principal": j == 0}
-                                       for j, (label, s) in enumerate(zip(qlabels, sums))]})
-    return rows
+        return {"q": q, "Q1": Q1, "c": c, "cap": cap, "verdict": verdict,
+                "R": R, "pretend_cutoff": cutoff, "min_pretend_sum": best,
+                "pretend_table": [{"character": label, "pretend_sum": s,
+                                   "principal": j == 0}
+                                  for j, (label, s) in enumerate(zip(qlabels, sums))]}
+
+    return map(row, qs, caps, cutoffs, labels, multfunc.pretend_sums(h, ps, signs), first)
 
 
 # ---------------------------------------------------------------------------

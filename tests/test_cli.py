@@ -117,6 +117,9 @@ def test_exit_codes(capsys, monkeypatch):
                  ("charsum", "amplify", "--q", "11", "--Y1", "1"),
                  ("charsum", "amplify", "--q", "11", "--Y1", "0.5"),
                  ("charsum", "amplify", "--q", "11", "--Y2", "0.001"),
+                 # the shapes q^(1/C) and 1/H need C > 0 and H > 0
+                 ("charsum", "large", "--q", "101", "--C", "0"),
+                 ("charsum", "moments", "--q", "35", "--N", "2000", "--H", "0"),
                  # no set size s with (2/5 + eps) phi < s <= phi, or eps <= 0
                  ("triple", "--q", "1009", "--epsilon", "0.7"),
                  ("triple", "--q", "1009", "--epsilon", "-1"),
@@ -244,6 +247,95 @@ def test_config_file(tmp_path, capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "rfunc", "--q", "3")
     assert code == 1 and "--cap" in err
+
+
+def test_bad_config_files_are_precondition_errors(tmp_path, capsys):
+    def config(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    def body(**sections):
+        return json.dumps({"schema": "linnik-lab/1", **sections})
+
+    cases = [
+        (config("malformed.json", "{bad"), "rfunc"),
+        (config("list.json", "[1, 2]"), "rfunc"),
+        (config("defaults.json", body(defaults=[1])), "rfunc"),
+        (config("section.json", body(rfunc=3)), "rfunc"),
+        (str(tmp_path / "missing.json"), "rfunc"),
+        # values of the wrong type for their flag, and a flag rfunc does not take
+        (config("q.json", body(rfunc={"q": "abc", "cap": 100})), "rfunc"),
+        (config("cap.json", body(rfunc={"q": 3, "cap": "x"})), "rfunc"),
+        (config("bool.json", body(rfunc={"q": 3, "cap": True})), "rfunc"),
+        (config("float.json", body(rfunc={"q": 3.5, "cap": 100})), "rfunc"),
+        (config("h.json", body(rfunc={"q": 3, "cap": 100, "h": 3})), "rfunc"),
+        (config("null.json", body(rfunc={"q": None, "cap": 100})), "rfunc"),
+        (config("unknown.json", body(rfunc={"q": 3, "cap": 100, "qq": 5})), "rfunc"),
+        (config("choice.json", body(batch={"what": "other"})), "batch"),
+        (config("z.json", body(rough={"q": 35, "cap": 1000, "z": "inf"})), "rough"),
+    ]
+    for path, command in cases:
+        code, out, err = run_cli(capsys, "--config", path, command)
+        assert code == 2 and out == "" and "precondition" in err, (path, err)
+        assert "Traceback" not in err, err
+
+
+def test_config_values_pass_through_the_flag_types(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": "linnik-lab/1",
+                               "defaults": {"h": "mobius", "kappa": 2.0},
+                               "rough": {"q": "35", "cap": 1000, "z": "3"}}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "rough")
+    assert code == 0, err
+    params = json.loads(out)["params"]
+    # a shared default that names no flag of rough is left out
+    assert "h" not in params and "kappa" not in params
+    assert (params["q"], params["cap"], params["z"]) == (35, 1000.0, 3.0)
+    code, direct, _ = run_cli(capsys, "rough", "--q", "35", "--cap", "1000", "--z", "3")
+    assert json.loads(direct) == json.loads(out)
+
+
+def test_config_gives_the_common_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": "linnik-lab/1",
+                               "charsum": {"seed": 5, "threads": 2}}))
+    argv = ("charsum", "mvt", "--q", "101", "--N", "300")
+    code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["params"]["seed"] == 5 and report["params"]["threads"] == 2
+    code, seeded, _ = run_cli(capsys, *argv, "--seed", "5")
+    assert json.loads(seeded)["result"] == report["result"]
+    # a flag on the command line wins, even at its default value, before or
+    # after the command
+    for given in ((*argv, "--seed", "0"), ("--seed", "0", *argv)):
+        code, out, _ = run_cli(capsys, "--config", str(cfg), *given)
+        assert code == 0 and json.loads(out)["params"]["seed"] == 0
+    code, out, _ = run_cli(capsys, *argv)
+    assert json.loads(out)["params"]["seed"] == 0
+
+
+def test_out_to_a_missing_directory(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "factor", "--n", "12",
+                             "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 2 and out == "" and "precondition" in err and "Traceback" not in err, err
+
+
+def test_charsum_draws_random_numbers_only_where_it_uses_them():
+    # numpy.random (~20 ms to import) is loaded by the variants that draw
+    code = ("import sys, contextlib, io, linnik_lab.cli as c\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    c.run(sys.argv[1:])\n"
+            "print('numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    for variant, drawn in (("pv", False), ("large", False), ("amplify", False),
+                           ("mvt", True)):
+        out = subprocess.run([sys.executable, "-c", code, "charsum", variant, "--q", "101",
+                              "--N", "100"], env=env, capture_output=True, text=True,
+                             timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == str(drawn), variant
 
 
 def test_more_subcommands_smoke(capsys):

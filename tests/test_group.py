@@ -219,12 +219,34 @@ def test_dlog_tables_built_in_chunks_match_one_step(monkeypatch):
 
 @pytest.mark.parametrize("q", [9999991, 2**23])
 def test_large_group_construction_peak(q):
-    """The construction peak stays within 1.5 times the dlog tables it keeps."""
+    """Construction and the first read of the dlog tables, which builds them,
+    peak within 1.5 times the tables kept."""
     tracemalloc.start()
     try:
         G = g.UnitGroup(q)
+        tables = G._dlog_tables
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = sum(t.nbytes for t in G._dlog_tables)
+    kept = sum(t.nbytes for t in tables)
     assert peak <= 1.5 * kept, (peak, kept)
+
+
+def _real_code_oracle(G):
+    """The parity code from the dlog tables: bit i of a unit's code is x_i & 1
+    (the first component most significant), 2^k off the units."""
+    code = np.zeros(G.q, dtype=np.int64)
+    for comp, table in zip(G.components, G._dlog_tables):
+        code = 2 * code + np.tile(table % 2, G.q // comp.modulus)
+    code[[math.gcd(a, G.q) > 1 for a in range(G.q)]] = 1 << len(G.components)
+    return code
+
+
+def test_real_code_from_residues_matches_dlog_parity():
+    for q in range(1, 2001):
+        G = g.UnitGroup(q)
+        code = G._real_code
+        # read from residues: the dlog tables are built on first read, not here
+        assert "_dlog_tables" not in G.__dict__
+        assert code.dtype == np.int16
+        assert np.array_equal(code, _real_code_oracle(G)), q

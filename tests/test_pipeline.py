@@ -237,6 +237,25 @@ def test_scan_builds_one_unit_group_per_modulus(monkeypatch):
     assert g._group_cache == cached
 
 
+def test_scans_build_no_dlog_table(monkeypatch):
+    """R_block and audit_block read each group's units and real parity code,
+    so no group builds its dlog tables."""
+    qs = range(1, 200)
+    groups = []
+    init = g.UnitGroup.__init__
+
+    def keeping(self, q):
+        init(self, q)
+        groups.append(self)
+
+    monkeypatch.setattr(g.UnitGroup, "__init__", keeping)
+    results = list(pl.R_block(LAM, qs, [20 * q * q for q in qs]))
+    assert all(res.complete for res in results[1:])
+    assert len(list(pl.audit_block(mf.mobius_fn(), qs, 10.0, 1.0))) == len(qs)
+    assert len(groups) == 2 * len(qs)
+    assert not any("_dlog_tables" in G.__dict__ for G in groups)
+
+
 def test_real_sign_table_peak_memory():
     """One real character's sign table at q = 510510 (64 real characters),
     the parity code built on the way, peaks below 20 q bytes: no (64, q)

@@ -161,10 +161,11 @@ def test_majorant_dominates_sign_indicators():
 
 
 # 30030 = P(13) and 9699690 = P(20) are chain products met exactly by D;
-# (60, 1e30) and (53, 1e18) take the object-dtype path
+# (60, 1e30) and (53, 1e18) take the object-dtype path; at (46351, 1e5) the
+# product of the two largest primes passes 2^31 while D stays below it
 ORACLE_GRID = [(2, 10), (3, 10), (10, 100), (30, 1e3), (50, 5e3), (100, 1e5), (10, 1e12),
                (200, 1e6), (7.5, 210), (12.5, 1e4), (13, 30030), (20, 30030), (20, 9699690),
-               (23, 9699690), (31, 1e9), (60, 1e30), (53, 1e18)]
+               (23, 9699690), (31, 1e9), (60, 1e30), (53, 1e18), (46351, 1e5)]
 
 
 @pytest.mark.parametrize("z,D", ORACLE_GRID)
