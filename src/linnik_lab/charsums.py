@@ -36,7 +36,7 @@ class SumReport:
     def make(cls, lhs, rhs, asserted=False, ok=None, tag="", **extra):
         lhs = float(lhs)
         rhs = float(rhs)
-        ratio = lhs / rhs if rhs not in (0.0, -0.0) else math.inf * (1 if lhs else 0)
+        ratio = lhs / rhs if rhs else (math.inf if lhs else 0.0)
         return cls(lhs, rhs, ratio, asserted, ok, tag, dict(extra))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -30,7 +31,19 @@ SCHEMA = "linnik-lab/1"
 # ---------------------------------------------------------------------------
 # serialization
 
+# types returned as they are, and containers recursed into, before the probes
+# below: a report's leaves are mostly exact scalars
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def jsonable(obj):
+    kind = type(obj)
+    if kind in _SCALARS:
+        return obj
+    if kind is dict:
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if kind is list or kind is tuple:
+        return [jsonable(v) for v in obj]
     if is_dataclass(obj) and not isinstance(obj, type):
         return jsonable(asdict(obj))
     if isinstance(obj, dict):
@@ -279,6 +292,8 @@ def cmd_triple(args):
 def cmd_charsum(args):
     sub = args.variant
     if sub == "mvt":
+        if args.N < 1:
+            raise DomainError(f"charsum mvt needs --N >= 1, got {args.N}")
         rng = np.random.default_rng(args.seed)
         coeffs = {n: complex(rng.choice((-1.0, 1.0))) for n in range(1, args.N + 1)}
         rep = charsums.mvt_check(coeffs, args.N, args.q)
@@ -462,102 +477,127 @@ class _UsageError(Exception):
     pass
 
 
-# the flags of every command, and their values when neither the command line
-# nor a config file gives them
-COMMON = {"config": None, "out": None, "fmt": "json", "seed": 0, "threads": 1}
+# the flags of every command (dest -> spec), and of each command its
+# function and its own flags.  A spec holds add_argument's keywords, the
+# option string under "flag" when it is not --dest, and two keys that _resolve
+# applies after a config file is read: "default" (else None) and "required".
+COMMON_FLAGS: dict[str, dict] = {
+    "config": {"help": "JSON config file (schema linnik-lab/1)"},
+    "out": {"help": "write the report to this path instead of stdout"},
+    "fmt": {"flag": "--format", "choices": ("json", "csv"), "default": "json"},
+    "seed": {"type": int, "default": 0},
+    "threads": {"type": int, "default": 1},
+}
+
+COMMANDS: dict[str, tuple] = {
+    "factor": (cmd_factor, {"n": {"type": int, "required": True}}),
+    "rfunc": (cmd_rfunc, {
+        "h": {"default": "liouville"}, "q": {"type": int, "required": True},
+        "cap": {"type": int, "required": True}}),
+    "esets": (cmd_esets, {
+        "h": {"default": "liouville"}, "q": {"type": int, "required": True},
+        "x": {"type": int, "required": True}}),
+    "pretend": (cmd_pretend, {
+        "h": {"default": "liouville"}, "q": {"type": int, "required": True},
+        "cutoff": {"type": float, "required": True}, "chi": {"default": "principal"},
+        "c": {"type": float}, "Q1": {"type": float}}),
+    "distance": (cmd_distance, {
+        "f": {"default": "liouville"}, "g": {"default": "one"},
+        "x": {"type": float, "required": True}, "r": {"type": int, "default": 1}}),
+    "lofq": (cmd_lofq, {
+        "q": {"type": int, "required": True}, "prime_cutoff": {"type": int}}),
+    "sieve": (cmd_sieve, {
+        "z": {"type": float, "required": True}, "D": {"type": float, "required": True},
+        "kappa": {"type": float, "default": 1.0}, "accuracy_K": {"type": float}}),
+    "rough": (cmd_rough, {
+        "q": {"type": int, "required": True}, "cap": {"type": float, "required": True},
+        "z": {"type": float, "required": True}, "psi": {"type": int},
+        "b": {"type": int, "default": 1}, "eps": {"type": float, "default": 0.1}}),
+    "densemodel": (cmd_densemodel, {
+        "h": {"default": "liouville"}, "q": {"type": int, "required": True},
+        "epsilon": {"type": float, "default": 0.04}, "R": {"type": float},
+        "Q1": {"type": float}, "z": {"type": float}, "delta": {"type": float},
+        "level_eps": {"type": float, "default": 0.2}}),
+    "kneser": (cmd_kneser, {
+        "q": {"type": int, "required": True}, "trials": {"type": int, "default": 100}}),
+    "triple": (cmd_triple, {
+        "q": {"type": int, "required": True}, "epsilon": {"type": float, "default": 0.08},
+        "trials": {"type": int, "default": 20}}),
+    "charsum": (cmd_charsum, {
+        "q": {"type": int, "required": True}, "N": {"type": int, "default": 500},
+        "eps": {"type": float, "default": 0.2}, "nchars": {"type": int, "default": 10},
+        "P": {"type": float, "default": 500.0}, "Q": {"type": float, "default": 1000.0},
+        "alpha": {"type": float, "default": 0.25}, "C": {"type": float, "default": 1.0},
+        "Y1": {"type": float, "default": 10.0}, "Y2": {"type": float, "default": 100.0},
+        "X": {"type": float, "default": 2000.0}, "M": {"type": float, "default": 50.0},
+        "H": {"type": float, "default": 8.0}, "K": {"type": int, "default": 2}}),
+    "ladder": (cmd_ladder, {
+        "Q1": {"type": float, "required": True}, "q": {"type": int, "required": True},
+        "overrides": {}, "n": {"type": int}}),
+    "ramare": (cmd_ramare, {
+        "h": {"default": "liouville"}, "q": {"type": int, "required": True},
+        "Q1": {"type": float, "required": True}, "M": {"type": float, "required": True},
+        "v": {"type": int, "default": 0}, "j": {"type": int, "default": 2},
+        "delta": {"choices": ("plus", "minus"), "default": "plus"}, "overrides": {},
+        "psi": {"type": int}, "b": {"type": int, "default": 1}}),
+    "stcompare": (cmd_stcompare, {
+        "h": {"default": "liouville"}, "q": {"type": int, "required": True},
+        "a": {"type": int, "default": 1},
+        "variant": {"choices": ("easy", "general"), "default": "easy"}}),
+    "audit": (cmd_audit, {
+        "h": {"default": "liouville"}, "q": {"type": int, "required": True},
+        "Q1": {"type": float, "default": 10.0}, "c": {"type": float, "default": 1.0}}),
+    "batch": (cmd_batch, {
+        "h": {"default": "liouville"},
+        "what": {"choices": ("rfunc", "audit"), "default": "rfunc"},
+        "qmin": {"type": int, "default": 3}, "qmax": {"type": int, "default": 50},
+        "Q1": {"type": float, "default": 10.0}, "c": {"type": float, "default": 1.0}}),
+}
+
+# charsum's positional argument, which a config file cannot give
+CHARSUM_VARIANTS = ("mvt", "pv", "halmon", "large", "amplify", "moments")
 
 
-def _common_flags(p) -> list[argparse.Action]:
-    return [p.add_argument("--config", help="JSON config file (schema linnik-lab/1)"),
-            p.add_argument("--out", help="write the report to this path instead of stdout"),
-            p.add_argument("--format", dest="fmt", choices=("json", "csv")),
-            p.add_argument("--seed", type=int),
-            p.add_argument("--threads", type=int)]
+def _flags(command: str) -> dict[str, dict]:
+    return {**COMMON_FLAGS, **COMMANDS[command][1]}
 
 
-# per command: its required flags, the defaults of its own flags, and every
-# flag it takes (dest -> action), the common ones included
-REQUIRED: dict[str, list[str]] = {}
-DEFAULTS: dict[str, dict[str, object]] = {}
-FLAGS: dict[str, dict[str, argparse.Action]] = {}
+def _option(dest: str, spec: dict) -> str:
+    return spec.get("flag", f"--{dest.replace('_', '-')}")
+
+
+def _add_flags(p: argparse.ArgumentParser, flags: dict[str, dict]) -> None:
+    for dest, spec in flags.items():
+        kwargs = {k: v for k, v in spec.items() if k not in ("flag", "default", "required")}
+        p.add_argument(_option(dest, spec), dest=dest, **kwargs)
+
+
+class _Commands(argparse._SubParsersAction):
+    """The command positional.  Its choices are COMMANDS, so usage, help and
+    the invalid-choice message list every command; a command's subparser is
+    built when the command line names it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        self.subparser(values[0])
+        super().__call__(parser, namespace, values, option_string)
+
+    def subparser(self, name: str) -> _Parser:
+        sp = self._name_parser_map.get(name)
+        if sp is None:
+            sp = self.add_parser(name, argument_default=argparse.SUPPRESS)
+            _add_flags(sp, _flags(name))
+            if name == "charsum":
+                sp.add_argument("variant", choices=CHARSUM_VARIANTS)
+            sp.set_defaults(func=COMMANDS[name][0])
+        return sp
 
 
 def build_parser() -> _Parser:
     """The parser sets only the flags given on the command line (every
     default is SUPPRESS); _resolve fills in the others."""
     p = _Parser(prog="linnik-lab", description=__doc__, argument_default=argparse.SUPPRESS)
-    _common_flags(p)
-    sub = p.add_subparsers(dest="command")
-
-    def add(name, fn, **flags):
-        sp = sub.add_parser(name, argument_default=argparse.SUPPRESS)
-        FLAGS[name] = {a.dest: a for a in _common_flags(sp)}
-        REQUIRED[name] = []
-        DEFAULTS[name] = {}
-        for fname, spec in flags.items():
-            spec = dict(spec)
-            if spec.pop("required", False):
-                # deferred so a config file may supply the value
-                REQUIRED[name].append(fname)
-            DEFAULTS[name][fname] = spec.pop("default", None)
-            FLAGS[name][fname] = sp.add_argument(f"--{fname.replace('_', '-')}", **spec)
-        sp.set_defaults(func=fn)
-        return sp
-
-    add("factor", cmd_factor, n={"type": int, "required": True})
-    add("rfunc", cmd_rfunc, h={"default": "liouville"}, q={"type": int, "required": True},
-        cap={"type": int, "required": True})
-    add("esets", cmd_esets, h={"default": "liouville"}, q={"type": int, "required": True},
-        x={"type": int, "required": True})
-    add("pretend", cmd_pretend, h={"default": "liouville"}, q={"type": int, "required": True},
-        cutoff={"type": float, "required": True}, chi={"default": "principal"},
-        c={"type": float}, Q1={"type": float})
-    add("distance", cmd_distance, f={"default": "liouville"}, g={"default": "one"},
-        x={"type": float, "required": True}, r={"type": int, "default": 1})
-    add("lofq", cmd_lofq, q={"type": int, "required": True},
-        prime_cutoff={"type": int, "default": None})
-    add("sieve", cmd_sieve, z={"type": float, "required": True},
-        D={"type": float, "required": True}, kappa={"type": float, "default": 1.0},
-        accuracy_K={"type": float, "default": None})
-    add("rough", cmd_rough, q={"type": int, "required": True},
-        cap={"type": float, "required": True}, z={"type": float, "required": True},
-        psi={"type": int, "default": None}, b={"type": int, "default": 1},
-        eps={"type": float, "default": 0.1})
-    add("densemodel", cmd_densemodel, h={"default": "liouville"},
-        q={"type": int, "required": True}, epsilon={"type": float, "default": 0.04},
-        R={"type": float}, Q1={"type": float}, z={"type": float}, delta={"type": float},
-        level_eps={"type": float, "default": 0.2})
-    add("kneser", cmd_kneser, q={"type": int, "required": True},
-        trials={"type": int, "default": 100})
-    add("triple", cmd_triple, q={"type": int, "required": True},
-        epsilon={"type": float, "default": 0.08}, trials={"type": int, "default": 20})
-    cs = add("charsum", cmd_charsum, q={"type": int, "required": True},
-             N={"type": int, "default": 500}, eps={"type": float, "default": 0.2},
-             nchars={"type": int, "default": 10}, P={"type": float, "default": 500.0},
-             Q={"type": float, "default": 1000.0}, alpha={"type": float, "default": 0.25},
-             C={"type": float, "default": 1.0}, Y1={"type": float, "default": 10.0},
-             Y2={"type": float, "default": 100.0}, X={"type": float, "default": 2000.0},
-             M={"type": float, "default": 50.0}, H={"type": float, "default": 8.0},
-             K={"type": int, "default": 2})
-    cs.add_argument("variant", choices=("mvt", "pv", "halmon", "large", "amplify", "moments"))
-    add("ladder", cmd_ladder, Q1={"type": float, "required": True},
-        q={"type": int, "required": True}, overrides={"default": None},
-        n={"type": int, "default": None})
-    add("ramare", cmd_ramare, h={"default": "liouville"}, q={"type": int, "required": True},
-        Q1={"type": float, "required": True}, M={"type": float, "required": True},
-        v={"type": int, "default": 0}, j={"type": int, "default": 2},
-        delta={"choices": ("plus", "minus"), "default": "plus"},
-        overrides={"default": None}, psi={"type": int, "default": None},
-        b={"type": int, "default": 1})
-    add("stcompare", cmd_stcompare, h={"default": "liouville"},
-        q={"type": int, "required": True}, a={"type": int, "default": 1},
-        variant={"choices": ("easy", "general"), "default": "easy"})
-    add("audit", cmd_audit, h={"default": "liouville"}, q={"type": int, "required": True},
-        Q1={"type": float, "default": 10.0}, c={"type": float, "default": 1.0})
-    add("batch", cmd_batch, h={"default": "liouville"},
-        what={"choices": ("rfunc", "audit"), "default": "rfunc"},
-        qmin={"type": int, "default": 3}, qmax={"type": int, "default": 50},
-        Q1={"type": float, "default": 10.0}, c={"type": float, "default": 1.0})
+    _add_flags(p, COMMON_FLAGS)
+    p.add_subparsers(dest="command", action=_Commands).choices = COMMANDS
     return p
 
 
@@ -580,11 +620,12 @@ def _read_config(path: str, command: str) -> tuple[dict, dict]:
     return sections
 
 
-def _config_value(action: argparse.Action, val):
+def _config_value(dest: str, spec: dict, val):
     """A config value through its flag's type, as if given on the command
     line: a string is parsed, an int is taken where a float is wanted, and
     any other JSON type is refused."""
-    kind = action.type or str
+    kind = spec.get("type", str)
+    choices = spec.get("choices")
     out = None
     if isinstance(val, str):
         try:
@@ -593,9 +634,9 @@ def _config_value(action: argparse.Action, val):
             pass
     elif type(val) is int and kind in (int, float) or type(val) is float and kind is float:
         out = kind(val)
-    if out is None or action.choices is not None and out not in action.choices:
-        want = f"one of {list(action.choices)}" if action.choices else f"of type {kind.__name__}"
-        raise PreconditionError(f"config value for {action.option_strings[0]} must be "
+    if out is None or choices is not None and out not in choices:
+        want = f"one of {list(choices)}" if choices else f"of type {kind.__name__}"
+        raise PreconditionError(f"config value for {_option(dest, spec)} must be "
                                 f"{want}, got {val!r}")
     return out
 
@@ -604,7 +645,7 @@ def _resolve(args):
     """Give every flag the command line left out its value: from the config
     file when one is named (its command section over its "defaults"), else
     its default."""
-    flags = FLAGS[args.command]
+    flags = _flags(args.command)
     if hasattr(args, "config"):
         defaults, own = _read_config(args.config, args.command)
         unknown = sorted(set(own) - set(flags))
@@ -614,10 +655,10 @@ def _resolve(args):
         # a shared default that names no flag of this command is left out
         for key, val in {**defaults, **own}.items():
             if key in flags and not hasattr(args, key):
-                setattr(args, key, _config_value(flags[key], val))
-    for key, val in {**COMMON, **DEFAULTS[args.command]}.items():
+                setattr(args, key, _config_value(key, flags[key], val))
+    for key, spec in flags.items():
         if not hasattr(args, key):
-            setattr(args, key, val)
+            setattr(args, key, spec.get("default"))
     return args
 
 
@@ -629,8 +670,8 @@ def run(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         args = _resolve(args)
-        missing = [name for name in REQUIRED.get(args.command, ())
-                   if getattr(args, name, None) is None]
+        missing = [name for name, spec in COMMANDS[args.command][1].items()
+                   if spec.get("required") and getattr(args, name, None) is None]
         if missing:
             raise _UsageError(f"missing required arguments for {args.command}: "
                               + ", ".join(f"--{m}" for m in missing))
@@ -655,6 +696,12 @@ def run(argv=None) -> int:
 def main() -> None:
     sys.exit(run())
 
+
+# The program is imported and ready: its ~22k import-time objects live until
+# exit, so freeze them out of the collector's generations.  Collections while
+# a command runs then skip them, and so do the interpreter's collections at
+# shutdown; forked --threads workers inherit the frozen heap.
+gc.freeze()
 
 if __name__ == "__main__":
     main()

@@ -467,15 +467,20 @@ class DirichletCharacter:
 # ---------------------------------------------------------------------------
 # module-level helpers (spec surface)
 
+# the groups build_unit_group built last, oldest first
 _group_cache: dict[int, UnitGroup] = {}
+_GROUP_CACHE_SIZE = 8
 
 
 def build_unit_group(q: int) -> UnitGroup:
-    """Build (and memoize) Z_q^x."""
+    """Build Z_q^x, or return it if it is among the last _GROUP_CACHE_SIZE
+    groups built here."""
     if q == 0:
         raise DomainError("q must be >= 1")
     G = _group_cache.get(q)
     if G is None:
+        if len(_group_cache) >= _GROUP_CACHE_SIZE:
+            del _group_cache[next(iter(_group_cache))]
         G = _group_cache[q] = UnitGroup(q)
     return G
 

@@ -151,6 +151,14 @@ def test_mvt_check():
     assert rep.ok and rep.ratio > 0.4
 
 
+def test_sum_report_ratio_of_empty_sides():
+    # 0 / 0 reads 0: the report must stay valid JSON, which has no NaN
+    assert cs.SumReport.make(0, 0).ratio == 0.0
+    assert cs.SumReport.make(0.0, -0.0).ratio == 0.0
+    assert cs.SumReport.make(2, 0).ratio == math.inf
+    assert cs.SumReport.make(1, 4).ratio == 0.25
+
+
 def test_mvt_matches_direct_character_sum():
     rng = np.random.default_rng(5)
     q = 13

@@ -1,11 +1,15 @@
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linnik_lab import cli
 
@@ -41,6 +45,65 @@ def test_pretend_example(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["result"]["sum"] == pytest.approx(0.676190476, abs=1e-6)
+
+
+# argvs that end in a domain or precondition error (exit 2, no traceback):
+# malformed h specs, character indices, ladder overrides, batch ranges and
+# charsum scales
+DOMAIN_ERRORS = [
+    ("rfunc", "--h", "character:7", "--q", "8", "--cap", "100"),
+    ("rfunc", "--h", "character:7:9", "--q", "8", "--cap", "100"),
+    ("rfunc", "--h", "character:7:-1", "--q", "8", "--cap", "100"),
+    ("rough", "--q", "35", "--cap", "1000", "--z", "3", "--psi", "9"),
+    ("rough", "--q", "35", "--cap", "1000", "--z", "3", "--psi", "-1"),
+    # the coset representative 0 is no unit
+    ("rough", "--q", "8", "--cap", "100", "--z", "3", "--psi", "0", "--b", "0"),
+    ("ramare", "--q", "101", "--Q1", "10", "--M", "2000", "--j", "2",
+     "--overrides", "10:100,150:1500", "--psi", "0", "--b", "0"),
+    ("pretend", "--q", "5", "--cutoff", "10", "--chi", "-1"),
+    ("ladder", "--Q1", "10", "--q", "101", "--overrides", "10-100"),
+    ("batch", "--qmin", "0", "--qmax", "3"),
+    ("--format", "csv", "batch", "--qmin", "5", "--qmax", "3"),
+    ("stcompare", "--q", "35", "--a", "7"),
+    # (R/e, R] = (2.39, 6.5] holds no unit mod 30
+    ("densemodel", "--q", "30", "--R", "6.5"),
+    ("charsum", "halmon", "--q", "101", "--N", "0"),
+    ("charsum", "halmon", "--q", "101", "--N", "-5"),
+    ("charsum", "halmon", "--q", "1", "--N", "5"),
+    # an empty coefficient range: both sides of the inequality are 0
+    ("charsum", "mvt", "--q", "3", "--N", "0"),
+    ("charsum", "mvt", "--q", "3", "--N", "-5"),
+    # no non-principal character: a max over an empty set
+    ("charsum", "pv", "--q", "1"),
+    ("charsum", "pv", "--q", "2"),
+    ("charsum", "amplify", "--q", "11", "--Y1", "1"),
+    ("charsum", "amplify", "--q", "11", "--Y1", "0.5"),
+    ("charsum", "amplify", "--q", "11", "--Y2", "0.001"),
+    # the shapes q^(1/C) and 1/H need C > 0 and H > 0
+    ("charsum", "large", "--q", "101", "--C", "0"),
+    ("charsum", "moments", "--q", "35", "--N", "2000", "--H", "0"),
+    # no set size s with (2/5 + eps) phi < s <= phi, or eps <= 0
+    ("triple", "--q", "1009", "--epsilon", "0.7"),
+    ("triple", "--q", "1009", "--epsilon", "-1"),
+    ("triple", "--q", "101", "--trials", "-1"),
+    ("kneser", "--q", "101", "--trials", "-3"),
+    # every p divides 0: no coprimality modulus r < 1
+    ("distance", "--x", "100", "--r", "0"),
+    ("distance", "--x", "100", "--r", "-2"),
+    # non-finite floats, refused before any command runs; JSON
+    # has no inf or nan
+    ("distance", "--x", "inf"),
+    ("distance", "--x", "nan"),
+    ("pretend", "--q", "5", "--cutoff", "inf"),
+    ("pretend", "--q", "5", "--cutoff", "nan"),
+    ("ladder", "--Q1", "nan", "--q", "101"),
+    ("ladder", "--Q1", "10", "--q", "101", "--overrides", "10:inf"),
+    ("rough", "--q", "35", "--cap", "1000", "--z", "nan"),
+    ("charsum", "large", "--q", "101", "--P", "nan"),
+    ("charsum", "amplify", "--q", "11", "--Y1", "nan"),
+    ("sieve", "--z", "100", "--D", "inf"),
+    ("sieve", "--z", "100", "--D=-inf"),
+]
 
 
 def test_exit_codes(capsys, monkeypatch):
@@ -90,57 +153,7 @@ def test_exit_codes(capsys, monkeypatch):
             assert code == 0, err
     code, _, _ = run_cli(capsys)
     assert code == 1
-    # malformed h specs, character indices, ladder overrides, batch ranges
-    # and charsum scales are domain errors
-    for argv in (("rfunc", "--h", "character:7", "--q", "8", "--cap", "100"),
-                 ("rfunc", "--h", "character:7:9", "--q", "8", "--cap", "100"),
-                 ("rfunc", "--h", "character:7:-1", "--q", "8", "--cap", "100"),
-                 ("rough", "--q", "35", "--cap", "1000", "--z", "3", "--psi", "9"),
-                 ("rough", "--q", "35", "--cap", "1000", "--z", "3", "--psi", "-1"),
-                 # the coset representative 0 is no unit
-                 ("rough", "--q", "8", "--cap", "100", "--z", "3", "--psi", "0", "--b", "0"),
-                 ("ramare", "--q", "101", "--Q1", "10", "--M", "2000", "--j", "2",
-                  "--overrides", "10:100,150:1500", "--psi", "0", "--b", "0"),
-                 ("pretend", "--q", "5", "--cutoff", "10", "--chi", "-1"),
-                 ("ladder", "--Q1", "10", "--q", "101", "--overrides", "10-100"),
-                 ("batch", "--qmin", "0", "--qmax", "3"),
-                 ("--format", "csv", "batch", "--qmin", "5", "--qmax", "3"),
-                 ("stcompare", "--q", "35", "--a", "7"),
-                 # (R/e, R] = (2.39, 6.5] holds no unit mod 30
-                 ("densemodel", "--q", "30", "--R", "6.5"),
-                 ("charsum", "halmon", "--q", "101", "--N", "0"),
-                 ("charsum", "halmon", "--q", "101", "--N", "-5"),
-                 ("charsum", "halmon", "--q", "1", "--N", "5"),
-                 # no non-principal character: a max over an empty set
-                 ("charsum", "pv", "--q", "1"),
-                 ("charsum", "pv", "--q", "2"),
-                 ("charsum", "amplify", "--q", "11", "--Y1", "1"),
-                 ("charsum", "amplify", "--q", "11", "--Y1", "0.5"),
-                 ("charsum", "amplify", "--q", "11", "--Y2", "0.001"),
-                 # the shapes q^(1/C) and 1/H need C > 0 and H > 0
-                 ("charsum", "large", "--q", "101", "--C", "0"),
-                 ("charsum", "moments", "--q", "35", "--N", "2000", "--H", "0"),
-                 # no set size s with (2/5 + eps) phi < s <= phi, or eps <= 0
-                 ("triple", "--q", "1009", "--epsilon", "0.7"),
-                 ("triple", "--q", "1009", "--epsilon", "-1"),
-                 ("triple", "--q", "101", "--trials", "-1"),
-                 ("kneser", "--q", "101", "--trials", "-3"),
-                 # every p divides 0: no coprimality modulus r < 1
-                 ("distance", "--x", "100", "--r", "0"),
-                 ("distance", "--x", "100", "--r", "-2"),
-                 # non-finite floats, refused before any command runs; JSON
-                 # has no inf or nan
-                 ("distance", "--x", "inf"),
-                 ("distance", "--x", "nan"),
-                 ("pretend", "--q", "5", "--cutoff", "inf"),
-                 ("pretend", "--q", "5", "--cutoff", "nan"),
-                 ("ladder", "--Q1", "nan", "--q", "101"),
-                 ("ladder", "--Q1", "10", "--q", "101", "--overrides", "10:inf"),
-                 ("rough", "--q", "35", "--cap", "1000", "--z", "nan"),
-                 ("charsum", "large", "--q", "101", "--P", "nan"),
-                 ("charsum", "amplify", "--q", "11", "--Y1", "nan"),
-                 ("sieve", "--z", "100", "--D", "inf"),
-                 ("sieve", "--z", "100", "--D=-inf")):
+    for argv in DOMAIN_ERRORS:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "Traceback" not in err, (argv, err)
 
@@ -186,6 +199,18 @@ DENSE_MODEL_DIGESTS = [
 ]
 
 
+# sha256 of table reports, JSON and CSV: they guard the report writer on
+# rows of plain scalars
+BATCH_DIGESTS = [
+    (("batch", "--what", "rfunc", "--h", "liouville", "--qmin", "3", "--qmax", "400"),
+     "1fb6a0dae2cb319395bc79dbf0f3817297937f888054264406300f902b2359ae"),
+    (("batch", "--what", "audit", "--h", "mobius", "--qmin", "3", "--qmax", "400"),
+     "a20db849ac604e8ee6fa71e8a7e000f44cc5e175eeb25340f4a0159a812ab441"),
+    (("--format", "csv", "batch", "--qmin", "3", "--qmax", "50"),
+     "f54683c4055aeb7741df931e1c42f498cd9c75ec5a0798066ecbf516b9838930"),
+]
+
+
 # sha256 of the Polya-Vinogradov sweep over every non-principal character and
 # of the Halasz-Montgomery report, recorded with the per-character convex-hull
 # sweep and the report that built every character before drawing ten
@@ -217,6 +242,12 @@ def test_product_set_reports_are_unchanged(capsys, argv, digest):
 
 @pytest.mark.parametrize("argv,digest", DENSE_MODEL_DIGESTS)
 def test_dense_model_reports_are_unchanged(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", BATCH_DIGESTS)
+def test_batch_reports_are_unchanged(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -338,41 +369,44 @@ def test_charsum_draws_random_numbers_only_where_it_uses_them():
         assert out.stdout.strip() == str(drawn), variant
 
 
+# argvs that succeed, each with a check of its report
+SMOKE_CHECKS = [
+    (("esets", "--q", "3", "--x", "14"), lambda d: d["result"]["both_full"]),
+    (("distance", "--f", "liouville", "--g", "one", "--x", "10"),
+     lambda d: abs(d["result"]["distance"] - 1.53375) < 1e-4),
+    (("lofq", "--q", "4"), lambda d: abs(d["result"]["L"] - 3 / math.pi) < 1e-6),
+    (("sieve", "--z", "30", "--D", "1000"), lambda d: d["result"]["max_abs"] <= 1),
+    (("rough", "--q", "5", "--cap", "20", "--z", "2", "--psi", "0", "--b", "2"),
+     lambda d: d["result"]["count"] == 8),
+    (("kneser", "--q", "24", "--trials", "50"), lambda d: d["result"]["all_pass"]),
+    (("triple", "--q", "101", "--trials", "5", "--seed", "1"),
+     lambda d: sum(d["result"]["outcomes"].values()) == 5),
+    (("ladder", "--Q1", "10", "--q", "101", "--overrides", "10:100", "--n", "77"),
+     lambda d: d["result"]["in_S"] is True),
+    (("ramare", "--q", "35", "--Q1", "10", "--M", "600", "--overrides", "10:100"),
+     lambda d: d["result"]["identity_holds"]),
+    (("charsum", "pv", "--q", "101"), lambda d: d["result"]["bound"] > 0),
+    (("charsum", "large", "--q", "101", "--P", "500"),
+     lambda d: d["result"]["lhs"] >= 0),
+    (("charsum", "amplify", "--q", "101"), lambda d: d["result"]["lhs"] >= 0),
+    (("charsum", "halmon", "--q", "101", "--N", "300"),
+     lambda d: d["result"]["lhs"] >= 0),
+    (("charsum", "moments", "--q", "35", "--N", "2000"),
+     lambda d: d["result"]["squares"]["lhs"] >= 0),
+    (("stcompare", "--q", "35", "--a", "1"), lambda d: d["result"]["lhs"] >= 0),
+    (("stcompare", "--q", "35", "--variant", "general"),
+     lambda d: d["result"]["extra"]["S"] > 0),
+    (("audit", "--q", "3", "--Q1", "10"),
+     lambda d: d["result"]["verdict"] in ("branch1", "both")),
+    (("densemodel", "--q", "101", "--R", "101"),
+     lambda d: d["result"]["models"]["plus"]["verify"]["asserted"]["ii"]),
+    (("batch", "--qmin", "3", "--qmax", "8"),
+     lambda d: len(d["result"]["table"]) == 6),
+]
+
+
 def test_more_subcommands_smoke(capsys):
-    checks = [
-        (("esets", "--q", "3", "--x", "14"), lambda d: d["result"]["both_full"]),
-        (("distance", "--f", "liouville", "--g", "one", "--x", "10"),
-         lambda d: abs(d["result"]["distance"] - 1.53375) < 1e-4),
-        (("lofq", "--q", "4"), lambda d: abs(d["result"]["L"] - 3 / math.pi) < 1e-6),
-        (("sieve", "--z", "30", "--D", "1000"), lambda d: d["result"]["max_abs"] <= 1),
-        (("rough", "--q", "5", "--cap", "20", "--z", "2", "--psi", "0", "--b", "2"),
-         lambda d: d["result"]["count"] == 8),
-        (("kneser", "--q", "24", "--trials", "50"), lambda d: d["result"]["all_pass"]),
-        (("triple", "--q", "101", "--trials", "5", "--seed", "1"),
-         lambda d: sum(d["result"]["outcomes"].values()) == 5),
-        (("ladder", "--Q1", "10", "--q", "101", "--overrides", "10:100", "--n", "77"),
-         lambda d: d["result"]["in_S"] is True),
-        (("ramare", "--q", "35", "--Q1", "10", "--M", "600", "--overrides", "10:100"),
-         lambda d: d["result"]["identity_holds"]),
-        (("charsum", "pv", "--q", "101"), lambda d: d["result"]["bound"] > 0),
-        (("charsum", "large", "--q", "101", "--P", "500"),
-         lambda d: d["result"]["lhs"] >= 0),
-        (("charsum", "amplify", "--q", "101"), lambda d: d["result"]["lhs"] >= 0),
-        (("charsum", "halmon", "--q", "101", "--N", "300"),
-         lambda d: d["result"]["lhs"] >= 0),
-        (("charsum", "moments", "--q", "35", "--N", "2000"),
-         lambda d: d["result"]["squares"]["lhs"] >= 0),
-        (("stcompare", "--q", "35", "--a", "1"), lambda d: d["result"]["lhs"] >= 0),
-        (("stcompare", "--q", "35", "--variant", "general"),
-         lambda d: d["result"]["extra"]["S"] > 0),
-        (("audit", "--q", "3", "--Q1", "10"),
-         lambda d: d["result"]["verdict"] in ("branch1", "both")),
-        (("densemodel", "--q", "101", "--R", "101"),
-         lambda d: d["result"]["models"]["plus"]["verify"]["asserted"]["ii"]),
-        (("batch", "--qmin", "3", "--qmax", "8"),
-         lambda d: len(d["result"]["table"]) == 6),
-    ]
-    for argv, check in checks:
+    for argv, check in SMOKE_CHECKS:
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
         assert check(json.loads(out)), argv
@@ -444,3 +478,175 @@ def test_lofq_report_with_lazy_mpmath(capsys):
     # the odd character mod 15: L(1, chi_-15) = 2 pi / sqrt(15) (class number 2)
     assert res["per_character"][2]["L1"] == pytest.approx(2 * math.pi / math.sqrt(15),
                                                           rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the parser: one subparser per run
+
+def _full_parser():
+    """The parser with every command's subparser built."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, cli._Commands))
+    for name in cli.COMMANDS:
+        commands.subparser(name)
+    return parser
+
+
+def _parsed(parser, argv):
+    """The namespace argv parses to (as its repr: nan != nan), or the usage error."""
+    try:
+        return repr(parser.parse_args(list(argv)))
+    except cli._UsageError as exc:
+        return f"usage error: {exc}"
+
+
+PARSE_ARGVS = [
+    row if isinstance(row[0], str) else row[0]
+    for table in (DOMAIN_ERRORS, SMOKE_CHECKS, PRODUCT_SET_DIGESTS, DENSE_MODEL_DIGESTS,
+                  CHARSUM_DIGESTS, BATCH_DIGESTS) for row in table
+] + [
+    (), ("frobnicate",), ("--seed", "3"), ("factor",), ("factor", "--n", "x"),
+    ("factor", "--n", "12"), ("factor", "--nn", "3"), ("factor", "--n", "3", "extra"),
+    ("rfunc", "--h", "liouville", "--q", "3", "--cap", "1000"), ("rfunc", "--q", "3"),
+    ("rfunc", "--q", "997", "--cap", "1e8"), ("charsum", "--q", "3"),
+    ("charsum", "bogus", "--q", "3"), ("charsum", "mvt", "--q", "101", "--N", "300", "--seed", "7"),
+    ("--config", "cfg.json", "rfunc", "--q", "5"), ("--config", "cfg.json", "rfunc"),
+    ("--seed", "0", "charsum", "mvt", "--q", "101", "--N", "300"),
+    ("--form", "csv", "batch", "--qm", "3"), ("batch", "--what", "x"),
+    ("--out", "rfunc", "factor", "--n", "4"), ("--out",),
+    ("factor", "--n", "9991", "--out", "report.json"),
+    ("pretend", "--h", "liouville", "--q", "4", "--cutoff", "10", "--chi", "principal"),
+    ("lofq", "--q", "15", "--prime-cutoff", "100"), ("sieve", "--z", "100", "--D", "1e30"),
+    ("rfunc", "--h", "character:7:1", "--q", "8", "--cap", "1000"),
+]
+
+
+def test_every_argv_parses_as_with_every_subparser_built():
+    full = _full_parser()
+    for argv in PARSE_ARGVS:
+        assert _parsed(cli.build_parser(), argv) == _parsed(full, argv), argv
+
+
+def test_a_run_builds_the_subparser_it_names(monkeypatch):
+    built = []
+    subparser = cli._Commands.subparser
+
+    def counting(self, name):
+        built.append(name)
+        return subparser(self, name)
+
+    monkeypatch.setattr(cli._Commands, "subparser", counting)
+    cli.build_parser().parse_args(["--seed", "1", "factor", "--n", "12"])
+    assert built == ["factor"]
+
+
+# sha256 of the top-level help (80 columns) and of the invalid-command message,
+# recorded with every subparser built up front (argparse of Python 3.11)
+HELP_DIGEST = "58b1453bb0cbbc0df121d791e381eb376382547e4ad0b30382732dcc7d181292"
+INVALID_COMMAND_DIGEST = "3e041f6cdf9c52350982721c4c33fa02fe239cf50f583b72619c0fab334b8571"
+
+
+def test_help_and_the_invalid_command_message(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        cli.run(["--help"])
+    help_text = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        _full_parser().parse_args(["--help"])
+    assert capsys.readouterr().out == help_text
+    code, _, err = run_cli(capsys, "frobnicate")
+    assert code == 1
+    assert hashlib.sha256(help_text.encode()).hexdigest() == HELP_DIGEST
+    assert hashlib.sha256(err.encode()).hexdigest() == INVALID_COMMAND_DIGEST, err
+
+
+# ---------------------------------------------------------------------------
+# jsonable against the chain of type probes it had before its fast path
+
+def _jsonable_oracle(obj):
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _jsonable_oracle(dataclasses.asdict(obj))
+    if isinstance(obj, dict):
+        return {str(k): _jsonable_oracle(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable_oracle(v) for v in obj]
+    if isinstance(obj, (set, frozenset)):
+        return sorted(_jsonable_oracle(v) for v in obj)
+    if isinstance(obj, Fraction):
+        return {"num": obj.numerator, "den": obj.denominator}
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, np.ndarray):
+        return [_jsonable_oracle(v) for v in obj.tolist()]
+    return obj
+
+
+@dataclasses.dataclass
+class _Record:
+    value: object
+    rows: list
+
+
+def _report_text(convert, obj):
+    """The report text of obj, or the type of the error converting it raises."""
+    try:
+        return json.dumps(convert(obj), sort_keys=True, indent=2)
+    except Exception as exc:
+        return type(exc)
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True)
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**20, 10**20), _floats, st.just(-0.0),
+    st.text(max_size=4), _floats.map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_), st.fractions(max_denominator=50),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.frozensets(st.integers(-5, 5), max_size=4), st.sets(st.text(max_size=2), max_size=3),
+    _floats.map(np.asarray), st.lists(_floats, max_size=4).map(np.asarray),
+    st.lists(st.integers(-9, 9), max_size=4).map(lambda xs: np.asarray(xs, dtype=np.int64)))
+_values = st.recursive(_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(st.one_of(st.integers(-3, 3), st.text(max_size=2)), inner, max_size=4),
+    st.builds(_Record, inner, st.lists(inner, max_size=2))), max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values)
+def test_jsonable_matches_the_probe_chain(obj):
+    assert _report_text(cli.jsonable, obj) == _report_text(_jsonable_oracle, obj)
+
+
+# ---------------------------------------------------------------------------
+# the program entry point freezes its import-time heap
+
+def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_importing_the_cli_freezes_the_heap():
+    out = _python("import gc, linnik_lab.cli; print(gc.get_freeze_count() > 0)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "True"
+
+
+def test_running_the_cli_module_freezes_the_heap_before_main_exits():
+    # main() ends in sys.exit, which here reports the frozen count instead
+    code = ("import gc, runpy, sys\n"
+            "import linnik_lab, numpy\n"
+            "assert gc.get_freeze_count() == 0\n"
+            "sys.argv = ['linnik-lab', 'factor', '--n', '12']\n"
+            "def exit(code): sys.stderr.write(f'{code} {gc.get_freeze_count() > 0}')\n"
+            "sys.exit = exit\n"
+            "runpy.run_module('linnik_lab.cli', run_name='__main__')\n")
+    out = _python(code)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["result"]["factors"] == [[2, 2], [3, 1]]
+    assert out.stderr == "0 True"

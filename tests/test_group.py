@@ -24,6 +24,19 @@ def test_build_examples():
         g.build_unit_group(0)
 
 
+def test_build_unit_group_keeps_the_last_groups_built(monkeypatch):
+    monkeypatch.setattr(g, "_group_cache", {})
+    bound = g._GROUP_CACHE_SIZE
+    qs = range(101, 101 + 3 * bound)
+    for q in qs:
+        g.build_unit_group(q)
+        assert len(g._group_cache) <= bound
+    assert list(g._group_cache) == list(qs[-bound:])
+    G = g.build_unit_group(qs[-1])
+    assert g.build_unit_group(qs[-1]) is G
+    assert G.q == qs[-1] and list(g._group_cache) == list(qs[-bound:])
+
+
 def test_dlog_homomorphism():
     rng = random.Random(3)
     for q in (5, 8, 24, 35, 101, 360):
