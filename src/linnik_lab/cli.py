@@ -31,19 +31,7 @@ SCHEMA = "linnik-lab/1"
 # ---------------------------------------------------------------------------
 # serialization
 
-# types returned as they are, and containers recursed into, before the probes
-# below: a report's leaves are mostly exact scalars
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
 def jsonable(obj):
-    kind = type(obj)
-    if kind in _SCALARS:
-        return obj
-    if kind is dict:
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if kind is list or kind is tuple:
-        return [jsonable(v) for v in obj]
     if is_dataclass(obj) and not isinstance(obj, type):
         return jsonable(asdict(obj))
     if isinstance(obj, dict):

@@ -1,15 +1,11 @@
-import dataclasses
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from linnik_lab import cli
 
@@ -483,9 +479,12 @@ def test_lofq_report_with_lazy_mpmath(capsys):
 # ---------------------------------------------------------------------------
 # the parser: one subparser per run
 
+_build_parser = cli.build_parser
+
+
 def _full_parser():
     """The parser with every command's subparser built."""
-    parser = cli.build_parser()
+    parser = _build_parser()
     commands = next(a for a in parser._actions if isinstance(a, cli._Commands))
     for name in cli.COMMANDS:
         commands.subparser(name)
@@ -541,85 +540,27 @@ def test_a_run_builds_the_subparser_it_names(monkeypatch):
 
 
 # sha256 of the top-level help (80 columns) and of the invalid-command message,
-# recorded with every subparser built up front (argparse of Python 3.11)
+# recorded with every subparser built up front.  argparse words and wraps both
+# differently across Python versions, so the digests hold for 3.11 only.
 HELP_DIGEST = "58b1453bb0cbbc0df121d791e381eb376382547e4ad0b30382732dcc7d181292"
 INVALID_COMMAND_DIGEST = "3e041f6cdf9c52350982721c4c33fa02fe239cf50f583b72619c0fab334b8571"
 
 
 def test_help_and_the_invalid_command_message(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit):
-        cli.run(["--help"])
-    help_text = capsys.readouterr().out
-    with pytest.raises(SystemExit):
-        _full_parser().parse_args(["--help"])
-    assert capsys.readouterr().out == help_text
-    code, _, err = run_cli(capsys, "frobnicate")
-    assert code == 1
-    assert hashlib.sha256(help_text.encode()).hexdigest() == HELP_DIGEST
-    assert hashlib.sha256(err.encode()).hexdigest() == INVALID_COMMAND_DIGEST, err
-
-
-# ---------------------------------------------------------------------------
-# jsonable against the chain of type probes it had before its fast path
-
-def _jsonable_oracle(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable_oracle(dataclasses.asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): _jsonable_oracle(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable_oracle(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(_jsonable_oracle(v) for v in obj)
-    if isinstance(obj, Fraction):
-        return {"num": obj.numerator, "den": obj.denominator}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.ndarray):
-        return [_jsonable_oracle(v) for v in obj.tolist()]
-    return obj
-
-
-@dataclasses.dataclass
-class _Record:
-    value: object
-    rows: list
-
-
-def _report_text(convert, obj):
-    """The report text of obj, or the type of the error converting it raises."""
-    try:
-        return json.dumps(convert(obj), sort_keys=True, indent=2)
-    except Exception as exc:
-        return type(exc)
-
-
-_floats = st.floats(allow_nan=True, allow_infinity=True)
-_leaves = st.one_of(
-    st.none(), st.booleans(), st.integers(-10**20, 10**20), _floats, st.just(-0.0),
-    st.text(max_size=4), _floats.map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
-    st.booleans().map(np.bool_), st.fractions(max_denominator=50),
-    st.complex_numbers(allow_nan=True, allow_infinity=True),
-    st.frozensets(st.integers(-5, 5), max_size=4), st.sets(st.text(max_size=2), max_size=3),
-    _floats.map(np.asarray), st.lists(_floats, max_size=4).map(np.asarray),
-    st.lists(st.integers(-9, 9), max_size=4).map(lambda xs: np.asarray(xs, dtype=np.int64)))
-_values = st.recursive(_leaves, lambda inner: st.one_of(
-    st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
-    st.dictionaries(st.one_of(st.integers(-3, 3), st.text(max_size=2)), inner, max_size=4),
-    st.builds(_Record, inner, st.lists(inner, max_size=2))), max_leaves=12)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_values)
-def test_jsonable_matches_the_probe_chain(obj):
-    assert _report_text(cli.jsonable, obj) == _report_text(_jsonable_oracle, obj)
+    outputs = []
+    for parser in (cli.build_parser, _full_parser):
+        monkeypatch.setattr(cli, "build_parser", parser)
+        with pytest.raises(SystemExit):
+            cli.run(["--help"])
+        help_text = capsys.readouterr().out
+        code, _, err = run_cli(capsys, "frobnicate")
+        assert code == 1
+        outputs.append((help_text, err))
+    assert outputs[0] == outputs[1]
+    if sys.version_info[:2] == (3, 11):
+        assert hashlib.sha256(help_text.encode()).hexdigest() == HELP_DIGEST
+        assert hashlib.sha256(err.encode()).hexdigest() == INVALID_COMMAND_DIGEST, err
 
 
 # ---------------------------------------------------------------------------
