@@ -56,7 +56,7 @@ def class_weights(G: group_mod.UnitGroup, ns, weights=None) -> np.ndarray:
 
 def all_char_sums(G: group_mod.UnitGroup, ns, weights=None, conj: bool = True) -> np.ndarray:
     """sum_i w_i chi~(n_i) for every character chi (chi~ = conj by default),
-    aligned with G.characters(): one class collapse and one FFT."""
+    by row: one class collapse and one FFT."""
     return group_mod.transform(G, class_weights(G, ns, weights), conj=conj)
 
 
@@ -64,17 +64,9 @@ def all_char_sums(G: group_mod.UnitGroup, ns, weights=None, conj: bool = True) -
 # coset membership
 
 def _coset_mask(B, G: group_mod.UnitGroup, ns: np.ndarray) -> np.ndarray:
-    """Membership of integers in B (CosetSpec, frozenset of units, or None=G)."""
-    res = ns % G.q
-    unit = G.unit_pos[res] >= 0
-    if B is None:
-        return unit
-    if isinstance(B, group_mod.CosetSpec):
-        return unit & B.member_mask(ns)
-    members = np.zeros(G.q, dtype=bool)
-    for b in B:
-        members[b % G.q] = True
-    return unit & members[res]
+    """Membership of integers in B (a CosetSpec, or None for all of G)."""
+    unit = G.unit_pos[ns % G.q] >= 0
+    return unit if B is None else unit & B.member_mask(ns)
 
 
 # ---------------------------------------------------------------------------
@@ -213,23 +205,18 @@ def in_S(n: int, ladder: LadderSpec) -> bool:
 # ---------------------------------------------------------------------------
 # mean value theorem (asserted) and Halasz-Montgomery report
 
-def mvt_check(coeffs: dict[int, complex] | np.ndarray, N: int, q: int) -> SumReport:
+def mvt_check(coeffs: dict[int, complex], N: int, q: int) -> SumReport:
     """Assert (1/phi) sum_chi |sum a_n chi(n)|^2 <= (1 + N/q) sum_{(n,q)=1} |a_n|^2.
 
     The left side is evaluated exactly by orthogonality as
     sum over classes c of |sum_{n = c} a_n|^2.
     """
     G = group_mod.build_unit_group(q)
-    if isinstance(coeffs, dict):
-        items = [(n, c) for n, c in coeffs.items() if 1 <= n <= N]
-    else:
-        arr = np.asarray(coeffs)
-        items = [(n, arr[n - 1]) for n in range(1, min(N, len(arr)) + 1)]
     w = np.zeros(len(G.units), dtype=complex)
     rhs_sum = 0.0
-    for n, c in items:
+    for n, c in coeffs.items():
         a = n % q if q > 1 else 0
-        if G.is_unit(a):
+        if 1 <= n <= N and G.is_unit(a):
             w[G.unit_pos[a]] += c
             rhs_sum += abs(c) ** 2
     lhs = float(np.sum(np.abs(w) ** 2))
@@ -240,16 +227,17 @@ def mvt_check(coeffs: dict[int, complex] | np.ndarray, N: int, q: int) -> SumRep
     return SumReport.make(lhs, rhs, asserted=True, ok=True, tag="mvt-mean-value")
 
 
-def halasz_montgomery_report(coeffs: dict[int, complex], chars, N: int, q: int,
-                             eps: float) -> SumReport:
-    """sum_{chi in X} |sum_{n<=N rough} a_n chi(n)|^2 against its bound shape.
+def halasz_montgomery_report(coeffs: dict[int, complex], G: group_mod.UnitGroup, rows,
+                             N: int, eps: float) -> SumReport:
+    """sum_{chi in X} |sum_{n<=N rough} a_n chi(n)|^2 against its bound shape,
+    X the characters of G at rows.
 
     Coefficients must be supported on (n, P(q^eps)) = 1; shape is
     (N/log q + N^(2/3) q^(1/9 + 2 eps) |X|) * sum |a_n|^2 (ratio only).
     """
+    q = G.q
     if q < 2:
         raise DomainError("q must be >= 2")
-    G = group_mod.build_unit_group(q)
     z = q**eps
     ns = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
     if ns.size:
@@ -260,32 +248,30 @@ def halasz_montgomery_report(coeffs: dict[int, complex], chars, N: int, q: int,
         if bad.size:
             raise PreconditionError(f"coefficient at n={bad[0]} is not q^eps-rough")
     w = class_weights(G, list(coeffs), list(coeffs.values()))
-    idx = [G.character_index(c) for c in chars]
-    vals = group_mod.transform(G, w, conj=False)[idx]
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    vals = group_mod.transform(G, w, conj=False)[rows]
     lhs = float(np.sum(np.abs(vals) ** 2))
     l2 = sum(abs(c) ** 2 for n, c in coeffs.items() if math.gcd(n, q) == 1)
-    rhs = (N / math.log(q) + N ** (2 / 3) * q ** (1 / 9 + 2 * eps) * len(idx)) * l2
+    rhs = (N / math.log(q) + N ** (2 / 3) * q ** (1 / 9 + 2 * eps) * len(rows)) * l2
     return SumReport.make(lhs, rhs, asserted=False, tag="halasz-montgomery-mean",
-                          set_size=len(idx))
+                          set_size=len(rows))
 
 
 def large_values_census(a_p, P: float, q: int, alpha: float, C: float = 1.0) -> tuple[int, SumReport]:
-    """Exact count of characters with |sum_{P/e<p<=P} a_p chi(p)| >= P^(1-alpha).
+    """Exact count of characters with |sum_{P/e<p<=P} a_p chi(p)| >= P^(1-alpha),
+    a_p a callable of p (1 for every p when None).
 
     Reported against the shape P^(2 alpha) q^(2 alpha + 1/C); not asserted.
     """
+    if not P > 0:
+        raise DomainError(f"P must be > 0, got {P}")
     if not 0 <= alpha <= 0.5:
         raise DomainError("alpha must lie in [0, 1/2]")
     if not C > 0:
         raise DomainError(f"C must be > 0, got {C}")
     G = group_mod.build_unit_group(q)
     ps = [int(p) for p in arith.primes_in(P / math.e, P)]
-    if callable(a_p):
-        weights = [a_p(p) for p in ps]
-    elif a_p is None:
-        weights = [1.0] * len(ps)
-    else:
-        weights = [a_p.get(p, 0.0) for p in ps]
+    weights = [1.0] * len(ps) if a_p is None else [a_p(p) for p in ps]
     if any(abs(c) > 1 + 1e-12 for c in weights):
         raise PreconditionError("coefficients must be 1-bounded")
     vals = all_char_sums(G, ps, weights, conj=False)
@@ -317,8 +303,8 @@ def _max_pair_distance(points: np.ndarray) -> float:
 
 
 def pv_max_windows(G: group_mod.UnitGroup, rows=None) -> np.ndarray:
-    """pv_max_window for each chi = G.characters()[i], i in rows (default:
-    every non-principal character, 1..phi-1), aligned with rows.
+    """pv_max_window for the character at each row (default: every
+    non-principal character, rows 1..phi-1), aligned with rows.
 
     Blocks of about _PV_CELLS prefix cells: a block's angle table comes from
     G.character_angles, its prefix sums from one np.cumsum along the rows,
@@ -330,14 +316,11 @@ def pv_max_windows(G: group_mod.UnitGroup, rows=None) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
     if np.any(rows == 0):
         raise DomainError("principal character excluded")
-    roots = np.append(G.root_table(), 0)   # angle -1 (off the units) reads 0
+    roots = np.append(G.roots, 0)   # angle -1 (off the units) reads 0
     theta = np.pi * np.arange(_PV_DIRECTIONS) / _PV_DIRECTIONS
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     cos_half = math.cos(math.pi / (2 * _PV_DIRECTIONS))
-    # a character is real iff 2 t_c = 0 mod d_c on every component
-    real = np.ones(len(rows), dtype=bool)
-    for t, d in zip(np.unravel_index(rows, G.grid_shape), G.grid_shape):
-        real &= 2 * t % d == 0
+    real = G.orders[rows] <= 2
     out = np.empty(len(rows))
     step = max(1, _PV_CELLS // G.q)
     for s in range(0, len(rows), step):
@@ -534,10 +517,12 @@ def ramare_decompose(G: group_mod.UnitGroup, h, B, delta: int, v: int, j: int,
     ladder interval with weight 1/(omega(m; P_j, Q_j) + 1) on the cofactor;
     E1 collects the squarefree-repair terms (products p^2 m), E2 the two
     edge windows created by snapping the cofactor interval.  All five arrays
-    are indexed by G.characters(); the defect max_chi |M - Mt - E1 - E2| is
+    are indexed by row; the defect max_chi |M - Mt - E1 - E2| is
     returned and must vanish to ~1e-12.  h must not vanish on a cofactor
     candidate or a prime of (P_j, Q_j] (DomainError).
     """
+    if not M > 0:
+        raise DomainError(f"M must be > 0, got {M}")
     q = G.q
     Q1 = ladder.Q1
     P_j, Q_j = ladder.interval(j)

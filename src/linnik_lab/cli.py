@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import gc
 import io
 import json
@@ -51,7 +52,7 @@ def jsonable(obj):
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
+        return jsonable(obj.tolist())
     return obj
 
 
@@ -314,8 +315,7 @@ def cmd_charsum(args):
             raise DomainError("charsum halmon needs --N >= 1 and a q^eps-rough n in [2, 100 N + 1]")
         G = group_mod.build_unit_group(args.q)
         pick = rng.choice(G.phi, size=min(args.nchars, G.phi), replace=False)
-        chars = [group_mod.DirichletCharacter(G, G.dual_vector(i)) for i in pick]
-        rep = charsums.halasz_montgomery_report(coeffs, chars, max(coeffs), args.q, args.eps)
+        rep = charsums.halasz_montgomery_report(coeffs, G, pick, max(coeffs), args.eps)
         return report_for(args, "halasz-montgomery-mean", jsonable(rep))
     if sub == "large":
         count, rep = charsums.large_values_census(None, args.P, args.q, args.alpha, args.C)
@@ -411,7 +411,7 @@ def cmd_batch(args):
         raise ResourceError(f"batch {args.what} over q = {args.qmin}..{args.qmax} would hold "
                             f"{need} bytes of tables, more than the budget {_BATCH_BUDGET}")
     qs = list(range(args.qmin, args.qmax + 1))
-    worker = _BatchWorker(args)
+    worker = functools.partial(_batch_rows, args.h, args.what, args.Q1, args.c)
     workers = min(_worker_count(args.threads), len(qs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -424,33 +424,19 @@ def cmd_batch(args):
     return report_for(args, "batch-thresholds", {"table": rows})
 
 
-class _BatchWorker:
+def _batch_rows(h_spec: str, what: str, Q1: float, c: float, qs) -> list[dict]:
     """The batch rows of one block of moduli, for the serial run (one block)
-    and for process pools (one strided block per worker) alike.
-
-    It carries the h spec, so it pickles before its first call; h is built
-    through _fn on that call and reused by later calls on the same instance.
-    """
-
-    def __init__(self, args):
-        self.h_spec = args.h
-        self.what = args.what
-        self.Q1 = args.Q1
-        self.c = args.c
-        self._h = None
-
-    def __call__(self, qs):
-        if self._h is None:
-            self._h = _fn(self.h_spec)
-        h = self._h
-        if self.what == "rfunc":
-            caps = [int(q * q * 20 * max(math.log(q), 1.0)) + 1 for q in qs]
-            results = list(pipeline.R_block(h, qs, caps))
-            return [{"q": res.q, "R": res.R_value, "cap": res.cap, "verified": ok}
-                    for res, ok in zip(results, pipeline.verify_block(results, h))]
-        return [{"q": res["q"], "verdict": res["verdict"], "R": res["R"],
-                 "min_pretend_sum": res["min_pretend_sum"]}
-                for res in pipeline.audit_block(h, qs, self.Q1, self.c)]
+    and for process pools (one strided block per worker) alike; h is built
+    from its spec through _fn."""
+    h = _fn(h_spec)
+    if what == "rfunc":
+        caps = [int(q * q * 20 * max(math.log(q), 1.0)) + 1 for q in qs]
+        results = list(pipeline.R_block(h, qs, caps))
+        return [{"q": res.q, "R": res.R_value, "cap": res.cap, "verified": ok}
+                for res, ok in zip(results, pipeline.verify_block(results, h))]
+    return [{"q": res["q"], "verdict": res["verdict"], "R": res["R"],
+             "min_pretend_sum": res["min_pretend_sum"]}
+            for res in pipeline.audit_block(h, qs, Q1, c)]
 
 
 # ---------------------------------------------------------------------------

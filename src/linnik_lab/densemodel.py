@@ -26,7 +26,7 @@ class DenseModel:
     delta: float
     eta: float
     source: str
-    spectrum: tuple[int, ...]          # indices into group.characters() (raveled dual vectors)
+    spectrum: tuple[int, ...]          # character rows (raveled dual vectors)
     f_hat: np.ndarray                  # E_{n in [I]_q} f(n) conj(chi(n))
     g_hat: np.ndarray                  # truncated coefficients
     g: np.ndarray                      # real values over group.units
@@ -39,7 +39,7 @@ def build_dense_model(G: group_mod.UnitGroup, f_hat: np.ndarray, delta: float,
                       eta: float = 0.0, source: str = "") -> DenseModel:
     """Spectral-truncation dense model at threshold delta of f: [I]_q -> R_{>=0},
     given by its coefficients f_hat[chi] = E_{n in [I]_q} f(n) conj(chi(n)),
-    aligned with G.characters()."""
+    by row."""
     if delta <= 0:
         raise DomainError("delta must be positive")
     keep = np.abs(f_hat) >= delta

@@ -5,12 +5,13 @@ group.
 
 Every unit a has a discrete-log vector x = (x_1, ..., x_k) in the grid
 Z_{d_1} x ... x Z_{d_k}; a character is indexed by its dual vector t on the
-same grid, in C order (the order of UnitGroup.characters()).  Transforms are
-n-dimensional FFTs on that grid, O(phi log phi) time and O(phi) memory.
-Exact convolution adds dlog vectors componentwise mod d_i: one factor is read
-through a zero-copy window view of its grid tiled twice along each axis and
-contracted against the other's support, O(phi min(|supp f|, |supp g|)) time
-and O(2^k phi) memory for k cyclic components, with integer inputs exact.
+same grid and read by its row, t raveled in C order (row 0 is principal).
+Transforms are n-dimensional FFTs on that grid, O(phi log phi) time and
+O(phi) memory.  Exact convolution adds dlog vectors componentwise mod d_i:
+one factor is read through a zero-copy window view of its grid tiled twice
+along each axis and contracted against the other's support,
+O(phi min(|supp f|, |supp g|)) time and O(2^k phi) memory for k cyclic
+components, with integer inputs exact.
 
 Every component has even order, so real character j (t_i = d_i/2 where bit
 i of j is set) is chi_j(a) = (-1)^popcount(j & code(a)), code(a) the packed
@@ -247,15 +248,13 @@ class UnitGroup:
         return grid.reshape(-1)[self.unit_grid]
 
     @cached_property
-    def _unit_dlogs(self) -> tuple[np.ndarray, ...]:
-        return np.unravel_index(self.unit_grid, self.grid_shape) if self.components else ()
-
     def unit_dlogs(self) -> tuple[np.ndarray, ...]:
         """Per-component dlog exponents of every unit, aligned with self.units."""
-        return self._unit_dlogs
+        return np.unravel_index(self.unit_grid, self.grid_shape) if self.components else ()
 
     @cached_property
-    def _roots(self) -> np.ndarray:
+    def roots(self) -> np.ndarray:
+        """e(k/L) for k = 0..L-1 (L = angle_modulus), exact at k = 0 and L/2."""
         L = self.angle_modulus
         ang = 2 * np.pi * (np.arange(L) / L)
         roots = np.cos(ang) + 1j * np.sin(ang)
@@ -264,29 +263,22 @@ class UnitGroup:
             roots[L // 2] = -1
         return roots
 
-    def root_table(self) -> np.ndarray:
-        """e(k/L) for k = 0..L-1 (L = angle_modulus), exact at k = 0 and L/2."""
-        return self._roots
-
     # -- characters ---------------------------------------------------------
 
     @cached_property
-    def _characters(self) -> tuple["DirichletCharacter", ...]:
-        return tuple(DirichletCharacter(self, v) for v in
-                     itertools.product(*(range(c.order) for c in self.components)))
-
-    def characters(self) -> tuple["DirichletCharacter", ...]:
-        return self._characters
-
-    @cached_property
-    def _real_characters(self) -> tuple["DirichletCharacter", ...]:
-        choices = [(0, c.order // 2) for c in self.components]
-        return tuple(DirichletCharacter(self, v) for v in itertools.product(*choices))
+    def orders(self) -> np.ndarray:
+        """The order of each character by row: lcm_c d_c / gcd(d_c, t_c) for
+        t the row's dual vector."""
+        orders = np.ones(self.phi, dtype=np.int64)
+        for t, d in zip(np.unravel_index(np.arange(self.phi), self.grid_shape), self.grid_shape):
+            orders = np.lcm(orders, d // np.gcd(d, t))
+        return orders
 
     def real_characters(self) -> tuple["DirichletCharacter", ...]:
-        """The characters of order <= 2, t_i in {0, d_i/2}, in characters() order:
+        """The characters of order <= 2, t_i in {0, d_i/2}, in row order:
         j = 0 is principal, and bit i of j (the first component most significant) is t_i != 0."""
-        return self._real_characters
+        choices = [(0, c.order // 2) for c in self.components]
+        return tuple(DirichletCharacter(self, v) for v in itertools.product(*choices))
 
     @cached_property
     def _real_code(self) -> np.ndarray:
@@ -329,21 +321,21 @@ class UnitGroup:
         return sum(1 << i for i, t in enumerate(reversed(chi.vector)) if t)
 
     def character_index(self, chi: "DirichletCharacter") -> int:
-        """Position of chi in characters(), i.e. its dual vector raveled in C order."""
+        """The row of chi: its dual vector raveled in C order."""
         pos = 0
         for t, comp in zip(chi.vector, self.components):
             pos = pos * comp.order + t
         return pos
 
     def character_angles(self, rows) -> np.ndarray:
-        """Integer angles of characters()[rows] over residues 0..q-1, one row
-        per character: chi(n) = e(k/L) with L = angle_modulus, -1 off the
+        """Integer angles of the characters at rows over residues 0..q-1, one
+        row per character: chi(n) = e(k/L) with L = angle_modulus, -1 off the
         units.  Row i sums t_c (L / d_c) x_c over the components c, t its
         dual vector and x the dlogs of the units."""
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         L = self.angle_modulus
         acc = np.zeros((len(rows), self.phi), dtype=np.int64)
-        for t, x, c in zip(np.unravel_index(rows, self.grid_shape), self.unit_dlogs(),
+        for t, x, c in zip(np.unravel_index(rows, self.grid_shape), self.unit_dlogs,
                            self.components):
             acc += np.multiply.outer(t * (L // c.order), x)
         out = np.full((len(rows), max(self.q, 1)), -1, dtype=np.int64)
@@ -351,7 +343,7 @@ class UnitGroup:
         return out
 
     def dual_vector(self, i: int) -> tuple[int, ...]:
-        """The dual vector of characters()[i]."""
+        """The dual vector of row i."""
         out = []
         for comp in reversed(self.components):
             i, t = divmod(int(i), comp.order)
@@ -360,7 +352,7 @@ class UnitGroup:
 
     def inverse_pos(self) -> np.ndarray:
         """Position in self.units of the inverse of each unit (negated dlogs)."""
-        xs = self.unit_dlogs()
+        xs = self.unit_dlogs
         if not xs:
             return np.zeros(len(self.units), dtype=np.int64)
         inv_grid = np.ravel_multi_index(tuple(-x % d for x, d in zip(xs, self.grid_shape)),
@@ -448,7 +440,7 @@ class DirichletCharacter:
         k = self.angles()
         unit = k >= 0
         out = np.zeros(len(k), dtype=complex)
-        out[unit] = self.group.root_table()[k[unit]]
+        out[unit] = self.group.roots[k[unit]]
         return out
 
     def real_sign_table(self) -> np.ndarray:
@@ -467,26 +459,16 @@ class DirichletCharacter:
 # ---------------------------------------------------------------------------
 # module-level helpers (spec surface)
 
-# the groups build_unit_group built last, oldest first
-_group_cache: dict[int, UnitGroup] = {}
-_GROUP_CACHE_SIZE = 8
-
-
 def build_unit_group(q: int) -> UnitGroup:
-    """Build Z_q^x, or return it if it is among the last _GROUP_CACHE_SIZE
-    groups built here."""
-    if q == 0:
-        raise DomainError("q must be >= 1")
-    G = _group_cache.get(q)
-    if G is None:
-        if len(_group_cache) >= _GROUP_CACHE_SIZE:
-            del _group_cache[next(iter(_group_cache))]
-        G = _group_cache[q] = UnitGroup(q)
-    return G
+    """Build Z_q^x, a new group on every call."""
+    return UnitGroup(q)
 
 
 def characters(q: int, G: UnitGroup | None = None) -> tuple[DirichletCharacter, ...]:
-    return (G or build_unit_group(q)).characters()
+    """Every character mod q, in row order, built on each call."""
+    G = G or build_unit_group(q)
+    return tuple(DirichletCharacter(G, v) for v in
+                 itertools.product(*(range(c.order) for c in G.components)))
 
 
 def real_characters(q: int, G: UnitGroup | None = None) -> list[DirichletCharacter]:
@@ -563,14 +545,14 @@ def _as_unit_vector(G: UnitGroup, f, dtype=complex) -> np.ndarray:
 
 def transform(G: UnitGroup, f, conj: bool = True) -> np.ndarray:
     """sum_a f(a) conj(chi(a)) (chi(a) when conj is False) for every chi,
-    aligned with G.characters(): one FFT on the dlog grid."""
+    by row: one FFT on the dlog grid."""
     grid = G.to_grid(_as_unit_vector(G, f))
     out = np.fft.fftn(grid) if conj else np.fft.ifftn(grid, norm="forward")
     return out.reshape(-1)
 
 
 def fourier_forward(G: UnitGroup, f) -> np.ndarray:
-    """F(chi) = E_{a in Z_q^x} f(a) conj(chi(a)), aligned with G.characters()."""
+    """F(chi) = E_{a in Z_q^x} f(a) conj(chi(a)), by row."""
     return transform(G, f) / G.phi
 
 
@@ -655,22 +637,25 @@ def convolve_group_transform(G: UnitGroup, f, g) -> np.ndarray:
 def orthogonality_exact(G: UnitGroup) -> bool:
     """Exact pairwise orthogonality via integer angle arithmetic.
 
-    For every non-principal chi the value multiset is checked to cover each
-    m-th root of unity equally often (m = order of chi), which forces
+    For every non-principal chi, read by row in blocks of character_angles,
+    the value multiset is checked to cover each m-th root of unity equally
+    often (m = order of chi, from G.orders), which forces
     sum_a chi(a) = 0 exactly; together with sum_a |chi(a)|^2 = phi(q) this
     is pairwise orthogonality of the full dual (differences of characters
     are characters).
     """
-    units = G.units
-    for chi in G.characters():
-        if chi.is_principal:
-            continue
-        m = chi.order
-        step = G.angle_modulus // m
-        ks = chi.angles()[units]
+    L = G.angle_modulus
+    block = max(1, (1 << 16) // G.q)   # rows per character_angles call
+    for s in range(1, G.phi, block):   # row 0 is principal
+        rows = np.arange(s, min(s + block, G.phi))
+        m = G.orders[rows]
+        step = (L // m)[:, None]
+        ks = G.character_angles(rows)[:, G.units]
         if np.any(ks % step):
             return False
-        counts = np.bincount(ks // step, minlength=m)
-        if counts.min() != counts.max():
+        # each row's values ks // step, shifted past the rows before it
+        start = np.cumsum(m) - m
+        counts = np.bincount((ks // step + start[:, None]).reshape(-1), minlength=int(m.sum()))
+        if np.any(counts != np.repeat(G.phi // m, m)):
             return False
     return True

@@ -167,11 +167,11 @@ def _scan_setup(h, G: group_mod.UnitGroup) -> np.ndarray:
     return first
 
 
-def _scan_block(h, groups, caps) -> list[np.ndarray]:
+def _scan_block(h, tables, caps) -> list[np.ndarray]:
     """First squarefree witness per (class, sign) for a block of moduli.
 
-    groups, one unit group per modulus, is read once, and no group is held
-    past its _scan_setup.  One stream of factor_window segments, (0, 2^13]
+    tables holds one empty first-hit table per modulus (_scan_setup), which
+    the scan fills in place.  One stream of factor_window segments, (0, 2^13]
     and then doubling up to 2^18 integers, serves every q of the block: each
     integer is sieved once per block and memory holds one segment.  Each
     pending q records its first hits with one scatter (np.minimum.at) of the
@@ -179,12 +179,10 @@ def _scan_block(h, groups, caps) -> list[np.ndarray]:
     cell (n mod q, 0) for sign +1 and (n mod q, 1) for -1, with no unit mask:
     a cell that starts at 0 stays 0.  A q leaves the stream once no cell
     holds _NO_HIT, that is once every unit class holds every sign h can take
-    on it, or once the stream has passed its cap.  Returns the tables in the
-    order of groups.
+    on it, or once the stream has passed its cap.  Returns the tables.
     """
     if any(cap < 1 for cap in caps):
         raise DomainError("cap must be >= 1")
-    tables = [_scan_setup(h, G) for G in groups]
     pending = list(range(len(tables)))
     lo = 0
     chunk = 1 << 13
@@ -215,7 +213,7 @@ def E_sets(h, q: int, x: int) -> tuple[set[int], set[int]]:
     """E^+(x), E^-(x): classes holding a squarefree witness of each sign."""
     if x < 1:
         raise DomainError("x must be >= 1")
-    hits = _hits(_scan_block(h, [group_mod.UnitGroup(q)], [x])[0])
+    hits = _hits(_scan_block(h, [_scan_setup(h, group_mod.UnitGroup(q))], [x])[0])
     return set(np.flatnonzero(hits[:, 0]).tolist()), set(np.flatnonzero(hits[:, 1]).tolist())
 
 
@@ -224,11 +222,13 @@ def R_block(h, qs, caps):
 
     Every q is scanned by one shared stream (_scan_block) until its witness
     table holds every (class, sign) pair h can take or the stream passes its
-    cap.  Each q's unit group is built once, outside build_unit_group's memo.
-    The scan runs at once; the returned iterator wraps its tables.
+    cap.  Each q's unit group is built once, for its empty table, and dropped
+    before the scan.  The scan runs at once; the returned iterator wraps its
+    tables.
     """
     qs, caps = list(qs), list(caps)
-    return map(RFunctionResult, qs, caps, _scan_block(h, map(group_mod.UnitGroup, qs), caps))
+    tables = [_scan_setup(h, group_mod.UnitGroup(q)) for q in qs]
+    return map(RFunctionResult, qs, caps, _scan_block(h, tables, caps))
 
 
 def R_of_h_q(h, q: int, cap: int) -> RFunctionResult:
@@ -364,24 +364,24 @@ def theorem_audit(h, q: int, Q1: float, c: float,
 def audit_block(h, qs, Q1: float, c: float,
                 pretend_cutoff: float | None = None):
     """theorem_audit for each q of a block; the R scans share one stream.
-    Each q's unit group, built once outside build_unit_group's memo, gives
-    the labels of its real characters and their signs at the primes up to
-    its cutoff on its way into the scan, which drops it after its setup.
-    The pretend sums of the block read h once per prime (multfunc.pretend_sums).
-    The scan and the sums run at once; the returned iterator builds each
-    q's row, pretend table included, when it is read."""
+    Each q's unit group is built once and gives the labels of its real
+    characters, their signs at the primes up to its cutoff and its empty
+    table; it is dropped before the scan.  The pretend sums of the block
+    read h once per prime (multfunc.pretend_sums).  The scan and the sums
+    run at once; the returned iterator builds each q's row, pretend table
+    included, when it is read."""
     qs = list(qs)
     caps = [int(q * q * Q1) for q in qs]
     cutoffs = [pretend_cutoff if pretend_cutoff is not None else math.sqrt(q) for q in qs]
     ps = arith.primes_upto(int(max(cutoffs, default=0)))
-    labels, signs = [], []
-
-    def read(G: group_mod.UnitGroup, cutoff: float) -> group_mod.UnitGroup:
+    labels, signs, tables = [], [], []
+    for q, cutoff in zip(qs, cutoffs):
+        G = group_mod.UnitGroup(q)
         labels.append([chi.label() for chi in G.real_characters()])
         signs.append(G.real_signs(ps[:int(np.searchsorted(ps, int(cutoff), side="right"))]))
-        return G
-
-    first = _scan_block(h, map(read, map(group_mod.UnitGroup, qs), cutoffs), caps)
+        tables.append(_scan_setup(h, G))
+    G = None   # no group is held during the scan
+    first = _scan_block(h, tables, caps)
 
     def row(q, cap, cutoff, qlabels, sums, table) -> dict:
         sums = sums.tolist()

@@ -101,9 +101,6 @@ class SieveWeights:
     def s(self) -> float:
         return math.log(self.D) / math.log(self.z) if self.z > 1 else math.inf
 
-    def support(self) -> list[int]:
-        return self.d.tolist()
-
     def weighted_divisor_sum(self, n: int) -> int:
         """sum_{d | n} lambda_d."""
         d = self.d if n < 2**63 else self.d.astype(object)

@@ -267,10 +267,9 @@ def test_criterion_10_implied_constant_reports(tmp_path_factory):
         z = q**eps
         coeffs = {n: complex(rng.choice((-1.0, 1.0)))
                   for n in range(1, 3000) if arith.is_rough(n, z)}
-        chars = list(g.characters(q))
-        pick = rng.choice(len(chars), size=12, replace=False)
-        rep = cs.halasz_montgomery_report(coeffs, [chars[i] for i in pick],
-                                          3000, q, eps)
+        G = g.build_unit_group(q)
+        pick = rng.choice(G.phi, size=12, replace=False)
+        rep = cs.halasz_montgomery_report(coeffs, G, pick, 3000, eps)
         halmon.append({"q": q, "lhs": rep.lhs, "rhs_shape": rep.rhs_shape,
                        "ratio": rep.ratio})
     reports["halasz_montgomery"] = halmon

@@ -52,7 +52,7 @@ def test_f_delta_and_transform():
     tbl = context_f_hat(lam, 7, 21.0, 3.0, -1)
     members = [n for n in iv.members() if math.gcd(n, 7) == 1]
     supp = [n for n in members if arith.is_rough(n, 3.0) and lam.sign(n) == -1]
-    chi = G.characters()[1]
+    chi = g.characters(G.q, G)[1]
     byhand = norm * sum(chi(n).conjugate() for n in supp) / len(members)
     assert cmath.isclose(tbl[1], byhand, abs_tol=1e-12)
     # F^+(chi0) + F^-(chi0) is the normalized rough density (about 1)
@@ -75,7 +75,7 @@ def test_context_f_hat_matches_the_per_integer_oracle(h, q, R, z):
     members = [n for n in iv.members() if math.gcd(n, q) == 1]
     for delta in (1, -1):
         got = context_f_hat(h, q, R, z, delta)
-        for i, chi in enumerate(G.characters()):
+        for i, chi in enumerate(g.characters(G.q, G)):
             want = sum(f_delta_value(n, delta, h, q, z, iv) * chi(n).conjugate()
                        for n in members) / len(members)
             assert cmath.isclose(got[i], want, abs_tol=1e-12), (delta, i)
@@ -87,11 +87,11 @@ def test_sets_and_sums():
     qs = cs.q_set(G, lam, 50.0, None, -1)
     assert qs == [19, 23, 29, 31, 37, 41, 43, 47]
     assert cs.q_set(G, lam, 50.0, None, 1) == []  # primes have sign -1
-    chi0 = G.characters()[0]
+    chi0 = g.characters(G.q, G)[0]
     val = cs.prime_sum_Q(chi0, qs, 50.0)
     assert val == pytest.approx(len(qs) / 50.0)
     # triangle bound with equality at chi0
-    for chi in G.characters():
+    for chi in g.characters(G.q, G):
         assert abs(cs.prime_sum_Q(chi, qs, 50.0)) <= len(qs) / 50.0 + 1e-12
     us = cs.u_set_easy(G, lam, 20.0, None, 1)
     assert us == [1, 6, 10, 14, 15]
@@ -145,7 +145,7 @@ def test_mvt_check():
         assert rep.ok
     # near-extremal: a_n = chi'(n)
     G = g.build_unit_group(101)
-    chi = G.characters()[3]
+    chi = g.characters(G.q, G)[3]
     coeffs = {n: chi(n) for n in range(1, 102)}
     rep = cs.mvt_check(coeffs, 101, 101)
     assert rep.ok and rep.ratio > 0.4
@@ -166,7 +166,7 @@ def test_mvt_matches_direct_character_sum():
     coeffs = {n: complex(rng.normal(), rng.normal()) for n in range(1, 40)}
     rep = cs.mvt_check(coeffs, 39, q)
     direct = 0.0
-    for chi in G.characters():
+    for chi in g.characters(G.q, G):
         s = sum(c * chi(n) for n, c in coeffs.items())
         direct += abs(s) ** 2
     assert rep.lhs == pytest.approx(direct / G.phi, rel=1e-9)
@@ -178,14 +178,14 @@ def test_halasz_montgomery_report():
     z = q**eps
     coeffs = {n: complex(rng.choice((-1.0, 1.0)))
               for n in range(1, 2000) if arith.is_rough(n, z)}
-    chars = list(g.characters(q))[:10]
-    rep = cs.halasz_montgomery_report(coeffs, chars, 2000, q, eps)
+    G, rows = g.build_unit_group(q), range(10)
+    rep = cs.halasz_montgomery_report(coeffs, G, rows, 2000, eps)
     assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs_shape)
     assert not rep.asserted
     with pytest.raises(PreconditionError, match="n=4 "):
-        cs.halasz_montgomery_report({1: 1.0, 23: 1.0, 4: 1.0, 2: 1.0}, chars, 23, q, eps)
+        cs.halasz_montgomery_report({1: 1.0, 23: 1.0, 4: 1.0, 2: 1.0}, G, rows, 23, eps)
     with pytest.raises(DomainError):
-        cs.halasz_montgomery_report({0: 1.0}, chars, 10, q, eps)
+        cs.halasz_montgomery_report({0: 1.0}, G, rows, 10, eps)
 
 
 def test_large_values_census():
@@ -228,7 +228,7 @@ def test_block_pv_matches_all_pairs(q):
     G = g.build_unit_group(q)
     sups = cs.pv_max_windows(G)
     assert sups.shape == (G.phi - 1,)
-    for i, chi in enumerate(G.characters()[1:], start=1):
+    for i, chi in enumerate(g.characters(G.q, G)[1:], start=1):
         assert abs(sups[i - 1] - brute_window_sup(chi)) <= 1e-12, (q, chi.label())
         # the single-character API is the block route's row
         assert cs.pv_max_window(chi)[0] == sups[i - 1]
@@ -255,7 +255,7 @@ def test_block_pv_peak_memory():
     """The sweep at q = 1009 holds one block of _PV_CELLS prefix cells at a
     time, and one character's pair distances in steps of _PV_CELLS."""
     G = g.build_unit_group(1009)
-    G.unit_dlogs(), G.units, G.root_table()   # cached before tracing
+    G.unit_dlogs, G.units, G.roots, G.orders   # cached before tracing
     cs.pv_max_windows(g.build_unit_group(7))   # and numpy's one-time set-up
     budget = 160 * cs._PV_CELLS + (1 << 16)
     tracemalloc.start()
@@ -330,7 +330,8 @@ def test_ladder_primes_where_h_vanishes_have_no_sign():
         for p in arith.primes_in(5.0, 60.0).tolist():
             if p != 11 and chi(p).real * delta > 0 and (B is None or B.contains(p)):
                 w = cs._w_of_p(p, H)
-                row = np.array([c(p).conjugate() for c in G.characters()]) * math.exp(-w / H)
+                row = np.array([c(p).conjugate() for c in g.characters(G.q, G)])
+                row *= math.exp(-w / H)
                 byhand[w] = byhand.get(w, 0) + row
         assert sorted(sums) == sorted(byhand)
         for w, vals in sums.items():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from linnik_lab import cli
@@ -77,6 +78,11 @@ DOMAIN_ERRORS = [
     ("charsum", "amplify", "--q", "11", "--Y2", "0.001"),
     # the shapes q^(1/C) and 1/H need C > 0 and H > 0
     ("charsum", "large", "--q", "101", "--C", "0"),
+    # no prime in (P/e, P] when P <= 0, and a fractional power of P < 0
+    ("charsum", "large", "--q", "101", "--P", "0"),
+    ("charsum", "large", "--q", "101", "--P", "-1"),
+    # the decomposition is normalized by M e^v
+    ("ramare", "--q", "35", "--Q1", "10", "--M", "0", "--overrides", "10:100"),
     ("charsum", "moments", "--q", "35", "--N", "2000", "--H", "0"),
     # no set size s with (2/5 + eps) phi < s <= phi, or eps <= 0
     ("triple", "--q", "1009", "--epsilon", "0.7"),
@@ -142,7 +148,7 @@ def test_exit_codes(capsys, monkeypatch):
             code, out, err = run_cli(capsys, *argv)
             assert code == 3 and out == "" and "resource" in err and "budget" in err, err
             assert "Traceback" not in err, err
-        m.setattr(cli._BatchWorker, "__call__", lambda self, qs: [])
+        m.setattr(cli, "_batch_rows", lambda *args: [])
         for what in ("rfunc", "audit"):
             code, _, err = run_cli(capsys, "batch", "--what", what, "--qmin", "3",
                                    "--qmax", "5055")
@@ -152,6 +158,14 @@ def test_exit_codes(capsys, monkeypatch):
     for argv in DOMAIN_ERRORS:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "Traceback" not in err, (argv, err)
+
+
+def test_jsonable_arrays_of_any_rank():
+    assert cli.jsonable(np.asarray(1.0)) == 1.0
+    assert cli.jsonable(np.asarray(2 + 1j)) == {"re": 2.0, "im": 1.0}
+    assert cli.jsonable(np.arange(3)) == [0, 1, 2]
+    assert cli.jsonable(np.array([[1.5, 0.0], [-1.0, 2.0]])) == [[1.5, 0.0], [-1.0, 2.0]]
+    assert cli.jsonable(np.array([[1j]])) == [[{"re": 0.0, "im": 1.0}]]
 
 
 def test_determinism(capsys):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -19,22 +20,46 @@ def test_build_examples():
     G8 = g.build_unit_group(8)
     assert sorted(c.order for c in G8.components) == [2, 2]
     G1 = g.build_unit_group(1)
-    assert G1.phi == 1 and len(G1.characters()) == 1
+    assert G1.phi == 1 and len(g.characters(1, G1)) == 1
     with pytest.raises(DomainError):
         g.build_unit_group(0)
 
 
-def test_build_unit_group_keeps_the_last_groups_built(monkeypatch):
-    monkeypatch.setattr(g, "_group_cache", {})
-    bound = g._GROUP_CACHE_SIZE
-    qs = range(101, 101 + 3 * bound)
-    for q in qs:
-        g.build_unit_group(q)
-        assert len(g._group_cache) <= bound
-    assert list(g._group_cache) == list(qs[-bound:])
-    G = g.build_unit_group(qs[-1])
-    assert g.build_unit_group(qs[-1]) is G
-    assert G.q == qs[-1] and list(g._group_cache) == list(qs[-bound:])
+def test_a_dropped_group_is_freed():
+    """A group is a plain value: once its caller drops it, nothing holds it,
+    whatever was read from it, and no reference cycle waits for the
+    collector."""
+    G = g.build_unit_group(101)
+    G.real_characters(), G.orders, G.roots, G.unit_dlogs, g.characters(101, G)
+    ref = weakref.ref(G)
+    del G
+    assert ref() is None
+
+
+def test_orders_by_row_match_each_character():
+    for q in range(1, 301):
+        G = g.build_unit_group(q)
+        assert G.orders.tolist() == [g.DirichletCharacter(G, G.dual_vector(i)).order
+                                     for i in range(G.phi)], q
+
+
+@pytest.mark.parametrize("q", [720, 1009])
+def test_orthogonality_reads_every_row(q, monkeypatch):
+    """One corrupted row fails the check wherever it lies, so the walk over
+    the rows in blocks reads them all (q = 720 has four axes)."""
+    G = g.build_unit_group(q)
+    assert g.orthogonality_exact(G)
+    angles = g.UnitGroup.character_angles
+    for bad in (1, G.phi // 2, G.phi - 1):
+        def corrupted(self, rows, bad=bad):
+            out = angles(self, rows)
+            hit = np.flatnonzero(np.asarray(rows).reshape(-1) == bad)
+            u = self.units[0]
+            out[hit, u] = (out[hit, u] + 1) % self.angle_modulus
+            return out
+
+        monkeypatch.setattr(g.UnitGroup, "character_angles", corrupted)
+        assert not g.orthogonality_exact(G), bad
 
 
 def test_dlog_homomorphism():
@@ -53,13 +78,13 @@ def test_dlog_homomorphism():
 def test_character_count_and_orthogonality():
     for q in list(range(1, 60)) + [101, 105, 200]:
         G = g.build_unit_group(q)
-        assert len(G.characters()) == G.phi
+        assert len(g.characters(G.q, G)) == G.phi
         assert g.orthogonality_exact(G)
 
 
 def test_character_values_exact():
     G5 = g.build_unit_group(5)
-    chars = G5.characters()
+    chars = g.characters(5, G5)
     chi0 = chars[0]
     assert chi0(5) == 0
     quad = [c for c in chars if c.is_real and not c.is_principal][0]

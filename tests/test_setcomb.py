@@ -158,7 +158,7 @@ def test_subgroups_of_index_below():
 def _subgroups_from_characters(G, bound):
     """subgroups_of_index_below with the generators filtered from every
     DirichletCharacter of G, one order at a time."""
-    small = [c.vector for c in G.characters() if 1 < c.order < bound]
+    small = [c.vector for c in g.characters(G.q, G) if 1 < c.order < bound]
     out, seen = [], set()
     for i, v1 in enumerate(small):
         for v2 in small[i:]:
@@ -184,8 +184,6 @@ def test_subgroups_of_index_below_match_character_orders(q):
     for bound in (2, 3, 4.5, 6):
         assert sc.subgroups_of_index_below(G, bound) == _subgroups_from_characters(
             g.UnitGroup(q), bound)
-    # the characters themselves were never built
-    assert "_characters" not in vars(G)
 
 
 def test_triple_conv_classify():
