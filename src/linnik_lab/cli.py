@@ -32,13 +32,20 @@ SCHEMA = "linnik-lab/1"
 # ---------------------------------------------------------------------------
 # serialization
 
+# the leaves json writes as they are, matched by exact type so that numpy's
+# float64 (a float subclass) still takes its branch below
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def jsonable(obj):
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return jsonable(asdict(obj))
+    if type(obj) in _JSON_SCALARS:
+        return obj
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return jsonable(asdict(obj))
     if isinstance(obj, (set, frozenset)):
         return sorted(jsonable(v) for v in obj)
     if isinstance(obj, Fraction):
@@ -117,11 +124,13 @@ def _real_char(q: int, spec: str):
     return _pick(chars, spec, "--chi expects 'principal' or an index")
 
 
-def _coset(args, q: int):
+def _coset(args, q: int, G: group_mod.UnitGroup | None = None):
+    """The coset of --psi and --b among the real characters of G, the unit
+    group mod q (built here when not given), or None without --psi."""
     psi_idx = getattr(args, "psi", None)
     if psi_idx is None:
         return None
-    chars = [c for c in group_mod.real_characters(q) if not c.is_principal]
+    chars = [c for c in group_mod.real_characters(q, G) if not c.is_principal]
     psi = _pick(chars, psi_idx, "--psi expects a non-principal real character index")
     return group_mod.CosetSpec(psi, args.b)
 
@@ -343,7 +352,7 @@ def cmd_ramare(args):
     h = _fn(args.h)
     G = group_mod.build_unit_group(args.q)
     lad = charsums.ladder_build(args.Q1, args.q, _overrides(args.overrides))
-    B = _coset(args, args.q)
+    B = _coset(args, args.q, G)
     delta = 1 if args.delta == "plus" else -1
     out = charsums.ramare_decompose(G, h, B, delta, args.v, args.j, lad, args.M)
     res = {"defect": out["defect"], "members": out["members"],

@@ -71,15 +71,25 @@ class MultiplicativeFunction:
         Independent of the window sieve: trial division of the distinct n by
         the primes p <= sqrt(max n), their signs read in one rule call.  A
         second factor p marks n not squarefree; a single one multiplies its
-        sign by sgn h(p).  A cofactor left below p^2 is 1 or a prime.
+        sign by sgn h(p).  A cofactor left below p^2 is 1 or a prime.  When
+        max n is below 8 len(ns), the distinct n are marked in a table of
+        max n + 1 entries instead of sorted.
         """
         ns = np.asarray(ns, dtype=np.int64)
         if int(ns.min(initial=1)) < 1:
             raise DomainError("multiplicative functions are defined on n >= 1")
-        rest, inverse = np.unique(ns, return_inverse=True)
+        top = int(ns.max(initial=1))
+        if top < 8 * ns.size:
+            table = np.zeros(top + 1, dtype=np.int8)
+            table[ns] = 1
+            keys = np.flatnonzero(table)
+        else:
+            table = None
+            keys, inverse = np.unique(ns, return_inverse=True)
+        rest = keys.copy()
         signs = np.ones(rest.size, dtype=np.int8)
         live = np.flatnonzero(rest > 1)
-        ps = arith.primes_upto(math.isqrt(int(ns.max(initial=1))))
+        ps = arith.primes_upto(math.isqrt(top))
         for p, s in zip(ps.tolist(), self.prime_signs(ps).tolist()):
             r = rest[live]
             divides = r % p == 0
@@ -92,7 +102,10 @@ class MultiplicativeFunction:
             live = live[r > p * p]
         big = (signs != 0) & (rest > 1)
         signs[big] *= self.prime_signs(rest[big])
-        return signs[inverse]
+        if table is None:
+            return signs[inverse]
+        table[keys] = signs
+        return table[ns]
 
     def signs(self, wf: arith.WindowFactors) -> np.ndarray:
         """Signs of h(n) over a factor window as int8 (+1/-1; 0 where h(n)=0)."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field, asdict
@@ -140,9 +141,9 @@ class RFunctionResult:
 # first-hit tables hold this where a (class, sign) pair has no witness yet,
 # and 0 off the units and where h cannot take that sign on the class
 _NO_HIT = np.iinfo(np.int64).max
-# a block verify reads smaller tables in groups of about _VERIFY_GROUP class
-# members, and every verify reads at most _VERIFY_BLOCK members per call
-_VERIFY_GROUP = 1 << 14
+# a verify's passes (_passes): groups of about _VERIFY_GROUP classes, ranges
+# of _VERIFY_BLOCK classes, and at most _VERIFY_BLOCK members per oracle call
+_VERIFY_GROUP = 1 << 13
 _VERIFY_BLOCK = 1 << 18
 
 
@@ -171,7 +172,7 @@ def _scan_block(h, tables, caps) -> list[np.ndarray]:
     """First squarefree witness per (class, sign) for a block of moduli.
 
     tables holds one empty first-hit table per modulus (_scan_setup), which
-    the scan fills in place.  One stream of factor_window segments, (0, 2^13]
+    the scan fills in place.  One stream of factor_window segments, (0, 2^12]
     and then doubling up to 2^18 integers, serves every q of the block: each
     integer is sieved once per block and memory holds one segment.  Each
     pending q records its first hits with one scatter (np.minimum.at) of the
@@ -185,7 +186,7 @@ def _scan_block(h, tables, caps) -> list[np.ndarray]:
         raise DomainError("cap must be >= 1")
     pending = list(range(len(tables)))
     lo = 0
-    chunk = 1 << 13
+    chunk = 1 << 12
     while pending:
         hi = min(lo + chunk, max(caps[i] for i in pending))
         wf = arith.factor_window(lo, hi)
@@ -245,106 +246,97 @@ def verify_witnesses(result: RFunctionResult, h, read=None) -> bool:
     """Independent re-check of a witness table: squarefree, class, sign,
     minimality.
 
-    A hit n of class a and sign s is read with the class members a, a + q,
-    ... below it (from q when a = 0): n must be squarefree of sign s and no
-    earlier member may be.  A hit outside its class fails the table with no
-    member read.  The members' signs come from h.squarefree_signs
-    (_member_signs): trial division, not the window sieve the scan used.  A
-    member where h vanishes is a witness of neither sign.  verify_block
-    passes read = (the table's _table_hits, its members' signs or None),
-    the signs read for a group of tables in shared calls.
+    Each class a is read once, with its members a, a + q, ... (from q when
+    a = 0) up to its later hit: a hit n of sign s must be squarefree of sign
+    s and no earlier member may be.  A hit outside its class flags the class
+    with no member read.  The members' signs come from h.squarefree_signs:
+    trial division, not the window sieve the scan used.  A member where h
+    vanishes is a witness of neither sign.  read holds the table's class
+    flags, one array per pass that read it (_passes); verify_block passes
+    the table's slices of its group passes.
     """
-    hits, signs = read if read is not None else (_table_hits(result), None)
-    if hits is None:
-        return False
-    if signs is None:
-        signs = _member_signs(h, [(hits, result.q)])
-    _, s, ends = hits
-    # member k of hit i must have sign s[i] exactly when it is n[i], the
-    # last of its members
-    wrong = signs == np.repeat(s, np.diff(ends, prepend=0))
-    wrong[ends - 1] ^= True
-    return not wrong.any()
+    if read is None:
+        read = (flags for _, flags in _passes([result], h))
+    return not any(flags.any() for flags in read)
 
 
 def verify_block(results, h) -> list[bool]:
-    """verify_witnesses for each table of a block, in the order of results.
-
-    Tables of fewer than _VERIFY_GROUP members are read together, in groups
-    of consecutive tables that close once they hold _VERIFY_GROUP members,
-    so that one group's signs come from one h.squarefree_signs call per
-    _VERIFY_BLOCK members.  A larger table, or one with a hit outside its
-    class, is verified on its own.
-    """
+    """verify_witnesses for each table of a block, in the order of results,
+    each called on the table's slices of the shared passes (_passes)."""
     results = list(results)
-    ok = [False] * len(results)
-    group: list[tuple[int, tuple]] = []   # (table index, its _table_hits)
+    return [verify_witnesses(results[t], h, (flags for _, flags in pieces))
+            for t, pieces in itertools.groupby(_passes(results, h), operator.itemgetter(0))]
 
-    def read_group():
-        signs = _member_signs(h, [(hits, results[t].q) for t, hits in group])
-        lo = 0
-        for t, hits in group:
-            hi = lo + _member_count(hits)
-            ok[t] = verify_witnesses(results[t], h, (hits, signs[lo:hi]))
-            lo = hi
-        group.clear()
 
-    size = 0
+def _passes(results, h):
+    """(table index, class flags) for each table range read, in table order.
+
+    Tables of at most _VERIFY_GROUP classes are read whole, in groups of
+    consecutive tables that close once they hold _VERIFY_GROUP classes; a
+    larger table is read on its own, in ranges of _VERIFY_BLOCK classes.
+    Each group or range is one flat pass (_read_classes).
+    """
+    def read(ranges):
+        if not ranges:
+            return
+        flags = _read_classes([(results[t], lo, hi) for t, lo, hi in ranges], h)
+        for t, lo, hi in ranges:
+            yield t, flags[:hi - lo]
+            flags = flags[hi - lo:]
+
+    group, rows = [], 0
     for t, res in enumerate(results):
-        hits = _table_hits(res)
-        if hits is None or _member_count(hits) >= _VERIFY_GROUP:
-            ok[t] = verify_witnesses(res, h, (hits, None))
+        if res.q > _VERIFY_GROUP:
+            yield from read(group)
+            group, rows = [], 0
+            for lo in range(0, res.q, _VERIFY_BLOCK):
+                yield from read([(t, lo, min(res.q, lo + _VERIFY_BLOCK))])
             continue
-        group.append((t, hits))
-        size += _member_count(hits)
-        if size >= _VERIFY_GROUP:
-            read_group()
-            size = 0
-    if group:
-        read_group()
-    return ok
+        group.append((t, 0, res.q))
+        rows += res.q
+        if rows >= _VERIFY_GROUP:
+            yield from read(group)
+            group, rows = [], 0
+    yield from read(group)
 
 
-def _table_hits(res: RFunctionResult):
-    """A table's hits n, their signs (int8) and the running totals of their
-    member counts, or None when some n lies outside its class mod res.q."""
-    q = res.q
-    a, col = np.nonzero(_hits(res.first))
-    n = res.first[a, col]
-    if ((n - a) % q).any():
-        return None
-    return n, (1 - 2 * col).astype(np.int8), np.cumsum((n - np.where(a > 0, a, q)) // q + 1)
+def _read_classes(ranges, h) -> np.ndarray:
+    """One flat pass: the flags of the classes lo..hi-1 of each table range
+    (res, lo, hi), concatenated.
 
-
-def _member_count(hits) -> int:
-    return int(hits[2][-1]) if hits[2].size else 0
-
-
-def _member_signs(h, tables) -> np.ndarray:
-    """h.squarefree_signs of the members of consecutive tables ((_table_hits,
-    q) pairs), in order.  Each call reads at most _VERIFY_BLOCK members,
-    across tables, and expands no more than that at a time."""
-    out, parts, held = [], [], 0
-
-    def read():
-        out.append(h.squarefree_signs(np.concatenate(parts)))
-        parts.clear()
-
-    for hits, q in tables:
-        n, _, ends = hits
-        lo, total = 0, _member_count(hits)
-        while lo < total:
-            hi = min(total, lo + _VERIFY_BLOCK - held)
-            k = np.arange(lo, hi)
-            i = np.searchsorted(ends, k, side="right")   # member k belongs to hit i
-            parts.append(n[i] - q * (ends[i] - 1 - k))
-            held, lo = held + hi - lo, hi
-            if held == _VERIFY_BLOCK:
-                read()
-                held = 0
-    if parts:
-        read()
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.int8)
+    The ranges' rows are concatenated, and each class's members are expanded
+    once, up to its later hit, at most _VERIFY_BLOCK at a time, with one
+    h.squarefree_signs call each.  A class is flagged when a hit lies
+    outside it, when a member before a hit has the hit's sign, or when a hit
+    lacks its sign.
+    """
+    sizes = np.array([hi - lo for _, lo, hi in ranges], dtype=np.int64)
+    n = np.concatenate([res.first[lo:hi] for res, lo, hi in ranges])
+    n[~_hits(n)] = 0
+    q = np.repeat([res.q for res, _, _ in ranges], sizes)
+    a = np.arange(len(n)) - np.repeat(np.cumsum(sizes) - sizes
+                                      - [lo for _, lo, _ in ranges], sizes)
+    flags = ((n > 0) & ((n - a[:, None]) % q[:, None] != 0)).any(axis=1)
+    last = np.where(flags, 0, n.max(axis=1, initial=0))
+    ends = np.cumsum(np.where(last > 0, (last - np.where(a > 0, a, q)) // q + 1, 0))
+    base = last - q * (ends - 1)   # member k of class r is base[r] + q[r] k
+    a = last = None   # the windows read only n, q, ends and base
+    total = int(ends[-1])
+    for k0 in range(0, total, _VERIFY_BLOCK):
+        k1 = min(total, k0 + _VERIFY_BLOCK)
+        r0 = int(np.searchsorted(ends, k0, side="right"))
+        r1 = int(np.searchsorted(ends, k1 - 1, side="right")) + 1
+        reps = np.diff(np.minimum(ends[r0:r1], k1), prepend=k0)
+        m = np.repeat(q[r0:r1], reps)
+        m *= np.arange(k0, k1)
+        m += np.repeat(base[r0:r1], reps)
+        s = h.squarefree_signs(m)
+        wrong = np.zeros(k1 - k0, dtype=bool)
+        for col, sign in ((0, 1), (1, -1)):
+            hit = np.repeat(n[r0:r1, col], reps)
+            wrong |= (m <= hit) & ((s == sign) != (m == hit))
+        flags[np.searchsorted(ends, k0 + np.flatnonzero(wrong), side="right")] = True
+    return flags
 
 
 # ---------------------------------------------------------------------------

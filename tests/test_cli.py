@@ -168,6 +168,48 @@ def test_jsonable_arrays_of_any_rank():
     assert cli.jsonable(np.array([[1j]])) == [[{"re": 0.0, "im": 1.0}]]
 
 
+def test_jsonable_leaves_and_containers():
+    """Plain JSON scalars pass through as they are; numpy scalars (float64
+    subclasses float) become plain ones; containers, dataclasses, sets and
+    fractions keep their forms."""
+    from dataclasses import dataclass
+    from fractions import Fraction
+
+    @dataclass
+    class Point:
+        x: object
+        y: object
+
+    for leaf in ("a", 3, 1.5, True, None):
+        assert cli.jsonable(leaf) is leaf
+    for leaf, plain in ((np.float64(1.5), 1.5), (np.int64(3), 3), (np.bool_(True), True)):
+        got = cli.jsonable(leaf)
+        assert got == plain and type(got) is type(plain)
+    assert cli.jsonable({1: (np.int64(2), [np.float64(0.5)])}) == {"1": [2, [0.5]]}
+    assert cli.jsonable(Point({3, 1, 2}, Fraction(1, 3))) == {"x": [1, 2, 3],
+                                                             "y": {"num": 1, "den": 3}}
+    assert cli.jsonable(1 + 2j) == {"re": 1.0, "im": 2.0}
+
+
+def test_ramare_with_a_coset_builds_its_group_once(capsys, monkeypatch):
+    """ramare --psi reads the coset's real characters from the group it
+    already holds."""
+    from linnik_lab import group
+
+    built = []
+    init = group.UnitGroup.__init__
+
+    def counting(self, q):
+        built.append(q)
+        init(self, q)
+
+    monkeypatch.setattr(group.UnitGroup, "__init__", counting)
+    code, out, _ = run_cli(capsys, "ramare", "--q", "35", "--Q1", "10", "--M", "600",
+                           "--overrides", "10:100", "--psi", "0", "--b", "2")
+    assert code == 0 and json.loads(out)["result"]["identity_holds"]
+    assert built == [35]
+
+
 def test_determinism(capsys):
     args = ("charsum", "mvt", "--q", "101", "--N", "300", "--seed", "7")
     _, out1, _ = run_cli(capsys, *args)

@@ -129,6 +129,20 @@ def test_squarefree_sign_table_matches_values(h, ns):
     assert np.array_equal(got, np.array(want, dtype=np.int8))
 
 
+@given(st.sampled_from(SQUAREFREE_SIGN_FNS + WITNESS_FNS),
+       st.lists(st.integers(min_value=1, max_value=400), min_size=60, max_size=200),
+       st.integers(min_value=3200, max_value=10**7))
+@settings(max_examples=50, deadline=None)
+def test_squarefree_signs_of_repeated_small_values(h, ns, big):
+    """Many repeats of small n (max n below 8 len(ns)) are marked in a table,
+    not sorted; with one large n appended they are sorted.  Both routes give
+    the scalar values."""
+    ns = np.array(ns, dtype=np.int64)
+    want = [_sign(h.value(n)) if arith.is_squarefree(n) else 0 for n in ns.tolist() + [big]]
+    assert np.array_equal(h.squarefree_signs(ns), np.array(want[:-1], dtype=np.int8))
+    assert np.array_equal(h.squarefree_signs(np.append(ns, big)), np.array(want, dtype=np.int8))
+
+
 # a rule whose values underflow in a product (-1e-200 at every p^e), and one
 # that mixes a zero at p = 7 with values whose products overflow to +-inf
 TINY = mf.MultiplicativeFunction("tiny", lambda p, e: np.full(np.shape(p), -1e-200))

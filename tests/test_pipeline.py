@@ -71,11 +71,10 @@ def test_R_of_h_q_examples():
 
 
 # the tracemalloc peak of verify_block over the rfunc batch tables of
-# q = 3..400: its groups of ~2^14 members peak near 1.2 MB
+# q = 3..400: its groups of 2^13 classes (~27k members) peak near 1.1 MB
 VERIFY_BLOCK_PEAK = 2 << 20
-# the peak of verify_block over the q = 2003 table (12,397 members) with
-# groups of 64 and chunks of 2^10 members: ~170 KB, ~1 MB if it were read
-# in one call
+# the peak of verifying the q = 2003 table with groups of 64 classes and
+# ranges and member windows of 2^10: ~135 KB, and about as much at q = 20011
 LARGE_TABLE_PEAK = 320 << 10
 
 
@@ -83,7 +82,7 @@ def test_verify_witnesses_retains_nothing(monkeypatch):
     """The oracle keeps no table or memo of what it evaluated: after the
     first verify at q = 2003, or of the block q = 3..400, nothing it
     allocated is still held, and the block's groups keep its peak small; a
-    table larger than a group is read in chunks.  Other tables, with
+    table larger than a group is read in ranges.  Other tables, with
     another instance of h, are verified first, which fills the interpreter's
     free lists but no memo of the traced inputs."""
     def caps(qs):
@@ -391,6 +390,71 @@ def test_verify_block_agrees_with_each_table(group, chunk, monkeypatch):
         assert flags == [r is _witness_block(i)[j] for j, r in enumerate(block)]
         assert pl.verify_block([], h) == []
     assert 0 < max(sizes) <= chunk
+
+
+def _moved(res, a, col, n):
+    """res with the (a, col) witness replaced by n."""
+    first = res.first.copy()
+    first[a, col] = n
+    return pl.RFunctionResult(res.q, res.cap, first)
+
+
+@pytest.mark.parametrize("q", [7, 30, 59])
+def test_verify_reads_each_class_up_to_its_later_hit(q):
+    """A class whose - hit comes before its + hit: moving the - hit to a later
+    - member, past the + hit, makes it the class's later hit, and the first
+    - member it skipped fails the table, alone and in the block q = 1..60."""
+    res = pl.R_of_h_q(LAM, q, 20 * q * q)
+    a, (plus, minus) = next((a, (d[1], d[-1])) for a, d in sorted(res.witnesses.items())
+                            if d[-1] < d[1])
+    later = _next_member(q, plus, lambda m: arith.is_squarefree(m) and LAM.value(m) < 0)
+    bad = _moved(res, a, 1, later)
+    assert bad.R_value == max(res.R_value, later)
+    assert not _walk_verify(bad, LAM, q)
+    assert not pl.verify_witnesses(bad, LAM)
+    block = list(_witness_block(0))
+    block[q - 1] = bad
+    assert pl.verify_block(block, LAM) == [r is not bad for r in block]
+
+
+@pytest.mark.parametrize("h", [mf.one_fn(), cli._fn("character:7:1")])
+def test_verify_one_sided_classes(h):
+    """h = one and a real character of modulus 7 at q = 14 take one sign on
+    each class: the other cell holds 0 and is not read.  The tables verify,
+    alone and in a block, and a witness moved to a later member of its class
+    and sign fails."""
+    res = pl.R_of_h_q(h, 14, 10**4)
+    assert res.R_value is None and len(res.witnesses) == 6
+    assert all(len(d) == 1 for d in res.witnesses.values())
+    assert pl.verify_witnesses(res, h)
+    block = list(pl.R_block(h, range(10, 20), [10**4] * 10))
+    assert pl.verify_block(block, h) == [True] * 10
+    a, d = next(iter(sorted(res.witnesses.items())))
+    (s, n), = d.items()
+    later = _next_member(14, n, lambda m: arith.is_squarefree(m) and (h.value(m) > 0) - (h.value(m) < 0) == s)
+    bad = _moved(res, a, (1 - s) // 2, later)
+    assert not pl.verify_witnesses(bad, h)
+    block[4] = bad
+    assert pl.verify_block(block, h) == [r is not bad for r in block]
+
+
+def test_verify_of_a_large_table_holds_a_range(monkeypatch):
+    """With groups of 64 classes and ranges of 2^10, a table of q classes is
+    read in ranges: the verify's tracemalloc peak is one bound at q = 2003
+    and at q = 20011, alone and as a block of one."""
+    tables = [pl.R_of_h_q(LAM, q, 10**9) for q in (2003, 20011)]
+    monkeypatch.setattr(pl, "_VERIFY_GROUP", 64)
+    monkeypatch.setattr(pl, "_VERIFY_BLOCK", 1 << 10)
+    for res in tables:
+        for verify in (lambda: pl.verify_witnesses(res, LAM),
+                       lambda: pl.verify_block([res], LAM) == [True]):
+            tracemalloc.start()
+            try:
+                assert verify()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= LARGE_TABLE_PEAK, (res.q, peak)
 
 
 def test_block_matches_single_q_scans():
