@@ -115,8 +115,11 @@ class UnitGroup:
             raise DomainError(f"q exceeds the enumeration-scale bound {_Q_LIMIT}")
         self.q = q
         self.phi = arith.euler_phi(q)
+        fac = arith.factorize(q)
+        # read by the residue tables, which need no further factorize call
+        self.prime_divisors = fac.primes
         comps: list[CyclicComponent] = []
-        for p, e in arith.factorize(q).factors:
+        for p, e in fac.factors:
             m = p**e
             if p == 2:
                 if e == 1:
@@ -176,7 +179,7 @@ class UnitGroup:
     def units(self) -> np.ndarray:
         """The residues 0 <= a < q prime to q (just 0 when q = 1)."""
         mask = np.ones(self.q, dtype=bool)
-        for p in arith.factorize(self.q).primes:
+        for p in self.prime_divisors:
             mask[::p] = False
         return np.flatnonzero(mask)
 
@@ -292,7 +295,7 @@ class UnitGroup:
             bits = _parity_bits(comp)
             code *= 2
             code += np.tile(bits, self.q // len(bits))
-        for p in arith.factorize(self.q).primes:
+        for p in self.prime_divisors:
             code[::p] = 1 << len(self.components)
         return code.astype(np.int16)
 

@@ -360,6 +360,7 @@ def test_verify_witnesses_matches_the_walk(h, q, mutation, data):
 
 
 @pytest.mark.parametrize("group, chunk", [(pl._VERIFY_GROUP, pl._VERIFY_BLOCK),
+                                          (1 << 14, pl._VERIFY_BLOCK),
                                           (1, pl._VERIFY_BLOCK), (64, 7)])
 def test_verify_block_agrees_with_each_table(group, chunk, monkeypatch):
     """Groups of one table or of many, and chunks that cut through hits and
