@@ -666,6 +666,8 @@ def square_and_shorts_moments(q: int, N: int, P: float, Q: float, M: float,
     """
     if not H > 0:
         raise DomainError(f"H must be > 0, got {H}")
+    if not P > 0:
+        raise DomainError(f"P must be > 0, got {P}")
     G = group_mod.build_unit_group(q)
     rng = np.random.default_rng(seed)
     phi = G.phi

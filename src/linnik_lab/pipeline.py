@@ -445,23 +445,25 @@ def _project(G: group_mod.UnitGroup, a: int, prod_over_chars: np.ndarray) -> flo
     return float(values[G.unit_pos[a]].real / G.phi)
 
 
-# hits expanded at once by the class join; bounds its memory
+# hits expanded at once by the class join, and the most cells of one of its
+# coprimality tables; bounds its memory
 _JOIN_HITS = 1 << 16
 
 
-def _rows(lists: list[np.ndarray], squarefree: list[np.ndarray], rows: np.ndarray, q: int):
-    """The given rows of the grid lists[0] x lists[1] x ... (C order): their parts,
-    the class of their product mod q, and if they are squarefree and coprime."""
-    idx = np.unravel_index(rows, tuple(len(x) for x in lists))
-    parts = [x[i] for x, i in zip(lists, idx)]
+def _rows(lists: list[np.ndarray], squarefree: list[np.ndarray], coprime, part: range,
+          rows: np.ndarray, q: int):
+    """The given rows of the grid over lists[part] (C order): their indices
+    into each of those lists, the class of their product mod q, and if they
+    are squarefree and pairwise coprime (coprime(i, j, u, v), i < j)."""
+    idx = np.unravel_index(rows, tuple(len(lists[j]) for j in part))
     cls = np.ones(len(rows), dtype=np.int64)
     clean = np.ones(len(rows), dtype=bool)
-    for j, (x, sqf, i) in enumerate(zip(parts, squarefree, idx)):
-        cls = cls * (x % q) % q
-        clean &= sqf[i]
-        for y in parts[:j]:
-            clean &= np.gcd(x, y) == 1
-    return parts, cls, clean
+    for j, v in zip(part, idx):
+        cls = cls * (lists[j][v] % q) % q
+        clean &= squarefree[j][v]
+        for i, u in zip(part, idx[:j - part.start]):
+            clean &= coprime(i, j, u, v)
+    return idx, cls, clean
 
 
 def _class_join(G: group_mod.UnitGroup, a: int, lists, squarefree) -> tuple[int, int]:
@@ -472,9 +474,12 @@ def _class_join(G: group_mod.UnitGroup, a: int, lists, squarefree) -> tuple[int,
     Exact direct enumeration arranged as a join on classes.  The lists split
     into a left and a right grid of balanced sizes; the right grid is sorted
     by class, and each left row of class c finds the right rows of class
-    a c^-1 by binary search.  Every hit is built and tested: all parts
-    squarefree and pairwise coprime, by np.gcd on pairs of parts (a running
-    product of the parts could overflow int64).  Left rows are taken in
+    a c^-1 by binary search.  Every hit is tested: all parts squarefree and
+    pairwise coprime (a running product of the parts could overflow int64).
+    Coprimality is read from one flat table per pair of lists i < j,
+    gcd(lists[i][u], lists[j][v]) == 1 at u len(lists[j]) + v, built once
+    per call; a pair whose table would hold more than _JOIN_HITS cells is
+    tested by np.gcd on the hits' parts instead.  Left rows are taken in
     blocks of at most _JOIN_HITS hits (or one row), so memory does not grow
     with the tuple count.
     """
@@ -482,20 +487,31 @@ def _class_join(G: group_mod.UnitGroup, a: int, lists, squarefree) -> tuple[int,
     lists = [np.asarray(x, dtype=np.int64) for x in lists]
     squarefree = [np.asarray(s, dtype=bool) for s in squarefree]
     sizes = [len(x) for x in lists]
+    tables = {(i, j): np.gcd.outer(lists[i], lists[j]).ravel() == 1
+              for i, j in itertools.combinations(range(len(lists)), 2)
+              if sizes[i] * sizes[j] <= _JOIN_HITS}
+
+    def coprime(i, j, u, v):
+        table = tables.get((i, j))
+        if table is None:
+            return np.gcd(lists[i][u], lists[j][v]) == 1
+        return table[u * sizes[j] + v]
+
     s = min(range(1, len(lists)),
             key=lambda i: max(math.prod(sizes[:i]), math.prod(sizes[i:])))
-    right, right_cls, right_clean = _rows(lists[s:], squarefree[s:],
+    left_part, right_part = range(s), range(s, len(lists))
+    right, right_cls, right_clean = _rows(lists, squarefree, coprime, right_part,
                                           np.arange(math.prod(sizes[s:])), q)
     order = np.argsort(right_cls, kind="stable")
     right_cls, right_clean = right_cls[order], right_clean[order]
-    right = [x[order] for x in right]
+    right = [v[order] for v in right]
     inverse = np.zeros(q, dtype=np.int64)
     inverse[G.units] = G.units[G.inverse_pos()]
     block = max(1, _JOIN_HITS // int(np.bincount(right_cls).max()))
     n_left = math.prod(sizes[:s])
     count = loss = 0
     for first in range(0, n_left, block):
-        left, cls, clean = _rows(lists[:s], squarefree[:s],
+        left, cls, clean = _rows(lists, squarefree, coprime, left_part,
                                  np.arange(first, min(first + block, n_left)), q)
         want = a * inverse[cls] % q
         lo = np.searchsorted(right_cls, want, side="left")
@@ -506,10 +522,10 @@ def _class_join(G: group_mod.UnitGroup, a: int, lists, squarefree) -> tuple[int,
         li = np.repeat(np.arange(len(cls)), hits)
         ri = np.repeat(lo - np.cumsum(hits) + hits, hits) + np.arange(total)
         ok = clean[li] & right_clean[ri]
-        for x in left:
-            x = x[li]
-            for y in right:
-                ok &= np.gcd(x, y[ri]) == 1
+        for i, u in zip(left_part, left):
+            u = u[li]
+            for j, v in zip(right_part, right):
+                ok &= coprime(i, j, u, v[ri])
         count += total
         loss += total - int(np.count_nonzero(ok))
     return count, loss

@@ -275,11 +275,14 @@ def rough_count_in_coset(Rcap: float, q: int, coset, z: float,
     nothing).  The report compares against (1/2 - eps) times the total rough
     count below Rcap; at desk scale the ratio may dip below the shape and is
     logged, never asserted.  The integers are counted in fixed blocks; a cap
-    past _ROUGH_CAP_LIMIT raises ResourceError.
+    past _ROUGH_CAP_LIMIT raises ResourceError.  A cap below 1 or eps >= 1/2
+    leaves no positive shape and raises DomainError.
     """
     cap = arith.snap(Rcap)
     if cap < 1:
-        return 0, {"count": 0, "total_rough": 0, "share_shape": 0.0, "ratio": float("nan")}
+        raise DomainError(f"the cap must be >= 1, got {Rcap}")
+    if not eps < 0.5:
+        raise DomainError(f"eps must be < 1/2, got {eps}")
     if cap > _ROUGH_CAP_LIMIT:
         raise ResourceError(f"a rough count up to {cap} exceeds the limit {_ROUGH_CAP_LIMIT}")
     if coset is not None and not coset.group.is_unit(coset.b):
@@ -298,7 +301,7 @@ def rough_count_in_coset(Rcap: float, q: int, coset, z: float,
         count = total
     shape = (0.5 - eps) * total
     report = {"count": count, "total_rough": total, "share_shape": shape,
-              "ratio": count / shape if shape > 0 else float("nan")}
+              "ratio": count / shape}
     return count, report
 
 

@@ -55,6 +55,11 @@ DOMAIN_ERRORS = [
     ("rough", "--q", "35", "--cap", "1000", "--z", "3", "--psi", "-1"),
     # the coset representative 0 is no unit
     ("rough", "--q", "8", "--cap", "100", "--z", "3", "--psi", "0", "--b", "0"),
+    # no integer below the cap, or a share shape (1/2 - eps) total <= 0
+    ("rough", "--q", "35", "--cap", "0", "--z", "3"),
+    ("rough", "--q", "35", "--cap", "-5", "--z", "3"),
+    ("rough", "--q", "35", "--cap", "1000", "--z", "3", "--eps", "0.5"),
+    ("rough", "--q", "35", "--cap", "1000", "--z", "3", "--eps", "0.7"),
     ("ramare", "--q", "101", "--Q1", "10", "--M", "2000", "--j", "2",
      "--overrides", "10:100,150:1500", "--psi", "0", "--b", "0"),
     ("pretend", "--q", "5", "--cutoff", "10", "--chi", "-1"),
@@ -84,6 +89,9 @@ DOMAIN_ERRORS = [
     # the decomposition is normalized by M e^v
     ("ramare", "--q", "35", "--Q1", "10", "--M", "0", "--overrides", "10:100"),
     ("charsum", "moments", "--q", "35", "--N", "2000", "--H", "0"),
+    # the squares' shape is divided by P
+    ("charsum", "moments", "--q", "35", "--N", "100", "--P", "0"),
+    ("charsum", "moments", "--q", "35", "--N", "100", "--P", "-2"),
     # no set size s with (2/5 + eps) phi < s <= phi, or eps <= 0
     ("triple", "--q", "1009", "--epsilon", "0.7"),
     ("triple", "--q", "1009", "--epsilon", "-1"),

@@ -1,4 +1,6 @@
+import collections
 import functools
+import itertools
 import json
 import math
 import tracemalloc
@@ -714,6 +716,105 @@ def test_class_join_matches_nested_loops_general():
     lists = [[9, 11, 49], [13, 4, 17], [19, 23, 8], [29, 31], [37, 41, 27], [43, 3127, 121]]
     for a in range(1, 101):
         assert pl._class_join(G, a, lists, _flags(lists)) == _general_nested(101, a, *lists)
+
+
+@pytest.mark.parametrize("oracle", [test_class_join_matches_nested_loops_easy,
+                                    test_class_join_matches_nested_loops_general])
+def test_class_join_gcd_route_matches_nested_loops(monkeypatch, oracle):
+    """The nested-loop oracles again with every pair of lists too large for a
+    coprimality table, so each pair goes through np.gcd (and one-row blocks)."""
+    monkeypatch.setattr(pl, "_JOIN_HITS", 0)
+    oracle()
+
+
+def _product_nested(q, lists):
+    """{class: (count, loss)} of the tuples of lists by their exact products."""
+    by_class = collections.defaultdict(lambda: [0, 0])
+    for parts in itertools.product(*lists):
+        n = math.prod(parts)
+        by_class[n % q][0] += 1
+        by_class[n % q][1] += not arith.is_squarefree(n)
+    return {c: tuple(v) for c, v in by_class.items()}
+
+
+def test_class_join_mixes_tables_and_gcds(monkeypatch):
+    """1 in several lists, 3 and 9 in several lists, squares next to
+    coprime parts; with the cap at 150 the pairs of the first list keep
+    their tables while the others, inside the left grid and across it, go
+    through np.gcd, in the same call."""
+    G = g.build_unit_group(101)
+    lists = [[1, 2, 3], [1, 3, 5, 9], list(range(1, 41)), list(range(2, 42))]
+    cells = [len(x) * len(y) for x, y in itertools.combinations(lists, 2)]
+    flags, expect = _flags(lists), _product_nested(101, lists)
+    for cap in (pl._JOIN_HITS, 150, 0):
+        monkeypatch.setattr(pl, "_JOIN_HITS", cap)
+        if cap == 150:
+            assert min(cells) <= cap < max(cells)
+        for a in range(1, 101):
+            assert pl._class_join(G, a, lists, flags) == expect.get(a, (0, 0)), (cap, a)
+
+
+def test_class_join_over_the_cap_keeps_memory_bounded():
+    """Two lists of 2000 units: their coprimality table would hold 4 million
+    cells (32 MB of int64 gcds on the way), far past the _JOIN_HITS cap, so
+    the pair is tested by np.gcd in blocks and the join peaks below
+    64 _JOIN_HITS bytes."""
+    G = g.build_unit_group(101)
+    x = np.array([n for n in range(1, 2100) if n % 101], dtype=np.int64)[:2000]
+    lists = [x, x[::-1].copy()]
+    flags = _flags(lists)
+    assert len(x) ** 2 > pl._JOIN_HITS
+    tracemalloc.start()
+    try:
+        count, loss = pl._class_join(G, 1, lists, flags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == len(x) ** 2 // 100 and 0 < loss < count
+    assert peak < 64 * pl._JOIN_HITS, peak
+
+
+# The benchmark's S operations (perfbench/workloads.py: S_EASY, S_GENERAL) at
+# the classes its seeds 7 and 11 draw, with their outputs before the pair
+# tables: a change to the join that moves any of them fails here.
+S_EASY = {"q": 101, "epsilon": 0.1, "R": 200.0, "Q1": 16.0, "z": 3.0}
+S_GENERAL = {"q": 101, "epsilon": 0.1, "R": 30.0, "U": 80.0, "M": 5000.0,
+             "Q1": 16.0, "z": 3.0, "K": 1, "ladder": [[16.0, 60.0]],
+             "kset": [[0, 0, 0], [1, 0, -1], [-1, 1, 0]],
+             "deltas": [-1, -1, -1, -1, -1, 1]}
+# (deltas, a) -> (value, count, loss, tuples)
+S_EASY_PINNED = {
+    ((-1, -1, -1), 42): (0.00010271818898047167, 82190, 7.26563406079657e-05, 8232000),
+    ((-1, -1, 1), 20): (9.146280499266138e-05, 73184, 6.578763192519807e-05, 7331625),
+    ((-1, -1, -1), 58): (0.00010288065843621399, 82320, 7.243638196019149e-05, 8232000),
+    ((-1, -1, 1), 72): (9.148530076345647e-05, 73202, 6.578763192519807e-05, 7331625),
+}
+# a -> (value, count, loss, tuples)
+S_GENERAL_PINNED = {
+    51: (1.1853208734508763e-05, 64668, 9.393596437725606e-06, 6451164),
+    100: (1.1769260420034755e-05, 64210, 9.359320597536437e-06, 6451164),
+}
+
+
+def _pinned(value, extras):
+    return value, extras["count"], extras["loss"], extras["tuples"]
+
+
+def test_benchmark_s_outputs_are_pinned():
+    sp = S_EASY
+    ctx = pl.build_context(LAM, sp["q"], pl.ParamSet.from_q(
+        sp["q"], sp["epsilon"], easy_mode=True, R=sp["R"], Q1=sp["Q1"], z=sp["z"]))
+    for (deltas, a), want in S_EASY_PINNED.items():
+        assert _pinned(*pl.s_function_easy(ctx, a, None, None, deltas)) == want, (deltas, a)
+    sp = S_GENERAL
+    kset = [tuple(k) for k in sp["kset"]]
+    params = pl.ParamSet.from_q(sp["q"], sp["epsilon"], easy_mode=False, R=sp["R"],
+                                U=sp["U"], M=sp["M"], Q1=sp["Q1"], z=sp["z"], K=sp["K"],
+                                ladder_overrides=sp["ladder"])
+    ctx = pl.build_context(LAM, sp["q"], params, tuple(sorted({k for t in kset for k in t})))
+    for a, want in S_GENERAL_PINNED.items():
+        got = pl.s_function_general(ctx, a, None, None, None, tuple(sp["deltas"]), kset)
+        assert _pinned(*got) == want, a
 
 
 def test_non_unit_class_is_a_domain_error():
