@@ -1,6 +1,6 @@
-"""Exact integer arithmetic: factorization, Mobius/Liouville, rough numbers,
-intervals with real endpoints, unit counts in intervals, the threshold B(q),
-Mertens products and Kloosterman-type pair counts.
+"""Exact integer arithmetic: factorization, Mobius/Liouville, intervals with
+real endpoints, unit counts in intervals, Mertens products and the window
+sieve, whose windows answer rough-number queries.
 
 Everything here is exact; floats only enter through interval endpoints, which
 are snapped to integers by one rule (snap): a 1e-9 relative guard band,
@@ -185,28 +185,6 @@ def is_squarefree(n: int) -> bool:
     return factorize(n).is_squarefree
 
 
-def is_rough(n: int, z: float) -> bool:
-    """True iff (n, P(z)) = 1, i.e. every prime factor of n is >= z.
-
-    Never materializes P(z); trial-divides by primes < min(z, sqrt(n)+1).
-    """
-    if n < 1:
-        raise DomainError("is_rough requires n >= 1")
-    if n == 1 or z <= 2:
-        return True
-    cap = math.isqrt(n)
-    for p in primes_upto(min(int(math.ceil(z)) - 1 if z == int(z) else int(z), cap)):
-        if p >= z:
-            break
-        if n % p == 0:
-            return False
-    # no divisor among primes < min(z, sqrt(n)); if n itself is a small prime
-    # it is its own least factor
-    if n < z:
-        return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def euler_phi(q: int) -> int:
     if q < 1:
@@ -305,45 +283,6 @@ def count_units_in_interval(interval: IntegerInterval, q: int) -> tuple[int, flo
 
 
 # ---------------------------------------------------------------------------
-# B(q): threshold beyond which prime divisors of q are no longer dense
-
-def _increasing_root(k: int) -> float:
-    """Root of z = 10 k log z on the increasing branch (z > e), to 1e-9."""
-    lo = math.e
-    hi = max(4.0 * math.e, 20.0 * k * math.log(20.0 * k + 10.0))
-    while hi - 10.0 * k * math.log(hi) < 0:
-        hi *= 2
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid - 10.0 * k * math.log(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-10:
-            break
-    return 0.5 * (lo + hi)
-
-
-def B_of_q(q: int) -> float:
-    """Minimal B >= 2 with |{p <= z : p|q}| <= z/(10 log z) for all z >= B.
-
-    The count jumps only at the prime divisors p_1 < ... < p_w of q; in the
-    regime where the count equals k, violations occupy [p_k, t_k) with t_k
-    the increasing-branch root of z = 10 k log z.  Hence B is the largest
-    such t_k with p_k < t_k (or 2 when there are none).
-    """
-    if q < 1:
-        raise DomainError("q must be >= 1")
-    ps = factorize(q).primes
-    best = 2.0
-    for k, p in enumerate(ps, start=1):
-        t = _increasing_root(k)
-        if p < t:
-            best = max(best, t)
-    return best
-
-
-# ---------------------------------------------------------------------------
 # Mertens products
 
 def _tree_prod(vals: list[int]) -> int:
@@ -377,45 +316,6 @@ def mertens_product(z: float, q: int = 1, inverse: bool = False) -> float:
     if inverse:
         frac = 1 / frac
     return float(frac)
-
-
-# ---------------------------------------------------------------------------
-# Kloosterman-type pair counts
-
-def count_pairs_in_class(K: int, L: int, a: int, q: int) -> tuple[int, dict]:
-    """Exact |{(k,l): k<=K, l<=L, kl = a mod q}| plus a main-term report.
-
-    The report compares against (phi(q)/q) KL/q + sqrt(q); the implied
-    constant is unspecified, so the ratio is informational only.
-    """
-    if q < 1:
-        raise DomainError("q must be >= 1")
-    if math.gcd(a % q if q > 1 else 0, q) != 1:
-        raise DomainError(f"need gcd(a, q) = 1, got a={a}, q={q}")
-    if K <= 0 or L <= 0:
-        count = 0
-    elif q == 1:
-        count = K * L
-    else:
-        a %= q
-        count = 0
-        for k in range(1, K + 1):
-            if math.gcd(k, q) != 1:
-                continue
-            r = a * pow(k, -1, q) % q
-            if r == 0:
-                r = q
-            if r <= L:
-                count += (L - r) // q + 1
-    main = euler_phi(q) / q * K * L / q
-    shape = main + math.sqrt(q)
-    report = {
-        "exact": count,
-        "main_term": main,
-        "rhs_shape": shape,
-        "ratio": count / shape if shape > 0 else float("nan"),
-    }
-    return count, report
 
 
 # ---------------------------------------------------------------------------

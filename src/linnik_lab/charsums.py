@@ -1,11 +1,11 @@
 """Character-sum functionals: the sign-restricted interval transforms, prime
-and squarefree-unit sums, the prime-factor ladder and its membership set, the
-Ramare-type decomposition, the character partition, and the mean-value /
-large-value / amplification checks.
+and squarefree-unit sets, the prime-factor ladder and its membership set, the
+Ramare-type decomposition, the Polya-Vinogradov window sup, and the
+mean-value / large-value / amplification checks.
 
-Only the mean value theorem, the Polya-Vinogradov bound and the Ramare
-identity are asserted (their constants are explicit); every other bound
-shape is reported as a measured ratio.
+Only the mean value theorem and the Ramare identity are asserted here (their
+constants are explicit); every other bound shape is reported as a measured
+ratio.
 """
 
 from __future__ import annotations
@@ -142,11 +142,6 @@ def m_set(G, h, M: float, v: int, ladder: "LadderSpec", B=None, delta=None) -> l
     return ns[keep].tolist()
 
 
-def prime_sum_Q(chi, qset: list[int], Q1: float) -> complex:
-    """Q_B^Delta(chi) = (1/Q1) sum over the prime set of conj(chi(p))."""
-    return sum((chi(p).conjugate() for p in qset), 0j) / Q1
-
-
 # ---------------------------------------------------------------------------
 # ladder
 
@@ -172,6 +167,8 @@ def ladder_build(Q1: float, q: int, overrides=None) -> LadderSpec:
     comparison runs in log space so nothing overflows.  At desk scale the
     formula ladder is empty (J < 2); overrides supply explicit intervals.
     """
+    if q < 1:
+        raise DomainError(f"q must be >= 1, got {q}")
     if Q1 < 3:
         raise DomainError("Q1 must be >= 3")
     if overrides is not None:
@@ -283,7 +280,7 @@ def large_values_census(a_p, P: float, q: int, alpha: float, C: float = 1.0) -> 
 
 
 # ---------------------------------------------------------------------------
-# Polya-Vinogradov (asserted) and Burgess shapes (reported)
+# Polya-Vinogradov: the sup of |sum chi(n)| over all windows
 
 # prefix cells per block of characters, and pair distances per step of one
 # character's candidates.  A block holds about 110 bytes a cell (64 of them
@@ -379,34 +376,8 @@ def pv_max_window(chi) -> tuple[float, dict]:
     return best, {"max_window_sum": best}
 
 
-def pv_burgess_check(chi, M: int, N: int) -> SumReport:
-    """|sum_{M<n<=M+N} chi(n)| with the PV bound asserted, Burgess reported.
-
-    Asserts the classical explicit Polya-Vinogradov constant sqrt(q) log q
-    (on the specific window and on the sup over all windows); reports the
-    Burgess shapes N^(1-1/r) q^((r+1)/(4 r^2)) for r in {2, 3}.
-    """
-    if chi.is_principal:
-        raise DomainError("principal character excluded")
-    q = chi.group.q
-    value = abs(chi.values()[np.arange(M + 1, M + N + 1) % q].sum())
-    pv = math.sqrt(q) * math.log(q)
-    sup, _ = pv_max_window(chi)
-    ok = value <= pv + 1e-9 and sup <= pv + 1e-9
-    if not ok:
-        raise AssertionError(f"Polya-Vinogradov bound violated: {max(value, sup)} > {pv}")
-    burgess = {f"burgess_r{r}": N ** (1 - 1 / r) * q ** ((r + 1) / (4 * r * r))
-               for r in (2, 3)}
-    return SumReport.make(value, pv, asserted=True, ok=True, tag="polya-vinogradov",
-                          sup_over_windows=sup, **burgess)
-
-
 # ---------------------------------------------------------------------------
-# ladder character sums and the partition
-
-def _alpha_j(j: int, eta: float) -> float:
-    return 1 / 40 - eta * (1 + 1 / (2 * j))
-
+# ladder subwindows: p in (P_j, Q_j] lies in the w-th, w = ceil(H_j log p)
 
 def _H_j(j: int, Q1: float) -> float:
     return j**4 * Q1 ** (1 / 40)
@@ -414,86 +385,6 @@ def _H_j(j: int, Q1: float) -> float:
 
 def _w_of_p(p: int, H: float) -> int:
     return int(math.ceil(H * math.log(p) - 1e-12))
-
-
-def ladder_prime_sums(G, h, ladder: LadderSpec, j: int, B, delta: int) -> dict[int, np.ndarray]:
-    """Q_{j,B,w}(chi) for all w: e^(-w/H_j) sums of conj(chi(p)) over the
-    w-th subwindow of (P_j, Q_j], restricted to B and sign delta (a prime
-    where h vanishes has neither sign and lies in no subwindow)."""
-    P, Q = ladder.interval(j)
-    H = _H_j(j, ladder.Q1)
-    buckets: dict[int, list[int]] = {}
-    for p in _signed_primes(G, h, P, Q, B, delta):
-        buckets.setdefault(_w_of_p(p, H), []).append(p)
-    out = {}
-    for w, plist in buckets.items():
-        out[w] = all_char_sums(G, plist) * math.exp(-w / H)
-    return out
-
-
-@dataclass
-class CharacterPartition:
-    classes: dict[int, list[int]]      # j -> character indices
-    residual: list[int]                # the set Y
-    H_j: dict[int, float]
-    alpha_j: dict[int, float]
-    eta: float
-
-    def sizes(self) -> dict:
-        d = {f"X{j}": len(v) for j, v in self.classes.items()}
-        d["Y"] = len(self.residual)
-        return d
-
-
-def partition_characters(q: int, ladder: LadderSpec, H, h, eta: float) -> CharacterPartition:
-    """Deterministic partition of the dual group into X_1..X_J and Y.
-
-    chi lands in X_j for the smallest j whose ladder prime sums are all small
-    (threshold e^(-alpha_j w / H_j); for j = 1 the threshold is Q1^(-alpha_1),
-    the value the j=1 convention H_1 = 1/log Q1 produces).  H is a real
-    character whose kernel defines the cosets (None for the full group).
-    """
-    if not 0 < eta <= 1 / 80:
-        raise DomainError("eta must lie in (0, 1/80]")
-    G = group_mod.build_unit_group(q)
-    nchars = G.phi
-    if H is None:
-        cosets = [None]
-    else:
-        psi = H if isinstance(H, group_mod.DirichletCharacter) else H.psi
-        # 1 and, for a non-principal psi, the least unit off its kernel
-        reps = [1] + G.units[psi.real_sign_table()[G.units] == -1][:1].tolist()
-        cosets = [group_mod.CosetSpec(psi, b) for b in reps]
-
-    small = np.ones((ladder.J + 1, nchars), dtype=bool)  # small[j][i]
-    # j = 1: the (P_1, Q_1] prime sum
-    thr1 = ladder.Q1 ** (-_alpha_j(1, eta))
-    for B in cosets:
-        for delta in (1, -1):
-            qs = q_set(G, h, ladder.Q1, B, delta)
-            vals = np.abs(all_char_sums(G, qs)) / ladder.Q1
-            small[1] &= vals <= thr1
-    for j in range(2, ladder.J + 1):
-        aj = _alpha_j(j, eta)
-        Hj = _H_j(j, ladder.Q1)
-        for B in cosets:
-            for delta in (1, -1):
-                sums = ladder_prime_sums(G, h, ladder, j, B, delta)
-                for w, vals in sums.items():
-                    small[j] &= np.abs(vals) <= math.exp(-aj * w / Hj)
-
-    classes: dict[int, list[int]] = {j: [] for j in range(1, ladder.J + 1)}
-    residual: list[int] = []
-    for i in range(nchars):
-        for j in range(1, ladder.J + 1):
-            if small[j][i]:
-                classes[j].append(i)
-                break
-        else:
-            residual.append(i)
-    return CharacterPartition(classes, residual,
-                              {j: _H_j(j, ladder.Q1) for j in range(2, ladder.J + 1)},
-                              {j: _alpha_j(j, eta) for j in range(1, ladder.J + 1)}, eta)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, is_dataclass, asdict
+from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -217,8 +217,10 @@ def cmd_sieve(args):
 
 
 def cmd_rough(args):
+    if args.q < 1:
+        raise DomainError(f"rough needs --q >= 1, got {args.q}")
     coset = _coset(args, args.q)
-    count, rep = sieve.rough_count_in_coset(args.cap, args.q, coset, args.z, args.eps)
+    count, rep = sieve.rough_count_in_coset(args.cap, coset, args.z, args.eps)
     return report_for(args, "rough-coset-count", rep)
 
 

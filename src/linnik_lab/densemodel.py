@@ -153,7 +153,7 @@ def aprop_check(sets: SignedLevelSets, G: group_mod.UnitGroup,
 
 
 # ---------------------------------------------------------------------------
-# JSON dump (external interface)
+# JSON form (the densemodel command's report)
 
 def model_to_json(model: DenseModel) -> dict:
     G = model.group
@@ -166,14 +166,3 @@ def model_to_json(model: DenseModel) -> dict:
         "g": {int(a): float(v) for a, v in zip(model.group.units, model.g)},
     }
 
-
-def model_from_json(data: dict) -> DenseModel:
-    G = group_mod.build_unit_group(int(data["q"]))
-    spectrum = tuple(sorted(G.character_index(group_mod.DirichletCharacter(G, tuple(v)))
-                            for v in data["spectrum"]))
-    g = np.array([float(data["g"][str(int(a))]) if str(int(a)) in data["g"]
-                  else float(data["g"][int(a)]) for a in G.units])
-    g_hat = group_mod.fourier_forward(G, g)
-    f_hat = g_hat.copy()
-    return DenseModel(G, float(data["delta"]), float(data["eta"]), data.get("source", ""),
-                      spectrum, f_hat, g_hat, g)

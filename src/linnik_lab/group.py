@@ -210,25 +210,6 @@ class UnitGroup:
             out.append(v)
         return tuple(out)
 
-    def from_dlog(self, vec) -> int:
-        """Reconstruct the unit with the given exponent vector."""
-        a = 1 % self.q
-        # generators of distinct components are CRT-compatible units mod q
-        for comp, lifted, x in zip(self.components, self._lifted_generators, vec):
-            a = a * pow(lifted, int(x) % comp.order, self.q) % self.q
-        return a
-
-    @cached_property
-    def _lifted_generators(self) -> tuple[int, ...]:
-        """Each component's generator CRT-lifted to q: the generator at its own
-        prime power, 1 at the other factors."""
-        out = []
-        for comp in self.components:
-            rest = self.q // comp.modulus
-            t = (comp.generator - 1) * pow(rest, -1, comp.modulus) % comp.modulus
-            out.append((1 + rest * t) % self.q)
-        return tuple(out)
-
     # -- the dlog grid -------------------------------------------------------
 
     @cached_property
@@ -508,22 +489,9 @@ class CosetSpec:
         row = G.real_index(self.psi)
         return G.real_signs(n, row) == G.real_signs(self.b, row)
 
-    def contains(self, n: int) -> bool:
-        return bool(self.member_mask(n))
-
     def members(self) -> frozenset[int]:
         units = self.group.units
         return frozenset(units[self.member_mask(units)].tolist())
-
-
-def full_group_coset(q: int, G: UnitGroup | None = None) -> CosetSpec:
-    G = G or build_unit_group(q)
-    return CosetSpec(G.real_characters()[0], 1 if q > 1 else 0)
-
-
-def index2_subgroups(q: int, G: UnitGroup | None = None) -> list[frozenset[int]]:
-    """Kernels of the non-principal real characters (index-2 subgroups)."""
-    return [chi.kernel() for chi in (G or build_unit_group(q)).real_characters()[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -554,22 +522,11 @@ def transform(G: UnitGroup, f, conj: bool = True) -> np.ndarray:
     return out.reshape(-1)
 
 
-def fourier_forward(G: UnitGroup, f) -> np.ndarray:
-    """F(chi) = E_{a in Z_q^x} f(a) conj(chi(a)), by row."""
-    return transform(G, f) / G.phi
-
-
 def fourier_inverse(G: UnitGroup, coeffs) -> np.ndarray:
-    """f(a) = sum_chi F(chi) chi(a); inverse of fourier_forward."""
+    """f(a) = sum_chi F(chi) chi(a), the inverse of F(chi) = E_a f(a) conj(chi(a))
+    (transform(G, f) / phi), by row."""
     c = np.asarray(coeffs, dtype=complex).reshape(G.grid_shape)
     return G.from_grid(np.fft.ifftn(c, norm="forward"))
-
-
-def parseval_gap(G: UnitGroup, f) -> float:
-    """| E|f|^2 - sum_chi |F(chi)|^2 |, zero in exact arithmetic."""
-    vec = _as_unit_vector(G, f)
-    coeffs = fourier_forward(G, vec)
-    return abs(float(np.mean(np.abs(vec) ** 2)) - float(np.sum(np.abs(coeffs) ** 2)))
 
 
 # The sparser factor's support, as a share of phi, from which one contraction
@@ -631,34 +588,3 @@ def convolve_group(G: UnitGroup, f, g) -> np.ndarray:
             out += np.einsum("x...,x->...", rows, fv[xs[s:s + step]])
     return G.from_grid(out)
 
-
-def convolve_group_transform(G: UnitGroup, f, g) -> np.ndarray:
-    """Same convolution through pointwise products of raw transforms."""
-    return fourier_inverse(G, transform(G, f) * transform(G, g)) / G.phi
-
-
-def orthogonality_exact(G: UnitGroup) -> bool:
-    """Exact pairwise orthogonality via integer angle arithmetic.
-
-    For every non-principal chi, read by row in blocks of character_angles,
-    the value multiset is checked to cover each m-th root of unity equally
-    often (m = order of chi, from G.orders), which forces
-    sum_a chi(a) = 0 exactly; together with sum_a |chi(a)|^2 = phi(q) this
-    is pairwise orthogonality of the full dual (differences of characters
-    are characters).
-    """
-    L = G.angle_modulus
-    block = max(1, (1 << 16) // G.q)   # rows per character_angles call
-    for s in range(1, G.phi, block):   # row 0 is principal
-        rows = np.arange(s, min(s + block, G.phi))
-        m = G.orders[rows]
-        step = (L // m)[:, None]
-        ks = G.character_angles(rows)[:, G.units]
-        if np.any(ks % step):
-            return False
-        # each row's values ks // step, shifted past the rows before it
-        start = np.cumsum(m) - m
-        counts = np.bincount((ks // step + start[:, None]).reshape(-1), minlength=int(m.sum()))
-        if np.any(counts != np.repeat(G.phi // m, m)):
-            return False
-    return True

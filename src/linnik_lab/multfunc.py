@@ -1,6 +1,5 @@
 """Multiplicative functions and their sign statistics: the sign algebra,
-pretentious distance, the "pretends to be a character" prime sum, sign-density
-counts over squarefree integers, L(q), and sums of 1*psi over rough numbers.
+pretentious distance, the "pretends to be a character" prime sum, and L(q).
 
 Signs live in {+1, -1}, identified with the symbols {+, -}; the product of
 two signs is + exactly when they agree.
@@ -167,10 +166,6 @@ def pretentious_distance_squared(f: MultiplicativeFunction, g: MultiplicativeFun
     return float(np.cumsum(np.append(0.0, terms))[-1])
 
 
-def pretentious_distance(f, g, x: float, r: int = 1) -> float:
-    return math.sqrt(max(0.0, pretentious_distance_squared(f, g, x, r)))
-
-
 def pretend_sum(h: MultiplicativeFunction, chi, cutoff: float) -> float:
     """sum over p <= cutoff with h(p) chi(p) < 0 of 1/p (chi real/principal)."""
     if not chi.is_real:
@@ -208,80 +203,18 @@ def pretend_condition_holds(pretend: float, c: float, Q1: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sign densities over squarefree integers
-
-def sign_density_counts(h: MultiplicativeFunction, q: int, y: int, delta: int,
-                        eps: float = 0.1) -> tuple[int, dict]:
-    """Exact sum_{n<=y, sgn(h(n))=delta} chi_0(n) |mu(n)| plus shape ratios.
-
-    The reported lower-bound shapes are (phi(q)/q) y and, for the minus sign,
-    the same times min(1, sum_{p <= y/q^(eps/8), h(p)<0, p not|q} 1/p).
-    Ratios are informational (the implied constants are not specified).
-    """
-    if y < 1:
-        raise DomainError("y must be >= 1")
-    if delta not in (PLUS, MINUS):
-        raise DomainError("delta must be +1 or -1")
-    wf = arith.factor_window(0, y)
-    coprime = np.gcd(wf.ns, q) == 1
-    count = int(np.count_nonzero(coprime & wf.squarefree & (h.signs(wf) == delta)))
-    shape = arith.euler_phi(q) / q * y
-    neg_cut = y / q ** (eps / 8) if q > 1 else float(y)
-    ps = arith.primes_upto(int(neg_cut))
-    terms = np.where((q % ps != 0) & (h.prime_signs(ps) < 0), 1.0 / ps, 0.0)
-    neg_sum = float(np.cumsum(np.append(0.0, terms))[-1])
-    if delta == MINUS:
-        shape *= min(1.0, neg_sum)
-    report = {
-        "count": count,
-        "shape": shape,
-        "ratio": count / shape if shape > 0 else float("inf"),
-        "negative_prime_sum": neg_sum,
-    }
-    return count, report
-
-
-def rough_squarefree_density(x: int, prime_predicate: Callable) -> tuple[float, dict]:
-    """(1/x) sum_{n<=x, p|n => p in P} |mu(n)|, with the sieve-product shape.
-
-    prime_predicate maps the int64 array of primes up to x to a bool array,
-    membership in P.  The right-hand shape is prod_{p <= x, p not in P}
-    (1 - 1/p); the ratio is reported, never asserted.
-    """
-    if x < 10:
-        raise DomainError("x must be >= 10")
-    ps = arith.primes_upto(x)
-    allowed = np.zeros(x + 1, dtype=bool)
-    allowed[ps] = prime_predicate(ps)
-    wf = arith.factor_window(0, x)
-    outside = np.bincount(wf.rows[~allowed[wf.primes]], minlength=x) > 0
-    count = int(np.count_nonzero(wf.squarefree & ~outside))
-    lhs = count / x
-    rhs = float(np.cumprod(np.where(allowed[ps], 1.0, 1.0 - 1.0 / ps))[-1])
-    return lhs, {"lhs_density": lhs, "rhs_product": rhs,
-                 "ratio": lhs / rhs if rhs > 0 else float("inf")}
-
-
-# ---------------------------------------------------------------------------
 # L(1, chi) and L(q)
 
-def dirichlet_L1(chi) -> float:
-    """L(1, chi) for a non-principal real character, exactly resummed.
+def _L1_values(G, rows) -> list[float]:
+    """L(1, chi) for the non-principal real characters G.real_characters()[rows],
+    exactly resummed.
 
     Partial summation over residue classes collapses the conditionally
     convergent series to the finite digamma sum -(1/q) sum_a chi(a) psi(a/q)
     (the a-average of the tail is exact because sum_a chi(a) = 0); evaluated
-    at 30 significant digits, far below the 1e-8 relative target.
+    at 30 significant digits, far below the 1e-8 relative target, with each
+    psi(a/q) evaluated once for all rows.
     """
-    if chi.is_principal:
-        raise DomainError("L(1, chi_0) diverges; principal character excluded")
-    if not chi.is_real:
-        raise DomainError("only real characters are supported here")
-    return _L1_values(chi.group, [chi.group.real_index(chi)])[0]
-
-
-def _L1_values(G, rows) -> list[float]:
-    """dirichlet_L1 of G's real_characters()[rows], psi(a/q) evaluated once for all."""
     import mpmath   # ~30 ms to import; only this function needs it
 
     q = G.q
@@ -329,33 +262,3 @@ def L_of_q(q: int, prime_cutoff: int | None = None) -> tuple[float, list[dict]]:
         best = max(best, val)
     return best, rows
 
-
-# ---------------------------------------------------------------------------
-# sums of 1 * psi over rough numbers
-
-def one_star_psi_sum(q: int, psi, y: int, z: float) -> tuple[float, dict]:
-    """Exact sum_{n <= y, (n, P(z)) = 1} (1 * psi)(n), psi a real character.
-
-    The reported shape is y L(1,psi) (phi(q)/q) prod_{2<p<=q, psi(p)=1}(1-2/p);
-    the constant c_eps in front is surfaced as the measured ratio.
-    """
-    if not psi.is_real:
-        raise DomainError("psi must be real")
-    if y < 1:
-        raise DomainError("y must be >= 1")
-    wf = arith.factor_window(0, y)
-    # (1 * psi)(p^e) is e + 1 where psi(p) = 1, [e even] where psi(p) = -1,
-    # and 1 where psi(p) = 0; every term is an integer, so the sum is exact
-    v = psi.real_sign_table()[wf.primes % psi.group.q]
-    local = np.where(v > 0, wf.exps + 1, np.where(v < 0, wf.exps % 2 == 0, 1))
-    total = float(wf.prod(local)[wf.rough(z)].sum())
-    shape = 1.0
-    if not psi.is_principal:
-        L1 = dirichlet_L1(psi)
-        shape = y * L1 * arith.euler_phi(q) / q
-        ps = arith.primes_upto(q)[1:]   # the odd primes, multiplied in increasing p
-        local = np.where(psi.real_sign_table()[ps % psi.group.q] > 0, 1.0 - 2.0 / ps, 1.0)
-        shape = float(np.cumprod(np.append(shape, local))[-1])
-    report = {"lhs": total, "rhs_shape": shape,
-              "ratio": total / shape if shape else float("inf")}
-    return total, report

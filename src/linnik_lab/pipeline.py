@@ -684,17 +684,6 @@ def st_compare_general(ctx: SignContext, a: int, B4, B5, B6, deltas,
                                    S=s_val, T=t_val)
 
 
-def nonsquarefree_loss(ctx: SignContext, a: int, B2, B3, deltas,
-                       budget: int = 10**8) -> tuple[float, dict]:
-    """Contribution of non-squarefree products to S(a), with its target shape."""
-    value, extras = s_function_easy(ctx, a, B2, B3, deltas, budget=budget)
-    loss = extras["loss"]
-    target = ctx.q ** -(1 + ctx.params.epsilon / 2)
-    return loss, {"S": value, "loss": loss, "target_shape": target,
-                  "ratio": loss / target if target else float("inf"),
-                  "loss_le_S": loss <= value + 1e-15}
-
-
 # ---------------------------------------------------------------------------
 # case analysis
 

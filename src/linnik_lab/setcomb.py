@@ -1,6 +1,5 @@
 """Product-set combinatorics on Z_q^x: stabilizers, the Kneser inequality,
-the popular-Kneser dichotomy, the small-product structure lemma, and the
-triple-convolution dichotomy classifier.
+coset overlaps, and the triple-convolution dichotomy classifier.
 
 Sets are frozensets (or iterables) of unit residues.  Convolutions are exact
 integer counts on the dlog grid of Z_q^x (group.convolve_group); product sets
@@ -100,179 +99,6 @@ def kneser_check(G: group_mod.UnitGroup, A, B) -> dict:
     if not (len(AB) >= mid >= low):
         raise AssertionError(f"Kneser inequality failed: {report}")
     return report
-
-
-def convolution_lower_check(G: group_mod.UnitGroup, A, B, cosets=None) -> dict:
-    """Assert the convolution lower bounds on product sets.
-
-    (i) conv(c) >= |A| + |B| - |G| at every c; (ii) when A <= aH, B <= bH
-    are supplied as (H_members, a, b), conv(c) >= |A| + |B| - |H| on abH.
-    """
-    A = frozenset(a % G.q for a in A)
-    B = frozenset(b % G.q for b in B)
-    cv = conv2(G, A, B)
-    bound_i = len(A) + len(B) - G.phi
-    if int(cv.min()) < bound_i:
-        raise AssertionError("lower bound (i) failed")
-    report = {"min_conv": int(cv.min()), "bound_i": bound_i}
-    if cosets is not None:
-        H, a, b = cosets
-        H = frozenset(h % G.q for h in H)
-        aH = product_set(G, [a], H)
-        bH = product_set(G, [b], H)
-        if not (A <= aH and B <= bH):
-            raise PreconditionError("coset containment hypothesis fails")
-        bound_ii = len(A) + len(B) - len(H)
-        abH = product_set(G, [a * b % G.q], H)
-        vals = [int(cv[G.unit_pos[c]]) for c in abH]
-        if min(vals) < bound_ii:
-            raise AssertionError("lower bound (ii) failed")
-        report.update({"bound_ii": bound_ii, "min_conv_on_abH": min(vals)})
-    return report
-
-
-def popular_kneser_classify(G: group_mod.UnitGroup, A, B, t: int, u: int) -> DichotomyOutcome:
-    """Decide which side of the popular-Kneser dichotomy holds, with proof.
-
-    (a): conv >= u on at least |A| + |B| - 2t - u|G|/t elements.  (b): trimmed
-    subsets A', B' with at most t-1 total removals such that conv_{A,B} >= t
-    on all of A'.B'.  The trim search is greedy (repeatedly removing the
-    element covering the most bad products); any verified certificate is
-    acceptable since the lemma only asserts existence.
-    """
-    A = frozenset(a % G.q for a in A)
-    B = frozenset(b % G.q for b in B)
-    if not (t >= u >= 1):
-        raise PreconditionError("need t >= u >= 1")
-    if len(A) < t or len(B) < t:
-        raise PreconditionError("need |A|, |B| >= t")
-    cv = conv2(G, A, B)
-    popular = int(np.sum(cv >= u))
-    need_a = len(A) + len(B) - 2 * t - u * G.phi / t
-    ok_a = popular >= need_a
-
-    # greedy trim for branch (b)
-    q = G.q
-    Ap, Bp = set(A), set(B)
-    removals = 0
-
-    def bad_products():
-        bad = set()
-        for a in Ap:
-            for b in Bp:
-                c = a * b % q
-                if cv[G.unit_pos[c]] < t:
-                    bad.add(c)
-        return bad
-
-    bad = bad_products()
-    while bad and removals < t - 1:
-        best_elem, best_side, best_cover = None, None, -1
-        for x in Ap:
-            cover = sum(1 for b in Bp if x * b % q in bad)
-            if cover > best_cover:
-                best_elem, best_side, best_cover = x, "A", cover
-        for y in Bp:
-            cover = sum(1 for a in Ap if a * y % q in bad)
-            if cover > best_cover:
-                best_elem, best_side, best_cover = y, "B", cover
-        if best_cover <= 0:
-            break
-        (Ap if best_side == "A" else Bp).discard(best_elem)
-        removals += 1
-        bad = bad_products()
-    ok_b = not bad and (len(A) - len(Ap)) + (len(B) - len(Bp)) <= t - 1
-
-    witnesses = {"popular_count": popular, "popular_threshold": need_a}
-    if ok_b:
-        witnesses.update({"A_prime": frozenset(Ap), "B_prime": frozenset(Bp),
-                          "removals": removals})
-        # re-verify the certificate from scratch
-        for c in product_set(G, Ap, Bp):
-            assert cv[G.unit_pos[c]] >= t
-    if ok_a and ok_b:
-        return DichotomyOutcome(BOTH, witnesses, verified=True)
-    if ok_a:
-        return DichotomyOutcome(EXPANDS, witnesses, verified=True)
-    if ok_b:
-        return DichotomyOutcome(COSET, witnesses, verified=True)
-    return DichotomyOutcome(UNDETERMINED, witnesses, verified=False)
-
-
-def subgroups_of_index_below(G: group_mod.UnitGroup, bound: float) -> list[frozenset[int]]:
-    """All proper subgroups of index Y with 1 < Y < bound (bound <= 6).
-
-    Enumerated through dual subgroups of order Y; for Y <= 5 two generators
-    suffice (every abelian group of order < 8 except Z_2^3 is 2-generated,
-    and |dual subgroup| < 6 here).
-    """
-    if bound > 6:
-        raise PreconditionError("subgroup enumeration implemented for index < 6 only")
-    small = [G.dual_vector(i) for i in
-             np.flatnonzero((G.orders > 1) & (G.orders < bound)).tolist()]
-    seen: set[frozenset[tuple[int, ...]]] = set()
-    out: list[frozenset[int]] = []
-    for i, v1 in enumerate(small):
-        for v2 in small[i:]:
-            # subgroup of the dual generated by v1, v2
-            vecs = {v1, v2}
-            frontier = True
-            while frontier:
-                frontier = False
-                for v in list(vecs):
-                    for w in list(vecs):
-                        s = tuple((a + b) % comp.order for a, b, comp in
-                                  zip(v, w, G.components))
-                        if s not in vecs:
-                            vecs.add(s)
-                            frontier = True
-            zero = tuple(0 for _ in G.components)
-            vecs.add(zero)
-            if not (1 < len(vecs) < bound):
-                continue
-            key = frozenset(vecs)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(frozenset.intersection(
-                *(group_mod.DirichletCharacter(G, v).kernel() for v in vecs)))
-    return out
-
-
-def structure_classify(G: group_mod.UnitGroup, A, B, alpha: float, alpha_prime: float,
-                       beta: float) -> dict:
-    """Either |A.B| >= beta phi(q), or the stabilizer of A.B has index Y with
-    1 < Y < 1/(2 alpha' - beta).  Hypotheses are checked computationally and
-    raise PreconditionError when violated.
-    """
-    if not (beta < 2 * alpha <= 2 * alpha_prime):
-        raise PreconditionError("need beta < 2 alpha <= 2 alpha'")
-    A = frozenset(a % G.q for a in A)
-    B = frozenset(b % G.q for b in B)
-    phi = G.phi
-    if len(A) < alpha * phi or len(B) < alpha * phi:
-        raise PreconditionError("size hypothesis |A|,|B| >= alpha phi fails")
-    index_bound = 1.0 / (2 * alpha - beta)
-    for H0 in subgroups_of_index_below(G, index_bound):
-        Y0 = phi // len(H0)
-        for S, name in ((A, "A"), (B, "B")):
-            met = len({_coset_id(G, s, H0) for s in S})
-            if met < alpha_prime * Y0:
-                raise PreconditionError(
-                    f"{name} meets only {met}/{Y0} cosets of an index-{Y0} subgroup")
-    AB = product_set(G, A, B)
-    if len(AB) >= beta * phi:
-        return {"branch": "a", "|AB|": len(AB), "threshold": beta * phi}
-    H = stabilizer(G, AB)
-    Y = phi // len(H)
-    if not (1 < Y < 1.0 / (2 * alpha_prime - beta)):
-        raise AssertionError("structure lemma: neither branch verified")
-    return {"branch": "b", "stabilizer_index": Y,
-            "index_bound": 1.0 / (2 * alpha_prime - beta), "H": H}
-
-
-def _coset_id(G, s, H) -> frozenset[int]:
-    return product_set(G, [s], H)
 
 
 def coset_overlaps(G: group_mod.UnitGroup, S) -> tuple[list[int], list[int]]:

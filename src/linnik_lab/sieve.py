@@ -1,5 +1,5 @@
 """Fundamental-lemma sieve weights lambda_d^+-, their sandwich and accuracy
-properties, rough-number counts in index-2 cosets, and the majorant nu.
+properties, and rough-number counts in index-2 cosets.
 
 Construction: a truncated Buchstab recursion over chains of strictly
 decreasing primes p_1 > p_2 > ... below z.  A branch may be cut only at odd
@@ -100,22 +100,6 @@ class SieveWeights:
     @property
     def s(self) -> float:
         return math.log(self.D) / math.log(self.z) if self.z > 1 else math.inf
-
-    def weighted_divisor_sum(self, n: int) -> int:
-        """sum_{d | n} lambda_d."""
-        d = self.d if n < 2**63 else self.d.astype(object)
-        return int(self.mu[n % d == 0].sum())
-
-    def sum_over_array(self, limit: int) -> np.ndarray:
-        """Array S[n] = sum_{d|n} lambda_d for 0 <= n <= limit (S[0] unused)."""
-        if limit > arith.PRIME_TABLE_LIMIT:
-            raise ResourceError(
-                f"a divisor-sum array up to {limit} exceeds the limit {arith.PRIME_TABLE_LIMIT}")
-        out = np.zeros(limit + 1, dtype=np.int64)
-        k = int(np.searchsorted(self.d, limit, "right"))
-        for d, w in zip(self.d[:k].tolist(), self.mu[:k].tolist()):
-            out[d::d] += w
-        return out
 
 
 def build_beta_sieve(z: float, D: float, kappa: float = 1.0) -> tuple[SieveWeights, SieveWeights]:
@@ -267,14 +251,14 @@ def sieve_accuracy(pair: tuple[SieveWeights, SieveWeights], g: Callable[[int], f
             "error_factor": err, "s": s}
 
 
-def rough_count_in_coset(Rcap: float, q: int, coset, z: float,
+def rough_count_in_coset(Rcap: float, coset, z: float,
                          eps: float = 0.1) -> tuple[int, dict]:
     """Exact |{n <= Rcap : n in bH, (n, P(z)) = 1}| with the half-share ratio.
 
-    `coset` is a CosetSpec (or None for no congruence restriction beyond
-    nothing).  The report compares against (1/2 - eps) times the total rough
-    count below Rcap; at desk scale the ratio may dip below the shape and is
-    logged, never asserted.  The integers are counted in fixed blocks; a cap
+    `coset` is a CosetSpec, or None to count every rough n <= Rcap.  The
+    report compares against (1/2 - eps) times the total rough count below
+    Rcap; at desk scale the ratio may dip below the shape and is logged,
+    never asserted.  The integers are counted in fixed blocks; a cap
     past _ROUGH_CAP_LIMIT raises ResourceError.  A cap below 1 or eps >= 1/2
     leaves no positive shape and raises DomainError.
     """
@@ -304,22 +288,3 @@ def rough_count_in_coset(Rcap: float, q: int, coset, z: float,
               "ratio": count / shape}
     return count, report
 
-
-def majorant_nu(z: float, D: float, q: int, interval: arith.IntegerInterval,
-                weights_plus: SieveWeights | None = None) -> Callable[[int], float]:
-    """The pointwise majorant nu(n) of the sign-restricted rough indicators.
-
-    nu(n) = prod_{p<z, p not|q}(1-1/p)^-1 * sum_{d|n, d<=D} lambda_d^+ on
-    [I]_q, and 0 elsewhere; nu >= f^Delta pointwise for both signs by the
-    sandwich property.
-    """
-    if weights_plus is None:
-        weights_plus, _ = build_beta_sieve(z, D)
-    norm = arith.mertens_product(z, q, inverse=True)
-
-    def nu(n: int) -> float:
-        if n not in interval or math.gcd(n, q) != 1:
-            return 0.0
-        return norm * weights_plus.weighted_divisor_sum(n)
-
-    return nu

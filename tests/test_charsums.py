@@ -1,7 +1,6 @@
 import cmath
 import itertools
 import math
-import random
 import tracemalloc
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 
 from linnik_lab import arith, charsums as cs, group as g, multfunc as mf, pipeline as pl
 from linnik_lab.errors import DomainError, PreconditionError
+from lemma_oracles import is_rough, pv_burgess_check
 
 
 def f_delta_value(n: int, delta: int, h, q: int, z: float,
@@ -17,7 +17,7 @@ def f_delta_value(n: int, delta: int, h, q: int, z: float,
     of the sign-delta, z-rough points of [I]_q."""
     if n not in interval or math.gcd(n, q) != 1:
         return 0.0
-    if not arith.is_rough(n, z):
+    if not is_rough(n, z):
         return 0.0
     if h.sign(n) != delta:
         return 0.0
@@ -51,13 +51,13 @@ def test_f_delta_and_transform():
     # transform table matches a hand-rolled expectation
     tbl = context_f_hat(lam, 7, 21.0, 3.0, -1)
     members = [n for n in iv.members() if math.gcd(n, 7) == 1]
-    supp = [n for n in members if arith.is_rough(n, 3.0) and lam.sign(n) == -1]
+    supp = [n for n in members if is_rough(n, 3.0) and lam.sign(n) == -1]
     chi = g.characters(G.q, G)[1]
     byhand = norm * sum(chi(n).conjugate() for n in supp) / len(members)
     assert cmath.isclose(tbl[1], byhand, abs_tol=1e-12)
     # F^+(chi0) + F^-(chi0) is the normalized rough density (about 1)
     tot = context_f_hat(lam, 7, 21.0, 3.0, 1)[0] + tbl[0]
-    dens = norm * len([n for n in members if arith.is_rough(n, 3.0)]) / len(members)
+    dens = norm * len([n for n in members if is_rough(n, 3.0)]) / len(members)
     assert tot.real == pytest.approx(dens, abs=1e-12)
 
 
@@ -87,12 +87,11 @@ def test_sets_and_sums():
     qs = cs.q_set(G, lam, 50.0, None, -1)
     assert qs == [19, 23, 29, 31, 37, 41, 43, 47]
     assert cs.q_set(G, lam, 50.0, None, 1) == []  # primes have sign -1
-    chi0 = g.characters(G.q, G)[0]
-    val = cs.prime_sum_Q(chi0, qs, 50.0)
-    assert val == pytest.approx(len(qs) / 50.0)
-    # triangle bound with equality at chi0
-    for chi in g.characters(G.q, G):
-        assert abs(cs.prime_sum_Q(chi, qs, 50.0)) <= len(qs) / 50.0 + 1e-12
+    # the normalized prime sums (1/Q1) sum_p conj(chi(p)): the triangle bound,
+    # with equality at chi0
+    vals = cs.all_char_sums(G, qs) / 50.0
+    assert vals[0] == pytest.approx(len(qs) / 50.0)
+    assert np.abs(vals).max() <= len(qs) / 50.0 + 1e-12
     us = cs.u_set_easy(G, lam, 20.0, None, 1)
     assert us == [1, 6, 10, 14, 15]
     psi = [c for c in g.real_characters(11) if not c.is_principal][0]
@@ -114,6 +113,9 @@ def test_ladder_build_and_membership():
         cs.ladder_build(10.0, 101, overrides=[(10.0, 100.0), (50.0, 1500.0)])
     with pytest.raises(DomainError):
         cs.ladder_build(2.0, 101)
+    for q in (0, -5):
+        with pytest.raises(DomainError):
+            cs.ladder_build(10.0, q)
     # a genuinely non-empty formula ladder needs tiny log q^(1/2) thresholds,
     # i.e. enormous q; at desk scale J < 2 always
     assert cs.ladder_build(3.0, 10**7).intervals == ()
@@ -177,7 +179,7 @@ def test_halasz_montgomery_report():
     q, eps = 101, 0.3
     z = q**eps
     coeffs = {n: complex(rng.choice((-1.0, 1.0)))
-              for n in range(1, 2000) if arith.is_rough(n, z)}
+              for n in range(1, 2000) if is_rough(n, z)}
     G, rows = g.build_unit_group(q), range(10)
     rep = cs.halasz_montgomery_report(coeffs, G, rows, 2000, eps)
     assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs_shape)
@@ -200,9 +202,9 @@ def test_large_values_census():
 
 def test_pv_and_burgess():
     chi5 = [c for c in g.real_characters(5) if not c.is_principal][0]
-    rep = cs.pv_burgess_check(chi5, 0, 5)
+    rep = pv_burgess_check(chi5, 0, 5)
     assert rep.lhs == 0.0  # 1 - 1 - 1 + 1 + 0
-    rep = cs.pv_burgess_check(chi5, 0, 0)
+    rep = pv_burgess_check(chi5, 0, 0)
     assert rep.lhs == 0.0
     for q in (101, 203):
         bound = math.sqrt(q) * math.log(q)
@@ -210,7 +212,7 @@ def test_pv_and_burgess():
         assert len(sups) == g.build_unit_group(q).phi - 1
         assert sups.max() <= bound
     with pytest.raises(DomainError):
-        cs.pv_burgess_check(g.characters(5)[0], 0, 5)
+        pv_burgess_check(g.characters(5)[0], 0, 5)
 
 
 def brute_window_sup(chi) -> float:
@@ -277,68 +279,23 @@ def test_block_pv_peak_memory():
     assert peak <= 48 * cs._PV_CELLS + 16 * len(pts) + (1 << 16), peak
 
 
-def test_partition_characters():
-    lam = mf.liouville_fn()
-    lad = cs.ladder_build(50.0, 101)
-    part = cs.partition_characters(101, lad, None, lam, eta=1 / 160)
-    sizes = part.sizes()
-    assert sum(sizes.values()) == 100
-    # at desk scale the j=1 threshold Q1^(-alpha_1) ~ 0.94 dominates every
-    # normalized prime sum (<= pi(Q1)/Q1), so X_1 absorbs the whole dual and
-    # the residual set is empty; the partition property is what is asserted
-    assert sizes["X1"] == 100 and part.residual == []
-    # with an override ladder every character still lands somewhere
-    lad2 = cs.ladder_build(50.0, 101, overrides=[(10.0, 100.0)])
-    psi = [c for c in g.real_characters(101) if not c.is_principal][0]
-    part2 = cs.partition_characters(101, lad2, psi, lam, eta=1 / 160)
-    assert sum(part2.sizes().values()) == 100
-    with pytest.raises(DomainError):
-        cs.partition_characters(101, lad, None, lam, eta=0.5)
-
-
-def test_partition_with_artificial_threshold_exercises_deeper_classes():
-    # same machinery with the j=2 window sums against an override ladder;
-    # verify by hand that the class rule is the advertised one
-    lam = mf.liouville_fn()
-    q = 35
-    G = g.build_unit_group(q)
-    lad = cs.ladder_build(10.0, q, overrides=[(10.0, 100.0)])
-    part = cs.partition_characters(q, lad, None, lam, eta=1 / 160)
-    assert sum(part.sizes().values()) == G.phi
-    for j, members in part.classes.items():
-        assert all(isinstance(i, int) for i in members)
-    sums = cs.ladder_prime_sums(G, lam, lad, 2, None, -1)
-    assert sums  # the override interval has sign-minus primes
-    for w, vals in sums.items():
-        assert len(vals) == G.phi
-
-
 def test_ladder_primes_where_h_vanishes_have_no_sign():
-    # chi_7 vanishes at the ladder prime 7, a unit mod 11
+    # chi_7 vanishes at the prime 7, a unit mod 11
     chi = [c for c in g.real_characters(7) if not c.is_principal][0]
     chi7 = mf.character_fn(chi)
     G = g.build_unit_group(11)
-    lad = cs.ladder_build(5.0, 11, overrides=[(5.0, 60.0)])
-    H = cs._H_j(2, lad.Q1)
-    # the full group and both cosets of the squares mod 11 (2 is a non-square)
+    # the full group and both cosets of the squares mod 11 (2 is a non-square);
+    # (19/e, 19] = (6.99, 19] holds 7
     psi = [c for c in g.real_characters(11, G) if not c.is_principal][0]
     for B, delta in itertools.product((None, g.CosetSpec(psi, 1), g.CosetSpec(psi, 2)),
                                       (1, -1)):
-        sums = cs.ladder_prime_sums(G, chi7, lad, 2, B, delta)
-        assert cs._w_of_p(7, H) not in sums
-        byhand: dict[int, np.ndarray] = {}
-        for p in arith.primes_in(5.0, 60.0).tolist():
-            if p != 11 and chi(p).real * delta > 0 and (B is None or B.contains(p)):
-                w = cs._w_of_p(p, H)
-                row = np.array([c(p).conjugate() for c in g.characters(G.q, G)])
-                row *= math.exp(-w / H)
-                byhand[w] = byhand.get(w, 0) + row
-        assert sorted(sums) == sorted(byhand)
-        for w, vals in sums.items():
-            assert np.allclose(vals, byhand[w], atol=1e-12)
-    part = cs.partition_characters(11, lad, None, chi7, eta=1 / 160)
-    assert sum(part.sizes().values()) == G.phi
-    # a prime above the factor table where h vanishes is refused by name
+        qs = cs.q_set(G, chi7, 19.0, B, delta)
+        assert 7 not in qs
+        byhand = [p for p in arith.primes_in(19.0 / math.e, 19.0).tolist()
+                  if p != 11 and chi(p).real * delta > 0
+                  and (B is None or B.member_mask(np.array([p]))[0])]
+        assert qs == byhand
+    # a prime of the j-th ladder interval where h vanishes is refused by name
     with pytest.raises(DomainError, match="h vanishes at a prime"):
         cs.ramare_decompose(G, chi7, None, 1, 0, 2,
                             cs.ladder_build(3.0, 11, overrides=[(5.0, 60.0)]), 5.0)

@@ -60,6 +60,11 @@ DOMAIN_ERRORS = [
     ("rough", "--q", "35", "--cap", "-5", "--z", "3"),
     ("rough", "--q", "35", "--cap", "1000", "--z", "3", "--eps", "0.5"),
     ("rough", "--q", "35", "--cap", "1000", "--z", "3", "--eps", "0.7"),
+    # no modulus q < 1
+    ("rough", "--q", "0", "--cap", "100", "--z", "3"),
+    ("rough", "--q", "-7", "--cap", "100", "--z", "3"),
+    ("ladder", "--Q1", "10", "--q", "0"),
+    ("ladder", "--Q1", "10", "--q", "-5"),
     ("ramare", "--q", "101", "--Q1", "10", "--M", "2000", "--j", "2",
      "--overrides", "10:100,150:1500", "--psi", "0", "--b", "0"),
     ("pretend", "--q", "5", "--cutoff", "10", "--chi", "-1"),

@@ -1,4 +1,5 @@
 
+import json
 import math
 
 import numpy as np
@@ -137,10 +138,13 @@ def test_level_sets_and_aprop():
 def test_model_json_roundtrip():
     ctx, _ = toy_model(101, 0.04, R=101.0)
     model = ctx.models[(0, -1)]
-    data = dm.model_to_json(model)
-    back = dm.model_from_json(data)
-    assert np.abs(back.g - model.g).max() <= 1e-12
-    assert back.spectrum == tuple(sorted(model.spectrum))
+    data = json.loads(json.dumps(dm.model_to_json(model)))
+    # the dump alone rebuilds g over the units and the spectrum's rows
+    G = g.build_unit_group(data["q"])
+    back = np.array([data["g"][str(int(a))] for a in G.units])
+    assert np.abs(back - model.g).max() <= 1e-12
+    rows = sorted(G.character_index(g.DirichletCharacter(G, tuple(v))) for v in data["spectrum"])
+    assert tuple(rows) == tuple(sorted(model.spectrum))
 
 
 def test_empty_interval_raises():

@@ -201,28 +201,9 @@ def _pretend_loop(h, chi, cutoff):
     return total
 
 
-def _negative_prime_sum_loop(h, q, y, eps):
-    total = 0.0
-    for p in arith.primes_upto(int(y / q ** (eps / 8) if q > 1 else y)).tolist():
-        if q % p and h.value(p) < 0:
-            total += 1.0 / p
-    return total
-
-
 def _q_set_loop(h, q, Q1, delta):
     return [p for p in arith.primes_in(Q1 / math.e, Q1).tolist()
             if math.gcd(p, q) == 1 and _sign(h.value(p)) == delta]
-
-
-def _rough_density_loop(h, x):
-    """(lhs, rhs) of rough_squarefree_density for P = {p : h(p) > 0}."""
-    count = sum(1 for n in range(1, x + 1) if arith.is_squarefree(n)
-                and all(h.value(p) > 0 for p in arith.factorize(n).primes))
-    rhs = 1.0
-    for p in arith.primes_upto(x).tolist():
-        if not h.value(p) > 0:
-            rhs *= 1.0 - 1.0 / p
-    return count / x, rhs
 
 
 @pytest.mark.parametrize("h", SQUAREFREE_SIGN_FNS + WITNESS_FNS)
@@ -236,26 +217,22 @@ def test_prime_sites_match_scalar_loops(h):
     for q in (1, 4, 7, 24):
         for chi in group.real_characters(q):
             assert mf.pretend_sum(h, chi, 4000) == _pretend_loop(h, chi, 4000)
-    for q, y in ((1, 700), (6, 2000), (35, 3000)):
-        _, rep = mf.sign_density_counts(h, q, y, -1)
-        assert rep["negative_prime_sum"] == _negative_prime_sum_loop(h, q, y, 0.1)
     for q, Q1 in ((7, 60.0), (35, 500.0), (101, 3000.0)):
         G = group.build_unit_group(q)
         for delta in (1, -1):
             assert charsums.q_set(G, h, Q1, None, delta) == _q_set_loop(h, q, Q1, delta)
-    lhs, rep = mf.rough_squarefree_density(600, lambda ps: h.prime_signs(ps) > 0)
-    assert (lhs, rep["rhs_product"]) == _rough_density_loop(h, 600)
 
 
 def test_pretentious_distance():
     lam, one = mf.liouville_fn(), mf.one_fn()
-    assert mf.pretentious_distance(lam, lam, 100) == 0.0
-    expected = math.sqrt(2 * (1 / 2 + 1 / 3 + 1 / 5 + 1 / 7))
-    assert mf.pretentious_distance(lam, one, 10) == pytest.approx(expected, abs=1e-12)
-    assert mf.pretentious_distance(lam, one, 10, r=2) == pytest.approx(
-        math.sqrt(2 * (1 / 3 + 1 / 5 + 1 / 7)), abs=1e-12)
+    assert mf.pretentious_distance_squared(lam, lam, 100) == 0.0
+    expected = 2 * (1 / 2 + 1 / 3 + 1 / 5 + 1 / 7)
+    assert mf.pretentious_distance_squared(lam, one, 10) == pytest.approx(expected, abs=1e-12)
+    assert mf.pretentious_distance_squared(lam, one, 10, r=2) == pytest.approx(
+        2 * (1 / 3 + 1 / 5 + 1 / 7), abs=1e-12)
     # symmetry
-    assert mf.pretentious_distance(lam, one, 50) == mf.pretentious_distance(one, lam, 50)
+    assert mf.pretentious_distance_squared(lam, one, 50) == \
+        mf.pretentious_distance_squared(one, lam, 50)
     # every p divides 0: r < 1 is refused rather than read as a sum over no primes
     for r in (0, -6):
         with pytest.raises(DomainError):
@@ -300,42 +277,12 @@ def test_pretend_sum_monotone_in_cutoff():
     assert vals == sorted(vals)
 
 
-def test_sign_density_counts():
-    lam, one = mf.liouville_fn(), mf.one_fn()
-    c, _ = mf.sign_density_counts(one, 1, 10, -1)
-    assert c == 0
-    c, _ = mf.sign_density_counts(lam, 1, 10, 1)
-    assert c == 3  # {1, 6, 10}
-    c, _ = mf.sign_density_counts(lam, 1, 10, -1)
-    assert c == 4  # {2, 3, 5, 7}
-
-
-def test_sign_density_partition_property():
-    lam = mf.liouville_fn()
-    for q, y in ((1, 500), (6, 800), (35, 1000)):
-        plus, _ = mf.sign_density_counts(lam, q, y, 1)
-        minus, _ = mf.sign_density_counts(lam, q, y, -1)
-        total = sum(1 for n in range(1, y + 1)
-                    if arith.is_squarefree(n) and math.gcd(n, q) == 1)
-        assert plus + minus == total
-
-
-def test_rough_squarefree_density():
-    d, rep = mf.rough_squarefree_density(10, lambda p: True)
-    assert d == pytest.approx(0.7)
-    d, _ = mf.rough_squarefree_density(10, lambda p: False)
-    assert d == pytest.approx(0.1)
-    d, _ = mf.rough_squarefree_density(100, lambda p: p % 4 == 1)
-    brute = sum(1 for n in range(1, 101) if arith.is_squarefree(n)
-                and all(p % 4 == 1 for p in arith.factorize(n).primes))
-    assert d == pytest.approx(brute / 100)
-
-
 def test_L1_closed_forms():
-    chi3 = [c for c in group.real_characters(3) if not c.is_principal][0]
-    assert mf.dirichlet_L1(chi3) == pytest.approx(math.pi / math.sqrt(27), rel=1e-10)
-    chi4 = [c for c in group.real_characters(4) if not c.is_principal][0]
-    assert mf.dirichlet_L1(chi4) == pytest.approx(math.pi / 4, rel=1e-10)
+    # q = 3 and q = 4 each have one non-principal real character
+    (row3,) = mf.L_of_q(3)[1]
+    assert row3["L1"] == pytest.approx(math.pi / math.sqrt(27), rel=1e-10)
+    (row4,) = mf.L_of_q(4)[1]
+    assert row4["L1"] == pytest.approx(math.pi / 4, rel=1e-10)
 
 
 def test_L_of_q():
@@ -368,18 +315,3 @@ def test_L_of_q_peak_memory():
         tracemalloc.stop()
     assert peak < (r + 32) * n, peak / n
 
-
-def test_one_star_psi_sum():
-    q = 3
-    psi = [c for c in group.real_characters(q) if not c.is_principal][0]
-    total, rep = mf.one_star_psi_sum(q, psi, 10, 0)
-    brute = 0
-    for n in range(1, 11):
-        brute += sum(psi(d).real for d in arith.divisors(n))
-    assert total == pytest.approx(brute, abs=1e-9)
-    # (1 * psi)(1) = 1 alone when the rough cutoff removes everything else
-    total, _ = mf.one_star_psi_sum(q, psi, 2, 2.5)
-    assert total == pytest.approx(1.0)
-    # (1 * psi)(p) = 1 + psi(p)
-    total, _ = mf.one_star_psi_sum(q, psi, 2, 0)
-    assert total == pytest.approx(1.0 + 1.0 + psi(2).real)

@@ -852,9 +852,10 @@ def test_st_compare_and_loss():
     ctx = _easy_ctx(TOY35)
     rep = pl.st_compare_easy(ctx, 1, None, None, (-1, -1, -1))
     assert math.isfinite(rep.ratio) and not rep.asserted
-    loss, rep2 = pl.nonsquarefree_loss(ctx, 1, None, None, (-1, -1, -1))
-    assert rep2["loss_le_S"]
-    assert math.isfinite(rep2["ratio"])
+    # the squarefree loss is the part of S from non-squarefree products
+    value, extras = pl.s_function_easy(ctx, 1, None, None, (-1, -1, -1))
+    assert 0.0 <= extras["loss"] <= value + 1e-15
+    assert math.isfinite(extras["loss"])
 
 
 def test_case_analysis_toy():

@@ -9,6 +9,7 @@ import pytest
 
 from linnik_lab import arith, group as g, multfunc as mf, sieve
 from linnik_lab.errors import DomainError, PreconditionError, ResourceError
+from lemma_oracles import is_rough, majorant_nu, sum_over_array, weighted_divisor_sum
 
 
 def dfs_beta_sieve(z, D, budget=10**7):
@@ -81,7 +82,7 @@ def test_trivial_and_single_prime():
     assert plus.weights == {1: 1, 2: -1}
     assert minus.weights == {1: 1, 2: -1}
     # exact reproduction of the indicator with z=2 (no sifting at all)
-    s = plus.sum_over_array(50)
+    s = sum_over_array(plus, 50)
     assert np.array_equal(s[1:], rough_indicator(3, 50)[1:] * 0 + s[1:])
 
 
@@ -101,8 +102,8 @@ def test_weight_invariants():
 def test_sandwich_exhaustive(z, D, N):
     plus, minus = sieve.build_beta_sieve(z, D)
     ind = rough_indicator(z, N)
-    su = plus.sum_over_array(N)
-    sl = minus.sum_over_array(N)
+    su = sum_over_array(plus, N)
+    sl = sum_over_array(minus, N)
     assert np.all(sl[1:] <= ind[1:])
     assert np.all(ind[1:] <= su[1:])
 
@@ -127,17 +128,17 @@ def test_accuracy_sandwich():
 def test_rough_count_in_coset():
     psi = [c for c in g.real_characters(5) if not c.is_principal][0]
     coset = g.CosetSpec(psi, 2)
-    count, rep = sieve.rough_count_in_coset(20, 5, coset, 2)
+    count, rep = sieve.rough_count_in_coset(20, coset, 2)
     assert count == 8  # n = 2,3,7,8,12,13,17,18
     # partition over the two cosets of H = total rough count coprime to q
     H_coset = g.CosetSpec(psi, 1)
-    c1, _ = sieve.rough_count_in_coset(20, 5, H_coset, 2)
+    c1, _ = sieve.rough_count_in_coset(20, H_coset, 2)
     total_coprime = sum(1 for n in range(1, 21) if math.gcd(n, 5) == 1)
     assert c1 + count == total_coprime
     # z > cap: only n = 1 is rough
-    c, _ = sieve.rough_count_in_coset(20, 5, H_coset, 50)
-    assert c == (1 if H_coset.contains(1) else 0)
-    c, _ = sieve.rough_count_in_coset(20, 5, coset, 50)
+    c, _ = sieve.rough_count_in_coset(20, H_coset, 50)
+    assert c == int(H_coset.member_mask(np.array([1]))[0])
+    c, _ = sieve.rough_count_in_coset(20, coset, 50)
     assert c == 0
 
 
@@ -148,14 +149,14 @@ def test_majorant_dominates_sign_indicators():
         R = float(q)
         interval = arith.IntegerInterval(R / math.e, R)
         weights_plus, _ = sieve.build_beta_sieve(z, D)
-        nu = sieve.majorant_nu(z, D, q, interval, weights_plus)
+        nu = majorant_nu(z, D, q, interval, weights_plus)
         norm = arith.mertens_product(z, q, inverse=True)
         for n in interval.members():
             if math.gcd(n, q) != 1:
                 assert nu(n) == 0.0
                 continue
             for delta in (1, -1):
-                f = norm if (arith.is_rough(n, z) and lam.sign(n) == delta) else 0.0
+                f = norm if (is_rough(n, z) and lam.sign(n) == delta) else 0.0
                 assert nu(n) >= f - 1e-12
         assert nu(interval.ilo) == 0.0  # outside the interval
 
@@ -211,10 +212,10 @@ def test_weights_mapping_view():
     json.dumps({d: v for d, v in big.weights.items()})
     with pytest.raises(ValueError):
         plus.d[0] = 2
-    assert plus.weighted_divisor_sum(2 * 3 * 5 * 7) == 0
-    assert plus.weighted_divisor_sum(2**70 * 3) == plus.weighted_divisor_sum(6) == 0
-    assert plus.weighted_divisor_sum(101**10) == plus.weighted_divisor_sum(101) == 1
-    assert big.weighted_divisor_sum(10**40 + 1) == sum(
+    assert weighted_divisor_sum(plus, 2 * 3 * 5 * 7) == 0
+    assert weighted_divisor_sum(plus, 2**70 * 3) == weighted_divisor_sum(plus, 6) == 0
+    assert weighted_divisor_sum(plus, 101**10) == weighted_divisor_sum(plus, 101) == 1
+    assert weighted_divisor_sum(big, 10**40 + 1) == sum(
         v for d, v in big.weights.items() if (10**40 + 1) % d == 0)
 
 
@@ -235,20 +236,20 @@ def test_size_limits_and_bad_levels():
         with pytest.raises(DomainError):
             sieve.build_beta_sieve(z, D)
     with pytest.raises(ResourceError):
-        sieve.rough_count_in_coset(sieve._ROUGH_CAP_LIMIT + 1, 5, None, 3)
+        sieve.rough_count_in_coset(sieve._ROUGH_CAP_LIMIT + 1, None, 3)
     plus, _ = sieve.build_beta_sieve(3, 10)
     with pytest.raises(ResourceError):
-        plus.sum_over_array(arith.PRIME_TABLE_LIMIT + 1)
+        sum_over_array(plus, arith.PRIME_TABLE_LIMIT + 1)
 
 
 def test_rough_count_blocks(monkeypatch):
     psi = [c for c in g.real_characters(35) if not c.is_principal][1]
     coset = g.CosetSpec(psi, 2)
-    whole = sieve.rough_count_in_coset(10**5, 35, coset, 13)
+    whole = sieve.rough_count_in_coset(10**5, coset, 13)
     monkeypatch.setattr(sieve, "_ROUGH_BLOCK", 1000)
-    assert sieve.rough_count_in_coset(10**5, 35, coset, 13) == whole
+    assert sieve.rough_count_in_coset(10**5, coset, 13) == whole
     monkeypatch.setattr(sieve, "_ROUGH_BLOCK", 997)
-    assert sieve.rough_count_in_coset(10**5, 35, coset, 13) == whole
+    assert sieve.rough_count_in_coset(10**5, coset, 13) == whole
     n = np.arange(1, 10**5 + 1)
     rough = rough_indicator(13, 10**5)[1:] == 1
     assert whole[0] == int(np.sum(rough & coset.member_mask(n)))
