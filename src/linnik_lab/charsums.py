@@ -73,7 +73,7 @@ def _coset_mask(B, G: group_mod.UnitGroup, ns: np.ndarray) -> np.ndarray:
 # sign-restricted interval transforms f^Delta
 
 def f_support(G: group_mod.UnitGroup, h, z: float,
-              interval: arith.IntegerInterval) -> dict[int, tuple[list[int], np.ndarray]]:
+              interval: arith.IntegerInterval) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Integers of [I]_q that are z-rough, split by sign of h: {+1: (the
     integers, their squarefree flags), -1: (...)}, all from one window sieve."""
     lo, hi = interval.ilo, interval.ihi
@@ -85,7 +85,7 @@ def f_support(G: group_mod.UnitGroup, h, z: float,
     keep = _coset_mask(None, G, ns) & wf.rough(z)
     if np.any(keep & (signs == 0)):
         raise DomainError("h vanishes on a unit of the interval")
-    return {d: (ns[keep & (signs == d)].tolist(), wf.squarefree[keep & (signs == d)])
+    return {d: (ns[keep & (signs == d)], wf.squarefree[keep & (signs == d)])
             for d in (1, -1)}
 
 
@@ -93,17 +93,17 @@ def f_support(G: group_mod.UnitGroup, h, z: float,
 # the sets Q, U, M and their normalized character sums
 
 def _signed_primes(G: group_mod.UnitGroup, h, lo: float, hi: float, B,
-                   delta: int | None) -> list[int]:
+                   delta: int | None) -> np.ndarray:
     """Primes p in (lo, hi] with p in B and sgn(h(p)) = delta (any sign when
     delta is None; a prime where h vanishes has neither sign)."""
     ps = arith.primes_in(lo, hi)
     mask = _coset_mask(B, G, ps)
     if delta is not None:
         mask &= h.prime_signs(ps) == delta
-    return ps[mask].tolist()
+    return ps[mask]
 
 
-def q_set(G: group_mod.UnitGroup, h, Q1: float, B=None, delta: int | None = None) -> list[int]:
+def q_set(G: group_mod.UnitGroup, h, Q1: float, B=None, delta: int | None = None) -> np.ndarray:
     """Primes p in (Q1/e, Q1] with p in B and sgn(h(p)) = delta."""
     return _signed_primes(G, h, Q1 / math.e, Q1, B, delta)
 
@@ -114,21 +114,21 @@ def _squarefree_signed(G, h, lo: int, hi: int, B, delta):
     keep = wf.squarefree & _coset_mask(B, G, ns)
     if delta is not None:
         keep &= h.signs(wf) == delta
-    return ns[keep].tolist()
+    return ns[keep]
 
 
-def u_set_easy(G, h, R: float, B=None, delta=None) -> list[int]:
+def u_set_easy(G, h, R: float, B=None, delta=None) -> np.ndarray:
     """Squarefree u <= R with u in B and sign delta."""
     return _squarefree_signed(G, h, 0, arith.snap(R), B, delta)
 
 
-def u_set(G, h, U: float, v: int, B=None, delta=None) -> list[int]:
+def u_set(G, h, U: float, v: int, B=None, delta=None) -> np.ndarray:
     """Squarefree u in I_U(v) with u in B and sign delta."""
     iv = arith.IntegerInterval.e_adic(U, v)
     return _squarefree_signed(G, h, iv.ilo, iv.ihi, B, delta)
 
 
-def m_set(G, h, M: float, v: int, ladder: "LadderSpec", B=None, delta=None) -> list[int]:
+def m_set(G, h, M: float, v: int, ladder: "LadderSpec", B=None, delta=None) -> np.ndarray:
     """Squarefree m in I_M(v), m in the ladder set S, (m, P(Q1)) = 1, sign delta."""
     iv = arith.IntegerInterval.e_adic(M, v)
     lo, hi = iv.ilo, iv.ihi
@@ -139,7 +139,7 @@ def m_set(G, h, M: float, v: int, ladder: "LadderSpec", B=None, delta=None) -> l
         keep &= h.signs(wf) == delta
     for P, Q in ladder.intervals:
         keep &= wf.count_in(P, Q) > 0
-    return ns[keep].tolist()
+    return ns[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -202,32 +202,33 @@ def in_S(n: int, ladder: LadderSpec) -> bool:
 # ---------------------------------------------------------------------------
 # mean value theorem (asserted) and Halasz-Montgomery report
 
-def mvt_check(coeffs: dict[int, complex], N: int, q: int) -> SumReport:
-    """Assert (1/phi) sum_chi |sum a_n chi(n)|^2 <= (1 + N/q) sum_{(n,q)=1} |a_n|^2.
+def _l2(coeffs: np.ndarray) -> float:
+    """sum |a_n|^2, added left to right from 0.0."""
+    return float(np.cumsum(np.append(0.0, np.abs(coeffs) ** 2))[-1])
+
+
+def mvt_check(ns, coeffs, N: int, q: int) -> SumReport:
+    """Assert (1/phi) sum_chi |sum a_n chi(n)|^2 <= (1 + N/q) sum_{(n,q)=1} |a_n|^2
+    for the coefficients a_n = coeffs[i] at the distinct n = ns[i] in [1, N].
 
     The left side is evaluated exactly by orthogonality as
     sum over classes c of |sum_{n = c} a_n|^2.
     """
     G = group_mod.build_unit_group(q)
-    w = np.zeros(len(G.units), dtype=complex)
-    rhs_sum = 0.0
-    for n, c in coeffs.items():
-        a = n % q if q > 1 else 0
-        if 1 <= n <= N and G.is_unit(a):
-            w[G.unit_pos[a]] += c
-            rhs_sum += abs(c) ** 2
-    lhs = float(np.sum(np.abs(w) ** 2))
-    rhs = (1.0 + N / q) * rhs_sum
+    ns, coeffs = np.asarray(ns, dtype=np.int64), np.asarray(coeffs)
+    keep = (ns >= 1) & (ns <= N) & _coset_mask(None, G, ns)
+    lhs = float(np.sum(np.abs(class_weights(G, ns[keep], coeffs[keep])) ** 2))
+    rhs = (1.0 + N / q) * _l2(coeffs[keep])
     ok = lhs <= rhs * (1 + 1e-12) + 1e-12
     if not ok:
         raise AssertionError(f"mean value inequality failed: {lhs} > {rhs}")
     return SumReport.make(lhs, rhs, asserted=True, ok=True, tag="mvt-mean-value")
 
 
-def halasz_montgomery_report(coeffs: dict[int, complex], G: group_mod.UnitGroup, rows,
+def halasz_montgomery_report(ns, coeffs, G: group_mod.UnitGroup, rows,
                              N: int, eps: float) -> SumReport:
     """sum_{chi in X} |sum_{n<=N rough} a_n chi(n)|^2 against its bound shape,
-    X the characters of G at rows.
+    X the characters of G at rows, a_n = coeffs[i] at the distinct n = ns[i].
 
     Coefficients must be supported on (n, P(q^eps)) = 1; shape is
     (N/log q + N^(2/3) q^(1/9 + 2 eps) |X|) * sum |a_n|^2 (ratio only).
@@ -236,7 +237,7 @@ def halasz_montgomery_report(coeffs: dict[int, complex], G: group_mod.UnitGroup,
     if q < 2:
         raise DomainError("q must be >= 2")
     z = q**eps
-    ns = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
+    ns, coeffs = np.asarray(ns, dtype=np.int64), np.asarray(coeffs)
     if ns.size:
         if ns.min() < 1:
             raise DomainError("coefficients are indexed by n >= 1")
@@ -244,11 +245,10 @@ def halasz_montgomery_report(coeffs: dict[int, complex], G: group_mod.UnitGroup,
         bad = ns[~arith.factor_window(0, int(ns.max())).rough(z)[ns - 1]]
         if bad.size:
             raise PreconditionError(f"coefficient at n={bad[0]} is not q^eps-rough")
-    w = class_weights(G, list(coeffs), list(coeffs.values()))
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-    vals = group_mod.transform(G, w, conj=False)[rows]
+    vals = all_char_sums(G, ns, coeffs, conj=False)[rows]
     lhs = float(np.sum(np.abs(vals) ** 2))
-    l2 = sum(abs(c) ** 2 for n, c in coeffs.items() if math.gcd(n, q) == 1)
+    l2 = _l2(coeffs[_coset_mask(None, G, ns)])
     rhs = (N / math.log(q) + N ** (2 / 3) * q ** (1 / 9 + 2 * eps) * len(rows)) * l2
     return SumReport.make(lhs, rhs, asserted=False, tag="halasz-montgomery-mean",
                           set_size=len(rows))
@@ -256,7 +256,7 @@ def halasz_montgomery_report(coeffs: dict[int, complex], G: group_mod.UnitGroup,
 
 def large_values_census(a_p, P: float, q: int, alpha: float, C: float = 1.0) -> tuple[int, SumReport]:
     """Exact count of characters with |sum_{P/e<p<=P} a_p chi(p)| >= P^(1-alpha),
-    a_p a callable of p (1 for every p when None).
+    a_p an array rule on the int64 array of those primes (all ones when None).
 
     Reported against the shape P^(2 alpha) q^(2 alpha + 1/C); not asserted.
     """
@@ -267,9 +267,9 @@ def large_values_census(a_p, P: float, q: int, alpha: float, C: float = 1.0) -> 
     if not C > 0:
         raise DomainError(f"C must be > 0, got {C}")
     G = group_mod.build_unit_group(q)
-    ps = [int(p) for p in arith.primes_in(P / math.e, P)]
-    weights = [1.0] * len(ps) if a_p is None else [a_p(p) for p in ps]
-    if any(abs(c) > 1 + 1e-12 for c in weights):
+    ps = arith.primes_in(P / math.e, P)
+    weights = np.ones(len(ps)) if a_p is None else np.asarray(a_p(ps))
+    if np.any(np.abs(weights) > 1 + 1e-12):
         raise PreconditionError("coefficients must be 1-bounded")
     vals = all_char_sums(G, ps, weights, conj=False)
     thr = P ** (1 - alpha)
@@ -524,17 +524,19 @@ def amplify_report(q: int, Y1: float, Y2: float, X: float, c_p=None, a_n=None) -
     """(1/phi) sum_chi |Q(chi)|^(2 l) |A(chi)|^2 against the factorial shape.
 
     Q runs over primes in [Y1, 2Y1], A over integers in [X/Y2, 2X/Y2], and
-    l = ceil(log Y2 / log Y1).  Implied constant unspecified: report only.
+    l = ceil(log Y2 / log Y1).  c_p and a_n are array rules on the int64 arrays
+    of those p and n (all ones when None).  Implied constant unspecified: report only.
     """
     if Y1 <= 1 or Y1 * Y2 <= 1:
         raise DomainError("Y1 must be > 1 and Y1 Y2 > 1 (l >= 0)")
     G = group_mod.build_unit_group(q)
     ell = math.ceil(math.log(Y2) / math.log(Y1))
-    ps = [int(p) for p in arith.primes_upto(int(2 * Y1)) if Y1 <= p <= 2 * Y1]
-    ns = list(range(int(math.ceil(X / Y2)), int(math.floor(2 * X / Y2)) + 1))
-    cw = [1.0] * len(ps) if c_p is None else [c_p(p) for p in ps]
-    aw = [1.0] * len(ns) if a_n is None else [a_n(n) for n in ns]
-    if any(abs(x) > 1 + 1e-12 for x in cw + aw):
+    ps = arith.primes_upto(int(2 * Y1))
+    ps = ps[ps >= Y1]
+    ns = np.arange(math.ceil(X / Y2), math.floor(2 * X / Y2) + 1, dtype=np.int64)
+    cw = np.ones(len(ps)) if c_p is None else np.asarray(c_p(ps))
+    aw = np.ones(len(ns)) if a_n is None else np.asarray(a_n(ns))
+    if np.any(np.abs(cw) > 1 + 1e-12) or np.any(np.abs(aw) > 1 + 1e-12):
         raise PreconditionError("coefficients must be 1-bounded")
     Q = all_char_sums(G, ps, cw, conj=False)
     A = all_char_sums(G, ns, aw, conj=False)
@@ -545,6 +547,11 @@ def amplify_report(q: int, Y1: float, Y2: float, X: float, c_p=None, a_n=None) -
                           ell=ell, n_primes=len(ps), n_terms=len(ns))
 
 
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c in turn, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def square_and_shorts_moments(q: int, N: int, P: float, Q: float, M: float,
                               H: float, Kcap: int, eps: float,
                               seed: int = 0) -> tuple[SumReport, SumReport]:
@@ -553,8 +560,12 @@ def square_and_shorts_moments(q: int, N: int, P: float, Q: float, M: float,
     Squares: sums over p^2 m <= N with P < p <= Q, shape (phi/q)(N + N^2/q)/P.
     Shorts: sums over l m <= N with m in the union of short windows
     (M e^(k-1/H), M e^k], |k| <= 2K+1, and l rough, shape (phi/q)(N+N^2/q)/H.
-    Coefficients are seeded +-1.
+    Coefficients are seeded +-1, drawn in the order of the terms.
     """
+    if N < 1:
+        raise DomainError(f"N must be >= 1, got {N}")
+    if not M > 0:
+        raise DomainError(f"M must be > 0, got {M}")
     if not H > 0:
         raise DomainError(f"H must be > 0, got {H}")
     if not P > 0:
@@ -563,31 +574,24 @@ def square_and_shorts_moments(q: int, N: int, P: float, Q: float, M: float,
     rng = np.random.default_rng(seed)
     phi = G.phi
 
-    terms, weights = [], []
-    for p in arith.primes_in(P, Q):
-        p = int(p)
-        p2 = p * p
-        for m in range(1, N // p2 + 1):
-            terms.append(p2 * m)
-            weights.append(rng.choice((-1.0, 1.0)))
-    vals = all_char_sums(G, terms, weights)
+    # p^2 m for each p in (P, Q] in turn, m = 1, ..., N // p^2
+    p2 = arith.primes_in(P, Q) ** 2
+    counts = N // p2
+    terms = np.repeat(p2, counts) * (_offsets(counts) + 1)
+    vals = all_char_sums(G, terms, rng.choice((-1.0, 1.0), size=len(terms)))
     lhs1 = float(np.mean(np.abs(vals) ** 2))
     rhs1 = (phi / q) * (N + N * N / q) / P
     squares = SumReport.make(lhs1, rhs1, asserted=False, tag="square-repair-moment",
                              n_terms=len(terms))
 
-    z = q**eps
-    rough = arith.factor_window(0, N).rough(z)
-    terms2, weights2 = [], []
-    for k in range(-(2 * Kcap + 1), 2 * Kcap + 2):
-        win = arith.IntegerInterval(M * math.exp(k - 1 / H), M * math.exp(k))
-        for m in win.members():
-            if m > N:
-                break
-            for ell in (np.flatnonzero(rough[:N // m]) + 1).tolist():
-                terms2.append(ell * m)
-                weights2.append(rng.choice((-1.0, 1.0)))
-    vals2 = all_char_sums(G, terms2, weights2)
+    # l m for each window k in turn, each m <= N of it, each rough l <= N // m
+    rough = np.flatnonzero(arith.factor_window(0, N).rough(q**eps)) + 1
+    windows = (arith.IntegerInterval(M * math.exp(k - 1 / H), M * math.exp(k)).members()
+               for k in range(-(2 * Kcap + 1), 2 * Kcap + 2))
+    ms = np.concatenate([np.arange(w.start, min(w.stop, N + 1)) for w in windows])
+    counts = np.searchsorted(rough, N // ms, side="right")
+    terms2 = np.repeat(ms, counts) * rough[_offsets(counts)]
+    vals2 = all_char_sums(G, terms2, rng.choice((-1.0, 1.0), size=len(terms2)))
     lhs2 = float(np.mean(np.abs(vals2) ** 2))
     rhs2 = (phi / q) * (N + N * N / q) / H
     shorts = SumReport.make(lhs2, rhs2, asserted=False, tag="short-window-moment",

@@ -212,7 +212,7 @@ def cmd_sieve(args):
     }
     if args.accuracy_K is not None:
         res["accuracy_g_inv_p"] = sieve.sieve_accuracy(
-            (plus, minus), lambda p: 1.0 / p, args.z, K=args.accuracy_K, kappa=args.kappa)
+            (plus, minus), lambda ps: 1.0 / ps, args.z, K=args.accuracy_K, kappa=args.kappa)
     return report_for(args, "sieve-weight-construction", res)
 
 
@@ -239,8 +239,7 @@ def cmd_densemodel(args):
         rep = densemodel.verify_model(model)
         reports[tag] = {"verify": rep, "model": densemodel.model_to_json(model)}
     sets = densemodel.level_sets(ctx.models[(0, 1)], ctx.models[(0, -1)], args.level_eps)
-    ap = densemodel.aprop_check(sets, ctx.G, set(ctx.supports[(0, 1)]),
-                                set(ctx.supports[(0, -1)]))
+    ap = densemodel.aprop_check(sets, ctx.G, ctx.supports[(0, 1)], ctx.supports[(0, -1)])
     return report_for(args, "dense-model-properties",
                       {"models": reports, "level_sets": {
                           "A_plus": sorted(sets.plus), "A_minus": sorted(sets.minus),
@@ -253,7 +252,7 @@ def cmd_kneser(args):
         raise DomainError(f"kneser needs --trials >= 0, got {args.trials}")
     rng = random.Random(args.seed)
     G = group_mod.build_unit_group(args.q)
-    units = [int(a) for a in G.units]
+    units = G.units.tolist()
     rows = []
     for _ in range(args.trials):
         A = rng.sample(units, rng.randint(1, len(units)))
@@ -268,7 +267,7 @@ def cmd_triple(args):
         raise DomainError(f"triple needs --trials >= 0, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     G = group_mod.build_unit_group(args.q)
-    units = [int(a) for a in G.units]
+    units = G.units.tolist()
     phi = G.phi
     # some set size s must satisfy (2/5 + eps) phi < s <= phi
     if not (args.epsilon > 0 and (0.4 + args.epsilon) * phi < phi):
@@ -295,8 +294,8 @@ def cmd_charsum(args):
         if args.N < 1:
             raise DomainError(f"charsum mvt needs --N >= 1, got {args.N}")
         rng = np.random.default_rng(args.seed)
-        coeffs = {n: complex(rng.choice((-1.0, 1.0))) for n in range(1, args.N + 1)}
-        rep = charsums.mvt_check(coeffs, args.N, args.q)
+        rep = charsums.mvt_check(np.arange(1, args.N + 1), rng.choice((-1.0, 1.0), size=args.N),
+                                 args.N, args.q)
         return report_for(args, "mvt-mean-value", jsonable(rep))
     if sub == "pv":
         G = group_mod.build_unit_group(args.q)
@@ -310,23 +309,26 @@ def cmd_charsum(args):
         return report_for(args, "polya-vinogradov",
                           {"max_over_characters_windows": worst, "bound": bound})
     if sub == "halmon":
+        if args.nchars < 0:
+            raise DomainError(f"charsum halmon needs --nchars >= 0, got {args.nchars}")
         rng = np.random.default_rng(args.seed)
         # the first N rough n in [2, 100 N + 1], read in blocks of 2^12
         z = args.q**args.eps
         top = 100 * args.N + 1
-        rough: list[int] = []
+        rough = [np.empty(0, np.int64)]
         for lo in range(1, top, 1 << 12):
             wf = arith.factor_window(lo, min(lo + (1 << 12), top))
-            rough += wf.ns[wf.rough(z)].tolist()
-            if len(rough) >= args.N:
+            rough.append(wf.ns[wf.rough(z)])
+            if sum(map(len, rough)) >= args.N:
                 break
         wf = None   # the window is not needed by the group and the report below
-        coeffs = {n: complex(rng.choice((-1.0, 1.0))) for n in rough[:args.N]}
-        if not coeffs:
+        ns = np.concatenate(rough)[:args.N]
+        if not len(ns):
             raise DomainError("charsum halmon needs --N >= 1 and a q^eps-rough n in [2, 100 N + 1]")
+        coeffs = rng.choice((-1.0, 1.0), size=len(ns))
         G = group_mod.build_unit_group(args.q)
         pick = rng.choice(G.phi, size=min(args.nchars, G.phi), replace=False)
-        rep = charsums.halasz_montgomery_report(coeffs, G, pick, max(coeffs), args.eps)
+        rep = charsums.halasz_montgomery_report(ns, coeffs, G, pick, int(ns[-1]), args.eps)
         return report_for(args, "halasz-montgomery-mean", jsonable(rep))
     if sub == "large":
         count, rep = charsums.large_values_census(None, args.P, args.q, args.alpha, args.C)

@@ -113,15 +113,16 @@ def level_sets(model_plus: DenseModel, model_minus: DenseModel, eps: float) -> S
 
     def pick(model, absolute):
         vals = np.abs(model.g) if absolute else model.g
-        return frozenset(int(a) for a, v in zip(G.units, vals) if v >= thr)
+        return frozenset(G.units[vals >= thr].tolist())
 
     return SignedLevelSets(pick(model_plus, False), pick(model_minus, False),
                            pick(model_plus, True), pick(model_minus, True), eps)
 
 
 def aprop_check(sets: SignedLevelSets, G: group_mod.UnitGroup,
-                supp_plus: set[int], supp_minus: set[int]) -> dict:
-    """Measure the level-set lemma: total mass and per-coset lower bounds.
+                supp_plus: np.ndarray, supp_minus: np.ndarray) -> dict:
+    """Measure the level-set lemma: total mass and per-coset lower bounds
+    (the supports are int64 arrays of distinct integers).
 
     (i) |A+| + |A-| >= (1 - eps) phi; (ii) per index-2 coset bH,
     |A^Delta cap bH| >= (share of sign-Delta rough interval elements in bH
@@ -132,11 +133,11 @@ def aprop_check(sets: SignedLevelSets, G: group_mod.UnitGroup,
     total_ok = len(sets.plus) + len(sets.minus) >= (1 - eps) * phi
     rough_total = len(supp_plus) + len(supp_minus)
 
-    def counts(S):   # per non-principal real character: the elements where it is +1, -1
-        return G.real_sign_counts(np.fromiter(S, np.int64, count=len(S)))[1:].tolist()
+    def counts(ns):   # per non-principal real character: the elements where it is +1, -1
+        return G.real_sign_counts(ns)[1:].tolist()
 
-    sides = [(delta, counts(A), counts(supp)) for delta, A, supp in
-             ((+1, sets.plus, supp_plus), (-1, sets.minus, supp_minus))]
+    sides = [(delta, counts(np.fromiter(A, np.int64, count=len(A))), counts(supp))
+             for delta, A, supp in ((+1, sets.plus, supp_plus), (-1, sets.minus, supp_minus))]
     rows = []
     for j, psi in enumerate(G.real_characters()[1:]):
         for col, b_sign in enumerate((+1, -1)):

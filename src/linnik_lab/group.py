@@ -498,18 +498,9 @@ class CosetSpec:
 # Fourier analysis on the group
 
 def _as_unit_vector(G: UnitGroup, f, dtype=complex) -> np.ndarray:
-    """f as a vector aligned with G.units; dtype None keeps an array's dtype."""
-    units = G.units
-    if isinstance(f, dict):
-        vec = np.zeros(len(units), dtype=dtype or complex)
-        for n, v in f.items():
-            a = n % G.q
-            if not G.is_unit(a):
-                raise DomainError(f"f is defined at non-unit {n} mod {G.q}")
-            vec[G.unit_pos[a]] += v
-        return vec
+    """f, an array aligned with G.units, as a vector; dtype None keeps its dtype."""
     arr = np.asarray(f, dtype=dtype)
-    if arr.shape != units.shape:
+    if arr.shape != G.units.shape:
         raise DomainError("array must align with group.units")
     return arr
 

@@ -404,7 +404,7 @@ class SignContext:
     params: ParamSet
     G: group_mod.UnitGroup
     norm: float                      # the Mertens normalizer of f
-    supports: dict[tuple[int, int], list[int]]   # (k, delta) -> rough interval points
+    supports: dict[tuple[int, int], np.ndarray]   # (k, delta) -> rough interval points
     squarefree: dict[tuple[int, int], np.ndarray]   # (k, delta) -> their squarefree flags
     interval_counts: dict[int, int]  # k -> |[I_R(k)]_q|
     models: dict[tuple[int, int], densemodel.DenseModel]
@@ -468,8 +468,9 @@ def _rows(lists: list[np.ndarray], squarefree: list[np.ndarray], coprime, part: 
 
 def _class_join(G: group_mod.UnitGroup, a: int, lists, squarefree) -> tuple[int, int]:
     """(count, loss): the number of tuples (x_1, ..., x_k), x_i from the i-th
-    list of units, with x_1 ... x_k = a mod q, and the number of those whose
-    product is not squarefree.  squarefree[i] holds the flags of lists[i].
+    list of units (int64 arrays), with x_1 ... x_k = a mod q, and the number
+    of those whose product is not squarefree.  squarefree[i] holds the bool
+    flags of lists[i].
 
     Exact direct enumeration arranged as a join on classes.  The lists split
     into a left and a right grid of balanced sizes; the right grid is sorted
@@ -484,8 +485,6 @@ def _class_join(G: group_mod.UnitGroup, a: int, lists, squarefree) -> tuple[int,
     with the tuple count.
     """
     q = G.q
-    lists = [np.asarray(x, dtype=np.int64) for x in lists]
-    squarefree = [np.asarray(s, dtype=bool) for s in squarefree]
     sizes = [len(x) for x in lists]
     tables = {(i, j): np.gcd.outer(lists[i], lists[j]).ravel() == 1
               for i, j in itertools.combinations(range(len(lists)), 2)
@@ -540,7 +539,7 @@ class _Factor:
     normalizer: Q1 for p, R (or U e^-k1) for u, M e^(-k2-k3) for m."""
 
     G: group_mod.UnitGroup
-    values: list[int]
+    values: np.ndarray
     norm: float
 
     @functools.cached_property
@@ -590,7 +589,7 @@ def _s_direct(ctx: SignContext, a: int, terms: list[_Term], budget: int) -> tupl
     value, loss, count = 0.0, 0.0, 0
     for t, x in zip(terms, lists):
         if all(map(len, x)):
-            flags = [ctx.squarefree[k] for k in t.f_keys] + [[True] * len(f.values)
+            flags = [ctx.squarefree[k] for k in t.f_keys] + [np.ones(len(f.values), bool)
                                                              for f in t.factors]
             c, lost = _class_join(ctx.G, a, x, flags)
             value += ctx.norm**3 * c / t.S_norm

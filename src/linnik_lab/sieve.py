@@ -175,24 +175,24 @@ def build_beta_sieve(z: float, D: float, kappa: float = 1.0) -> tuple[SieveWeigh
     return side(plus, +1), side(minus, -1)
 
 
-def _check_kbound(ps: list[int], gs: list[float], K: float, kappa: float):
+def _check_kbound(ps: np.ndarray, gs: np.ndarray, K: float, kappa: float):
     """Verify prod_{w<=p<z1}(1-g(p))^-1 <= K (log z1 / log w)^kappa on prime
-    pairs, given the primes p < z and their values g(p)."""
+    pairs, given the primes p < z and their values g(p) in [0, 1)."""
+    bad = np.flatnonzero(~((gs >= 0.0) & (gs < 1.0)))
+    if bad.size:
+        raise PreconditionError(f"g({ps[bad[0]]}) = {float(gs[bad[0]])} outside [0, 1)")
     # the sup over real (w, z1) is attained with w at a prime and z1 just
-    # above one, so prime pairs suffice
-    for i, w in enumerate(ps):
-        prod = 1.0
-        for j in range(i, len(ps)):
-            pj, gp = ps[j], gs[j]
-            if not 0.0 <= gp < 1.0:
-                raise PreconditionError(f"g({pj}) = {gp} outside [0, 1)")
-            prod /= 1.0 - gp
-            if prod > K * (math.log(pj) / math.log(w)) ** kappa + 1e-12:
-                raise PreconditionError(
-                    f"declared K={K} violates the dimension bound at w={w}, z1={pj}")
+    # above one, so prime pairs suffice; products divide in increasing p
+    logs = np.log(ps)
+    for i, w in enumerate(ps.tolist()):
+        prods = np.divide.accumulate(np.append(1.0, 1.0 - gs[i:]))[1:]
+        over = np.flatnonzero(prods > K * (logs[i:] / logs[i]) ** kappa + 1e-12)
+        if over.size:
+            raise PreconditionError(
+                f"declared K={K} violates the dimension bound at w={w}, z1={ps[i + over[0]]}")
 
 
-def _weighted_sum(weights: SieveWeights, ps: list[int], gs: list[float]) -> float:
+def _weighted_sum(weights: SieveWeights, ps: np.ndarray, gs: np.ndarray) -> float:
     """sum_d lambda_d g(d) with g(d) = prod_{p | d} g(p), multiplied in
     increasing p, and the terms added left to right in the pre-order of the
     Buchstab recursion (larger primes first, a chain before its extensions)."""
@@ -214,9 +214,11 @@ def _weighted_sum(weights: SieveWeights, ps: list[int], gs: list[float]) -> floa
     return float(np.cumsum(weights.mu[order] * gd[order])[-1])
 
 
-def sieve_accuracy(pair: tuple[SieveWeights, SieveWeights], g: Callable[[int], float],
+def sieve_accuracy(pair: tuple[SieveWeights, SieveWeights],
+                   g: Callable[[np.ndarray], np.ndarray],
                    z: float, K: float, kappa: float = 1.0) -> dict:
-    """Assert the explicit accuracy sandwich of the weight pair against g.
+    """Assert the explicit accuracy sandwich of the weight pair against the
+    density g, an array rule: the int64 array of primes in, g(p) out.
 
     Returns both weighted sums and the reference product prod_{p<z}(1-g(p)),
     asserting sum lambda^+ g <= (1+err) ref and sum lambda^- g >= (1-err) ref
@@ -226,9 +228,9 @@ def sieve_accuracy(pair: tuple[SieveWeights, SieveWeights], g: Callable[[int], f
     s = plus.s
     if s < 9 * kappa + 1:
         raise PreconditionError(f"s = log D/log z = {s:.3f} < 9 kappa + 1 = {9 * kappa + 1}")
-    # g is evaluated once per prime below z and below the weights' sifting limit
-    ps = arith.primes_upto(math.ceil(max(z, plus.z)) - 1).tolist()
-    gs = [g(p) for p in ps]
+    # one call of g on the primes below z and below the weights' sifting limit
+    ps = arith.primes_upto(math.ceil(max(z, plus.z)) - 1)
+    gs = np.asarray(g(ps), dtype=float)
     n_z = int(np.searchsorted(ps, z, "left"))
     _check_kbound(ps[:n_z], gs[:n_z], K, kappa)
 
@@ -238,9 +240,7 @@ def sieve_accuracy(pair: tuple[SieveWeights, SieveWeights], g: Callable[[int], f
 
     val_plus = weighted(plus)
     val_minus = weighted(minus)
-    ref = 1.0
-    for gp in gs[:n_z]:
-        ref *= 1.0 - gp
+    ref = float(np.cumprod(np.append(1.0, 1.0 - gs[:n_z]))[-1])
     err = math.exp(9 * kappa - s) * K**10
     ok_plus = val_plus <= (1.0 + err) * ref + 1e-12
     ok_minus = val_minus >= (1.0 - err) * ref - 1e-12

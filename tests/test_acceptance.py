@@ -148,9 +148,9 @@ def test_criterion_05_sieve_suite():
             rough[int(p):: int(p)] = 0
         assert np.all(sl[1:] <= rough[1:]) and np.all(rough[1:] <= su[1:]), (z, D)
     pair = sieve.build_beta_sieve(10, 10**12)
-    for gname, gfun, K in (("zero", lambda p: 0.0, 1.0),
-                           ("1/p", lambda p: 1.0 / p, 2.0),
-                           ("1/p off 6", lambda p: 0.0 if 6 % p == 0 else 1.0 / p, 2.0)):
+    for gname, gfun, K in (("zero", lambda ps: np.zeros(len(ps)), 1.0),
+                           ("1/p", lambda ps: 1.0 / ps, 2.0),
+                           ("1/p off 6", lambda ps: np.where(6 % ps == 0, 0.0, 1.0 / ps), 2.0)):
         rep = sieve.sieve_accuracy(pair, gfun, 10, K=K)
         assert math.isfinite(rep["upper"]) and math.isfinite(rep["lower"])
     _report(5, "sandwich for all n <= 1e5 at (30,1e3),(100,1e5); accuracy factor",
@@ -208,8 +208,7 @@ def test_criterion_08_explicit_constant_checks():
     for _ in range(1000):
         q = int(rng.choice(qs))
         N = int(rng.integers(10, 600))
-        coeffs = {n: complex(rng.choice((-1.0, 1.0))) for n in range(1, N + 1)}
-        rep = cs.mvt_check(coeffs, N, q)
+        rep = cs.mvt_check(np.arange(1, N + 1), rng.choice((-1.0, 1.0), size=N), N, q)
         assert rep.ok
     worst = {}
     for q in (101, 203):
@@ -267,11 +266,11 @@ def test_criterion_10_implied_constant_reports(tmp_path_factory):
     for q in (101, 203, 1009):
         eps = 0.25
         z = q**eps
-        coeffs = {n: complex(rng.choice((-1.0, 1.0)))
-                  for n in range(1, 3000) if is_rough(n, z)}
+        ns = np.array([n for n in range(1, 3000) if is_rough(n, z)])
+        coeffs = rng.choice((-1.0, 1.0), size=len(ns))
         G = g.build_unit_group(q)
         pick = rng.choice(G.phi, size=12, replace=False)
-        rep = cs.halasz_montgomery_report(coeffs, G, pick, 3000, eps)
+        rep = cs.halasz_montgomery_report(ns, coeffs, G, pick, 3000, eps)
         halmon.append({"q": q, "lhs": rep.lhs, "rhs_shape": rep.rhs_shape,
                        "ratio": rep.ratio})
     reports["halasz_montgomery"] = halmon
@@ -294,9 +293,9 @@ def test_criterion_10_implied_constant_reports(tmp_path_factory):
 
     amp = []
     for label, cp, an in (("ones", None, None),
-                          ("random", lambda p: float(rng.choice((-1, 1))),
-                           lambda n: float(rng.choice((-1, 1)))),
-                          ("single-prime", lambda p: 1.0 if p == 11 else 0.0, None)):
+                          ("random", lambda ps: rng.choice((-1.0, 1.0), size=len(ps)),
+                           lambda ns: rng.choice((-1.0, 1.0), size=len(ns))),
+                          ("single-prime", lambda ps: np.where(ps == 11, 1.0, 0.0), None)):
         rep = cs.amplify_report(101, 10.0, 100.0, 2000.0, c_p=cp, a_n=an)
         amp.append({"coefficients": label, "lhs": rep.lhs, "rhs_shape": rep.rhs_shape,
                     "ratio": rep.ratio})

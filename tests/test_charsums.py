@@ -1,4 +1,5 @@
 import cmath
+import collections
 import itertools
 import math
 import tracemalloc
@@ -6,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from linnik_lab import arith, charsums as cs, group as g, multfunc as mf, pipeline as pl
+from linnik_lab import arith, charsums as cs, group as g, multfunc as mf, pipeline as pl, sieve
 from linnik_lab.errors import DomainError, PreconditionError
 from lemma_oracles import is_rough, pv_burgess_check
 
@@ -85,15 +86,15 @@ def test_sets_and_sums():
     lam = mf.liouville_fn()
     G = g.build_unit_group(11)
     qs = cs.q_set(G, lam, 50.0, None, -1)
-    assert qs == [19, 23, 29, 31, 37, 41, 43, 47]
-    assert cs.q_set(G, lam, 50.0, None, 1) == []  # primes have sign -1
+    assert qs.tolist() == [19, 23, 29, 31, 37, 41, 43, 47]
+    assert cs.q_set(G, lam, 50.0, None, 1).tolist() == []  # primes have sign -1
     # the normalized prime sums (1/Q1) sum_p conj(chi(p)): the triangle bound,
     # with equality at chi0
     vals = cs.all_char_sums(G, qs) / 50.0
     assert vals[0] == pytest.approx(len(qs) / 50.0)
     assert np.abs(vals).max() <= len(qs) / 50.0 + 1e-12
     us = cs.u_set_easy(G, lam, 20.0, None, 1)
-    assert us == [1, 6, 10, 14, 15]
+    assert us.tolist() == [1, 6, 10, 14, 15]
     psi = [c for c in g.real_characters(11) if not c.is_principal][0]
     B = g.CosetSpec(psi, 1)
     us_H = cs.u_set_easy(G, lam, 20.0, B, 1)
@@ -138,18 +139,18 @@ def test_m_set():
 
 
 def test_mvt_check():
-    rep = cs.mvt_check({1: 1.0}, 10, 7)
+    rep = cs.mvt_check(np.array([1]), np.array([1.0]), 10, 7)
     assert rep.ok and rep.lhs == 1.0
     rng = np.random.default_rng(0)
     for q in (7, 101, 499):
-        coeffs = {n: complex(rng.choice((-1.0, 1.0))) for n in range(1, 501)}
-        rep = cs.mvt_check(coeffs, 500, q)
+        coeffs = rng.choice((-1.0, 1.0), size=500)
+        rep = cs.mvt_check(np.arange(1, 501), coeffs, 500, q)
         assert rep.ok
     # near-extremal: a_n = chi'(n)
     G = g.build_unit_group(101)
     chi = g.characters(G.q, G)[3]
-    coeffs = {n: chi(n) for n in range(1, 102)}
-    rep = cs.mvt_check(coeffs, 101, 101)
+    ns = np.arange(1, 102)
+    rep = cs.mvt_check(ns, np.array([chi(n) for n in range(1, 102)]), 101, 101)
     assert rep.ok and rep.ratio > 0.4
 
 
@@ -165,11 +166,11 @@ def test_mvt_matches_direct_character_sum():
     rng = np.random.default_rng(5)
     q = 13
     G = g.build_unit_group(q)
-    coeffs = {n: complex(rng.normal(), rng.normal()) for n in range(1, 40)}
-    rep = cs.mvt_check(coeffs, 39, q)
+    coeffs = np.array([complex(rng.normal(), rng.normal()) for n in range(1, 40)])
+    rep = cs.mvt_check(np.arange(1, 40), coeffs, 39, q)
     direct = 0.0
     for chi in g.characters(G.q, G):
-        s = sum(c * chi(n) for n, c in coeffs.items())
+        s = sum(c * chi(n) for n, c in zip(range(1, 40), coeffs))
         direct += abs(s) ** 2
     assert rep.lhs == pytest.approx(direct / G.phi, rel=1e-9)
 
@@ -178,20 +179,20 @@ def test_halasz_montgomery_report():
     rng = np.random.default_rng(1)
     q, eps = 101, 0.3
     z = q**eps
-    coeffs = {n: complex(rng.choice((-1.0, 1.0)))
-              for n in range(1, 2000) if is_rough(n, z)}
+    ns = np.array([n for n in range(1, 2000) if is_rough(n, z)])
+    coeffs = rng.choice((-1.0, 1.0), size=len(ns))
     G, rows = g.build_unit_group(q), range(10)
-    rep = cs.halasz_montgomery_report(coeffs, G, rows, 2000, eps)
+    rep = cs.halasz_montgomery_report(ns, coeffs, G, rows, 2000, eps)
     assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs_shape)
     assert not rep.asserted
     with pytest.raises(PreconditionError, match="n=4 "):
-        cs.halasz_montgomery_report({1: 1.0, 23: 1.0, 4: 1.0, 2: 1.0}, G, rows, 23, eps)
+        cs.halasz_montgomery_report(np.array([1, 23, 4, 2]), np.ones(4), G, rows, 23, eps)
     with pytest.raises(DomainError):
-        cs.halasz_montgomery_report({0: 1.0}, G, rows, 10, eps)
+        cs.halasz_montgomery_report(np.array([0]), np.ones(1), G, rows, 10, eps)
 
 
 def test_large_values_census():
-    count, rep = cs.large_values_census(lambda p: 0.0, 500.0, 101, 0.25)
+    count, rep = cs.large_values_census(lambda ps: np.zeros(len(ps)), 500.0, 101, 0.25)
     assert count == 0
     count, rep = cs.large_values_census(None, 500.0, 101, 0.25)
     assert 0 <= count <= 100 and math.isfinite(rep.rhs_shape)
@@ -294,7 +295,7 @@ def test_ladder_primes_where_h_vanishes_have_no_sign():
         byhand = [p for p in arith.primes_in(19.0 / math.e, 19.0).tolist()
                   if p != 11 and chi(p).real * delta > 0
                   and (B is None or B.member_mask(np.array([p]))[0])]
-        assert qs == byhand
+        assert qs.tolist() == byhand
     # a prime of the j-th ladder interval where h vanishes is refused by name
     with pytest.raises(DomainError, match="h vanishes at a prime"):
         cs.ramare_decompose(G, chi7, None, 1, 0, 2,
@@ -331,11 +332,11 @@ def test_amplify_report():
     assert math.isfinite(rep.lhs) and rep.lhs >= 0
     rng = np.random.default_rng(3)
     rep = cs.amplify_report(101, 10.0, 100.0, 2000.0,
-                            c_p=lambda p: float(rng.choice((-1, 1))),
-                            a_n=lambda n: float(rng.choice((-1, 1))))
+                            c_p=lambda ps: rng.choice((-1.0, 1.0), size=len(ps)),
+                            a_n=lambda ns: rng.choice((-1.0, 1.0), size=len(ns)))
     assert math.isfinite(rep.lhs)
     rep = cs.amplify_report(101, 10.0, 100.0, 2000.0,
-                            c_p=lambda p: 1.0 if p == 11 else 0.0)
+                            c_p=lambda ps: np.where(ps == 11, 1.0, 0.0))
     assert math.isfinite(rep.lhs)
     # Y2 in (1/Y1, 1] gives l = 0; Y1 Y2 <= 1 would give l < 0
     rep = cs.amplify_report(101, 10.0, 0.5, 2000.0)
@@ -343,6 +344,23 @@ def test_amplify_report():
     for Y1, Y2 in ((1.0, 100.0), (0.5, 100.0), (10.0, 0.1), (10.0, 0.0)):
         with pytest.raises(DomainError):
             cs.amplify_report(101, Y1, Y2, 2000.0)
+
+
+def test_coefficient_rules_are_read_by_one_call():
+    """The density g and the coefficients a_p, c_p and a_n are array rules:
+    each is called once, on the whole int64 array of its primes or n."""
+    calls = collections.Counter()
+
+    def rule(name, value):
+        def read(xs):
+            calls[name] += 1
+            return np.full(np.shape(xs), value)
+        return read
+
+    cs.large_values_census(rule("a_p", 1.0), 500.0, 101, 0.25)
+    cs.amplify_report(101, 10.0, 100.0, 2000.0, c_p=rule("c_p", 1.0), a_n=rule("a_n", -1.0))
+    sieve.sieve_accuracy(sieve.build_beta_sieve(10, 10**12), rule("g", 0.0), 10, K=1.0)
+    assert calls == {"a_p": 1, "c_p": 1, "a_n": 1, "g": 1}
 
 
 def test_square_and_shorts_moments():

@@ -77,6 +77,8 @@ DOMAIN_ERRORS = [
     ("charsum", "halmon", "--q", "101", "--N", "0"),
     ("charsum", "halmon", "--q", "101", "--N", "-5"),
     ("charsum", "halmon", "--q", "1", "--N", "5"),
+    # a negative number of characters to draw
+    ("charsum", "halmon", "--q", "101", "--nchars", "-1"),
     # an empty coefficient range: both sides of the inequality are 0
     ("charsum", "mvt", "--q", "3", "--N", "0"),
     ("charsum", "mvt", "--q", "3", "--N", "-5"),
@@ -97,6 +99,11 @@ DOMAIN_ERRORS = [
     # the squares' shape is divided by P
     ("charsum", "moments", "--q", "35", "--N", "100", "--P", "0"),
     ("charsum", "moments", "--q", "35", "--N", "100", "--P", "-2"),
+    # no term n <= N when N < 1, and no short window (M e^(k - 1/H), M e^k] when M <= 0
+    ("charsum", "moments", "--q", "35", "--N", "-5"),
+    ("charsum", "moments", "--q", "35", "--N", "0"),
+    ("charsum", "moments", "--q", "35", "--M", "-5"),
+    ("charsum", "moments", "--q", "35", "--M", "0"),
     # no set size s with (2/5 + eps) phi < s <= phi, or eps <= 0
     ("triple", "--q", "1009", "--epsilon", "0.7"),
     ("triple", "--q", "1009", "--epsilon", "-1"),
@@ -278,7 +285,9 @@ BATCH_DIGESTS = [
 
 # sha256 of the Polya-Vinogradov sweep over every non-principal character and
 # of the Halasz-Montgomery report, recorded with the per-character convex-hull
-# sweep and the report that built every character before drawing ten
+# sweep and the report that built every character before drawing ten; then of
+# the reports that read their coefficients, densities and terms as arrays,
+# recorded when they were dicts, scalar callbacks and per-term draws
 CHARSUM_DIGESTS = [
     (("charsum", "pv", "--q", "101"),
      "fe52e208ba851524d73ea5c82da31a4ec5545daa881fea435d829ec9bbe49a1a"),
@@ -290,6 +299,16 @@ CHARSUM_DIGESTS = [
      "7efc328633cf5271b4506a5e62f79a6d79940461264f67209f6dbdffb8878d44"),
     (("charsum", "halmon", "--q", "4001", "--seed", "7"),
      "7f1f932b8def11ec1dacc6a2d87e140e081248554a462ebf96d12dc157098747"),
+    (("charsum", "mvt", "--q", "101", "--N", "300", "--seed", "7"),
+     "8e449fff90a0026dd24e606307acdb2b188b7ed4d2f90913e6f240b87f399866"),
+    (("charsum", "moments", "--q", "35", "--N", "2000"),
+     "d0416f9b0d6484ff4154e9d2b839eb6a1c91ccdeaff090d4e960252ecc55c40d"),
+    (("charsum", "large", "--q", "4001"),
+     "dd8cd99218fd6d1b8828b51ad05e53c72e2ebf32255b51564776ede63bbeafc1"),
+    (("charsum", "amplify", "--q", "101"),
+     "be3d139b1af4362b509c90fd4d947ee6f0a1af40d9e92a670750eae48aec4eaf"),
+    (("sieve", "--z", "10", "--D", "1e12", "--accuracy-K", "2"),
+     "e9204d5855545058b69d5d9585f47895bf9b8623dbd7d677c52bd1faf9500eae"),
 ]
 
 

@@ -62,7 +62,7 @@ def test_models_match_the_per_integer_transform(h, q, R, ks):
         if not supp:
             assert not model.f_hat.any() and model.spectrum == (0,)
     if h.kind == "one":
-        assert not ctx.supports[(0, -1)]
+        assert not len(ctx.supports[(0, -1)])
 
 
 def test_zero_function_gives_zero_model():
@@ -129,7 +129,7 @@ def test_level_sets_and_aprop():
     # constant models: all or nothing
     for A in (sets.plus, sets.minus):
         assert A == frozenset() or A == frozenset(int(a) for a in G.units)
-    ap = dm.aprop_check(sets, G, set(ctx.supports[(0, 1)]), set(ctx.supports[(0, -1)]))
+    ap = dm.aprop_check(sets, G, ctx.supports[(0, 1)], ctx.supports[(0, -1)])
     assert {"total_mass_ok", "coset_rows", "coset_failures"} <= set(ap)
     bad = dm.level_sets(ctx.models[(0, 1)], ctx.models[(0, -1)], 10.0)
     assert bad.plus == frozenset() and bad.minus == frozenset()

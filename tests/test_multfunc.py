@@ -220,7 +220,7 @@ def test_prime_sites_match_scalar_loops(h):
     for q, Q1 in ((7, 60.0), (35, 500.0), (101, 3000.0)):
         G = group.build_unit_group(q)
         for delta in (1, -1):
-            assert charsums.q_set(G, h, Q1, None, delta) == _q_set_loop(h, q, Q1, delta)
+            assert charsums.q_set(G, h, Q1, None, delta).tolist() == _q_set_loop(h, q, Q1, delta)
 
 
 def test_pretentious_distance():

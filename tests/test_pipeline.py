@@ -646,7 +646,7 @@ def _general_nested(q, a, r1l, r2l, r3l, p_set, u_list, m_list):
 
 def _flags(lists):
     """The squarefree flags of each list, by scalar factorization."""
-    return [[arith.is_squarefree(n) for n in x] for x in lists]
+    return [np.array([arith.is_squarefree(n) for n in x], dtype=bool) for x in lists]
 
 
 def _easy_lists(ctx, deltas):
@@ -698,7 +698,7 @@ def test_class_join_matches_nested_loops_general():
                 lists = [ctx.supports[(k1, d1)], ctx.supports[(k2, d2)], ctx.supports[(k3, d3)],
                          p_set, cs.u_set(ctx.G, LAM, pm.U, -k1, None, d5),
                          cs.m_set(ctx.G, LAM, pm.M, -k2 - k3, pm.ladder, None, d6)]
-                if not all(lists):
+                if not all(map(len, lists)):
                     continue
                 count, loss = _general_nested(35, a, *lists)
                 assert pl._class_join(ctx.G, a, lists, _flags(lists)) == (count, loss)
@@ -713,7 +713,8 @@ def test_class_join_matches_nested_loops_general():
             assert losses > 0
     # squares next to coprime parts: losses only the squarefree flags see
     G = g.build_unit_group(101)
-    lists = [[9, 11, 49], [13, 4, 17], [19, 23, 8], [29, 31], [37, 41, 27], [43, 3127, 121]]
+    lists = [np.array(x) for x in ([9, 11, 49], [13, 4, 17], [19, 23, 8], [29, 31],
+                                   [37, 41, 27], [43, 3127, 121])]
     for a in range(1, 101):
         assert pl._class_join(G, a, lists, _flags(lists)) == _general_nested(101, a, *lists)
 
@@ -743,7 +744,7 @@ def test_class_join_mixes_tables_and_gcds(monkeypatch):
     their tables while the others, inside the left grid and across it, go
     through np.gcd, in the same call."""
     G = g.build_unit_group(101)
-    lists = [[1, 2, 3], [1, 3, 5, 9], list(range(1, 41)), list(range(2, 42))]
+    lists = [np.array([1, 2, 3]), np.array([1, 3, 5, 9]), np.arange(1, 41), np.arange(2, 42)]
     cells = [len(x) * len(y) for x, y in itertools.combinations(lists, 2)]
     flags, expect = _flags(lists), _product_nested(101, lists)
     for cap in (pl._JOIN_HITS, 150, 0):

@@ -110,11 +110,11 @@ def test_sandwich_exhaustive(z, D, N):
 
 def test_accuracy_sandwich():
     pair = sieve.build_beta_sieve(10, 10**12)
-    rep = sieve.sieve_accuracy(pair, lambda p: 0.0, 10, K=1.0)
+    rep = sieve.sieve_accuracy(pair, lambda ps: np.zeros(len(ps)), 10, K=1.0)
     assert rep["upper"] == 1.0 and rep["lower"] == 1.0 and rep["reference"] == 1.0
     rep = sieve.sieve_accuracy(pair, lambda p: 1 / p, 10, K=2.0)
     assert rep["lower"] <= rep["reference"] * (1 + 1e-12)
-    rep = sieve.sieve_accuracy(pair, lambda p: 0.0 if 6 % p == 0 else 1 / p, 10, K=2.0)
+    rep = sieve.sieve_accuracy(pair, lambda ps: np.where(6 % ps == 0, 0.0, 1 / ps), 10, K=2.0)
     assert rep["upper"] >= rep["reference"] * (1 - 1e-12)
     # hypothesis s >= 9 kappa + 1 enforced
     small = sieve.build_beta_sieve(10, 1000)
