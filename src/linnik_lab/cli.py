@@ -242,7 +242,7 @@ def cmd_densemodel(args):
     ap = densemodel.aprop_check(sets, ctx.G, ctx.supports[(0, 1)], ctx.supports[(0, -1)])
     return report_for(args, "dense-model-properties",
                       {"models": reports, "level_sets": {
-                          "A_plus": sorted(sets.plus), "A_minus": sorted(sets.minus),
+                          "A_plus": sets.plus.tolist(), "A_minus": sets.minus.tolist(),
                           "check": ap}}, paramset=params)
 
 
@@ -255,8 +255,8 @@ def cmd_kneser(args):
     units = G.units.tolist()
     rows = []
     for _ in range(args.trials):
-        A = rng.sample(units, rng.randint(1, len(units)))
-        B = rng.sample(units, rng.randint(1, len(units)))
+        A = np.array(rng.sample(units, rng.randint(1, len(units))))
+        B = np.array(rng.sample(units, rng.randint(1, len(units))))
         rows.append(setcomb.kneser_check(G, A, B))
     return report_for(args, "kneser-product-bound",
                       {"trials": args.trials, "all_pass": True, "sample": rows[:5]})
@@ -267,7 +267,6 @@ def cmd_triple(args):
         raise DomainError(f"triple needs --trials >= 0, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     G = group_mod.build_unit_group(args.q)
-    units = G.units.tolist()
     phi = G.phi
     # some set size s must satisfy (2/5 + eps) phi < s <= phi
     if not (args.epsilon > 0 and (0.4 + args.epsilon) * phi < phi):
@@ -279,7 +278,7 @@ def cmd_triple(args):
         sets = []
         for _ in range(3):
             size = rng.integers(floor_size, phi + 1)
-            sets.append(frozenset(rng.choice(units, size=size, replace=False).tolist()))
+            sets.append(rng.choice(G.units, size=size, replace=False))
         out = setcomb.triple_conv_classify(G, *sets, eps=args.epsilon)
         outcomes[out.branch] = outcomes.get(out.branch, 0) + 1
         if not out.verified:

@@ -97,23 +97,25 @@ def verify_model(model: DenseModel, tol: float = 1e-12) -> dict:
 
 @dataclass
 class SignedLevelSets:
-    plus: frozenset[int]
-    minus: frozenset[int]
-    plus_abs: frozenset[int]
-    minus_abs: frozenset[int]
+    plus: np.ndarray                   # sorted int64 units
+    minus: np.ndarray
+    plus_abs: np.ndarray
+    minus_abs: np.ndarray
     epsilon: float
 
 
 def level_sets(model_plus: DenseModel, model_minus: DenseModel, eps: float) -> SignedLevelSets:
-    """A^Delta = {a : g^Delta(a) >= eps^2} (signed), plus the |g| variant."""
+    """A^Delta = {a : g^Delta(a) >= eps^2} (signed) for eps > 0, plus the |g| variant."""
     if model_plus.group.q != model_minus.group.q:
         raise DomainError("models must share the modulus")
+    if not eps > 0:
+        raise DomainError(f"level-set eps must be positive, got {eps}")
     G = model_plus.group
     thr = eps * eps
 
     def pick(model, absolute):
         vals = np.abs(model.g) if absolute else model.g
-        return frozenset(G.units[vals >= thr].tolist())
+        return G.units[vals >= thr]
 
     return SignedLevelSets(pick(model_plus, False), pick(model_minus, False),
                            pick(model_plus, True), pick(model_minus, True), eps)
@@ -136,7 +138,7 @@ def aprop_check(sets: SignedLevelSets, G: group_mod.UnitGroup,
     def counts(ns):   # per non-principal real character: the elements where it is +1, -1
         return G.real_sign_counts(ns)[1:].tolist()
 
-    sides = [(delta, counts(np.fromiter(A, np.int64, count=len(A))), counts(supp))
+    sides = [(delta, counts(A), counts(supp))
              for delta, A, supp in ((+1, sets.plus, supp_plus), (-1, sets.minus, supp_minus))]
     rows = []
     for j, psi in enumerate(G.real_characters()[1:]):

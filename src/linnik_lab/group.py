@@ -8,10 +8,10 @@ Z_{d_1} x ... x Z_{d_k}; a character is indexed by its dual vector t on the
 same grid and read by its row, t raveled in C order (row 0 is principal).
 Transforms are n-dimensional FFTs on that grid, O(phi log phi) time and
 O(phi) memory.  Exact convolution adds dlog vectors componentwise mod d_i:
-one factor is read through a zero-copy window view of its grid tiled twice
-along each axis and contracted against the other's support,
-O(phi min(|supp f|, |supp g|)) time and O(2^k phi) memory for k cyclic
-components, with integer inputs exact.
+one float64 correlation on one axis, exact while integer sums stay below
+2^53, else one factor's window view (its grid tiled twice along each axis)
+contracted against the other's support, O(phi min(|supp f|, |supp g|))
+time and O(2^k phi) memory for k cyclic components.
 
 Every component has even order, so real character j (t_i = d_i/2 where bit
 i of j is set) is chi_j(a) = (-1)^popcount(j & code(a)), code(a) the packed
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import string
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -520,14 +519,11 @@ def fourier_inverse(G: UnitGroup, coeffs) -> np.ndarray:
     return G.from_grid(np.fft.ifftn(c, norm="forward"))
 
 
-# The sparser factor's support, as a share of phi, from which one contraction
-# over a one-axis grid beats gathering the window's rows at that support.
-# With int64 inputs the contraction takes about 1 ns a cell on one axis, the
-# gather 1.2-2.4 ns a gathered cell; the two break even near a share of
-# 0.55-0.6 (q = 1009, 2048, 4001).  On several axes the contraction costs
-# 10-12 ns a cell at q = 720 and the gather wins at every share, so those
-# grids always gather.
-_FULL_SHARE = 0.5
+# The sparser factor's support, as a share of phi, from which one float64
+# correlation on a one-axis grid beats gathering the window's rows at that
+# support: the correlation wins from 0.05 at q = 211, and they break even
+# near 0.1 at q = 1009 and 0.15-0.2 at q = 4001.
+_FULL_SHARE = 0.1
 # window cells gathered per step below that share: 512 KiB of int64, which
 # stays in cache, where 2^20 cells cost 3.2 ns a cell at q = 4001
 _GATHER_CELLS = 1 << 16
@@ -543,39 +539,51 @@ def _window(grid: np.ndarray) -> np.ndarray:
     return view[(slice(None, 0, -1),) * k]
 
 
+def _float_exact(fv: np.ndarray, gv: np.ndarray, support: int) -> bool:
+    """Whether float64 sums f(x) g(y) exactly, f the factor with `support`
+    nonzeros: every partial sum is an integer of size at most support
+    |f|_inf |g|_inf (a Python int), and float64 adds integers below 2^53
+    exactly in any order, FMA or not.  True for non-integer inputs."""
+    if np.result_type(fv, gv).kind not in "biu":
+        return True
+    fm, gm = (max(int(v.max()), -int(v.min())) for v in (fv, gv))
+    return support * fm * gm < 2**53
+
+
 def convolve_group(G: UnitGroup, f, g) -> np.ndarray:
     """Counting convolution (f*g)(a) = sum_{xy=a} f(x) g(y) over Z_q^x.
 
     Exact, with no transform: xy sits at the componentwise sum of the dlog
-    vectors mod d_i, so (f*g)(a) = sum_x f(x) g(a - x) on the grid.  The
-    denser factor is read as the window W[x, a] = g(a - x), a view with no
-    phi x phi table.  On a one-axis grid where the sparser factor's support
-    is at least _FULL_SHARE phi, one contraction over the whole grid;
-    otherwise the window's rows at that support, gathered _GATHER_CELLS
-    cells at a time.
+    vectors mod d_i, so (f*g)(a) = sum_x f(x) g(a - x) on the grid.  On a
+    one-axis grid with the sparser support at least _FULL_SHARE phi, one
+    float64 correlation when it sums integers exactly (_float_exact);
+    otherwise the rows at that support of the window W[x, a] = g(a - x), a
+    view with no phi x phi table, gathered _GATHER_CELLS cells at a time.
     Integer inputs stay exact and keep their dtype; complex inputs with zero
     imaginary parts are convolved as real.  Work phi min(|supp f|, |supp g|),
     memory O(2^k phi) for k cyclic components.
     """
     fv = _as_unit_vector(G, f, dtype=None)
     gv = _as_unit_vector(G, g, dtype=None)
-    if np.iscomplexobj(fv) or np.iscomplexobj(gv):
-        if np.all(fv.imag == 0) and np.all(gv.imag == 0):
-            fv = fv.real
-            gv = gv.real
-    if np.count_nonzero(fv) > np.count_nonzero(gv):
-        fv, gv = gv, fv
+    if (np.iscomplexobj(fv) or np.iscomplexobj(gv)) and not (fv.imag.any() or gv.imag.any()):
+        fv, gv = fv.real, gv.real
+    support, other = np.count_nonzero(fv), np.count_nonzero(gv)
+    if support > other:
+        fv, gv, support = gv, fv, other
+    dtype = np.result_type(fv, gv)
+    if (len(G.grid_shape) == 1 and support >= _FULL_SHARE * G.phi
+            and _float_exact(fv, gv, support)):
+        ff, gg = (G.to_grid(v.astype(np.promote_types(v.dtype, np.float64))) for v in (fv, gv))
+        # out[a] = sum_x f(x) g(a - x), g(a - x) = (g[1:], g)[a - x + d - 1]:
+        # the correlation with f reversed, which np.convolve takes unconjugated
+        out = np.convolve(np.concatenate((gg[1:], gg)), ff, "valid")
+        return G.from_grid(out.astype(dtype, copy=False))
     xs = np.flatnonzero(fv)
     W = _window(G.to_grid(gv))
-    if len(G.grid_shape) == 1 and len(xs) >= _FULL_SHARE * G.phi:
-        x = string.ascii_letters[:len(G.grid_shape)]
-        out = np.einsum(f"{x}...,{x}->...", W, G.to_grid(fv))
-    else:
-        out = np.zeros(G.grid_shape, dtype=np.result_type(fv, gv))
-        at = np.unravel_index(G.unit_grid[xs], G.grid_shape)
-        step = max(1, _GATHER_CELLS // G.phi)
-        for s in range(0, len(xs), step):
-            rows = W[tuple(c[s:s + step] for c in at)]
-            out += np.einsum("x...,x->...", rows, fv[xs[s:s + step]])
+    out = np.zeros(G.grid_shape, dtype=dtype)
+    at = np.unravel_index(G.unit_grid[xs], G.grid_shape)
+    step = max(1, _GATHER_CELLS // G.phi)
+    for s in range(0, len(xs), step):
+        rows = W[tuple(c[s:s + step] for c in at)]
+        out += np.einsum("x...,x->...", rows, fv[xs[s:s + step]])
     return G.from_grid(out)
-

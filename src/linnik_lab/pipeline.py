@@ -708,7 +708,7 @@ def _classify_k(ctx: SignContext, k: int, eps: float, c_case1: float) -> dict:
            for d, S in ((1, sets.plus), (-1, sets.minus))}
     for delta, A in ((1, sets.plus), (-1, sets.minus)):
         tag = "+" if delta > 0 else "-"
-        if not A:
+        if not len(A):
             out[tag] = {"branch": "empty"}
             continue
         cv = setcomb.conv3(G, A, A, A)

@@ -1,9 +1,10 @@
 """Product-set combinatorics on Z_q^x: stabilizers, the Kneser inequality,
 coset overlaps, and the triple-convolution dichotomy classifier.
 
-Sets are frozensets (or iterables) of unit residues.  Convolutions are exact
-integer counts on the dlog grid of Z_q^x (group.convolve_group); product sets
-and stabilizers are supports and level sets of those counts.  Every
+Sets are int64 arrays (or lists) of units, read mod q, duplicates counted
+once.  Convolutions are exact integer counts of their 0/1 indicators on the
+dlog grid of Z_q^x (group.convolve_group); product sets and stabilizers are
+the sorted unit arrays at supports and level sets of those counts.  Every
 certificate a classifier returns is re-verified by direct recomputation before
 it is reported.
 """
@@ -33,37 +34,28 @@ class DichotomyOutcome:
 
 def _indicator(G: group_mod.UnitGroup, A) -> np.ndarray:
     """0/1 vector over unit positions; raises on a non-unit."""
-    q = G.q
-    res = np.fromiter(A, np.int64, count=len(A)) % q
-    pos = G.unit_pos[res]
+    res = np.asarray(A, dtype=np.int64)
+    pos = G.unit_pos[res % G.q]
     if np.any(pos < 0):
-        bad = next(a for a in A if G.unit_pos[a % q] < 0)
-        raise DomainError(f"{bad} is not a unit mod {q}")
+        raise DomainError(f"{res[pos < 0][0]} is not a unit mod {G.q}")
     v = np.zeros(len(G.units), dtype=np.int64)
     v[pos] = 1
     return v
 
 
-def _members(G: group_mod.UnitGroup, mask: np.ndarray) -> frozenset[int]:
-    return frozenset(G.units[mask].tolist())
-
-
-def product_set(G: group_mod.UnitGroup, A, B) -> frozenset[int]:
+def product_set(G: group_mod.UnitGroup, A, B) -> np.ndarray:
     """A . B = {ab mod q}, the support of 1_A * 1_B."""
-    return _members(G, conv2(G, A, B) > 0)
+    return G.units[conv2(G, A, B) > 0]
 
 
-def stabilizer(G: group_mod.UnitGroup, S) -> frozenset[int]:
+def stabilizer(G: group_mod.UnitGroup, S) -> np.ndarray:
     """{h : hS = S}; the full group for empty S (documented convention).
 
     (1_S * 1_{S^-1})(h) counts the s in S with h^-1 s in S, so it equals |S|
-    exactly on the stabilizer.
+    exactly on the stabilizer, and 0 = |S| everywhere for empty S.
     """
     ind = _indicator(G, S)
-    size = int(ind.sum())
-    if not size:
-        return _members(G, np.ones(len(G.units), dtype=bool))
-    return _members(G, group_mod.convolve_group(G, ind, ind[G.inverse_pos()]) == size)
+    return G.units[group_mod.convolve_group(G, ind, ind[G.inverse_pos()]) == ind.sum()]
 
 
 def conv2(G: group_mod.UnitGroup, A, B) -> np.ndarray:
@@ -84,9 +76,8 @@ def conv3_transform(G: group_mod.UnitGroup, A, B, C) -> np.ndarray:
 
 def kneser_check(G: group_mod.UnitGroup, A, B) -> dict:
     """Assert |A.B| >= |A.H| + |B.H| - |H| >= |A| + |B| - |H|, H = stab(A.B)."""
-    A = frozenset(a % G.q for a in A)
-    B = frozenset(b % G.q for b in B)
-    if not A or not B:
+    A, B = (G.units[_indicator(G, S) > 0] for S in (A, B))
+    if not len(A) or not len(B):
         raise PreconditionError("A and B must be nonempty")
     AB = product_set(G, A, B)
     H = stabilizer(G, AB)
@@ -103,10 +94,10 @@ def kneser_check(G: group_mod.UnitGroup, A, B) -> dict:
 
 def coset_overlaps(G: group_mod.UnitGroup, S) -> tuple[list[int], list[int]]:
     """For each real character psi (rows in real_characters() order) and a
-    nonempty set S of units: the larger of |S cap ker psi| and |S minus ker psi|,
-    and a representative of that coset, 1 for the kernel and else the first
-    element of S, in its iteration order, off the kernel."""
-    arr = np.fromiter(S, np.int64, count=len(S))
+    nonempty array S of distinct units: the larger of |S cap ker psi| and
+    |S minus ker psi|, and a representative of that coset, 1 for the kernel
+    and else the first element of S off the kernel."""
+    arr = np.asarray(S, dtype=np.int64)
     # compared as int64, whose loops every command already runs: the first
     # int8 comparison or bool argmax of a process adds ~64 kB to its peak RSS
     off = G.real_signs(arr).astype(np.int64) != 1
@@ -125,7 +116,7 @@ def triple_conv_classify(G: group_mod.UnitGroup, A1, A2, A3, eps: float) -> Dich
     a_1 a_2 a_3 H.  Both branches are evaluated; ties report Both; outside
     the asymptotic regime neither may certify, reported as Undetermined.
     """
-    sets = [frozenset(a % G.q for a in S) for S in (A1, A2, A3)]
+    sets = [G.units[_indicator(G, S) > 0] for S in (A1, A2, A3)]
     phi = G.phi
     if any(len(S) <= (0.4 + eps) * phi for S in sets):
         raise PreconditionError("size hypothesis |A_i| > (2/5 + eps) phi fails")

@@ -133,8 +133,7 @@ def convolution_lower_check(G: g.UnitGroup, A, B, cosets=None) -> dict:
     (i) conv(c) >= |A| + |B| - |G| at every c; (ii) when A <= aH, B <= bH
     are supplied as (H_members, a, b), conv(c) >= |A| + |B| - |H| on abH.
     """
-    A = frozenset(a % G.q for a in A)
-    B = frozenset(b % G.q for b in B)
+    A, B = (np.unique(np.asarray(S, dtype=np.int64) % G.q) for S in (A, B))
     cv = setcomb.conv2(G, A, B)
     bound_i = len(A) + len(B) - G.phi
     if int(cv.min()) < bound_i:
@@ -142,17 +141,17 @@ def convolution_lower_check(G: g.UnitGroup, A, B, cosets=None) -> dict:
     report = {"min_conv": int(cv.min()), "bound_i": bound_i}
     if cosets is not None:
         H, a, b = cosets
-        H = frozenset(h % G.q for h in H)
+        H = np.unique(np.asarray(H, dtype=np.int64) % G.q)
         aH = setcomb.product_set(G, [a], H)
         bH = setcomb.product_set(G, [b], H)
-        if not (A <= aH and B <= bH):
+        if not (np.isin(A, aH).all() and np.isin(B, bH).all()):
             raise PreconditionError("coset containment hypothesis fails")
         bound_ii = len(A) + len(B) - len(H)
         abH = setcomb.product_set(G, [a * b % G.q], H)
-        vals = [int(cv[G.unit_pos[c]]) for c in abH]
-        if min(vals) < bound_ii:
+        low = int(cv[G.unit_pos[abH]].min())
+        if low < bound_ii:
             raise AssertionError("lower bound (ii) failed")
-        report.update({"bound_ii": bound_ii, "min_conv_on_abH": min(vals)})
+        report.update({"bound_ii": bound_ii, "min_conv_on_abH": low})
     return report
 
 

@@ -122,11 +122,11 @@ def test_criterion_04_kneser_suite():
         for _ in range(3):
             if trial % 3 == 2:  # coset-concentrated supersets
                 extra = nprng.integers(0, 5)
-                S = frozenset(H | set(nprng.choice(outside, size=extra,
-                                                   replace=False).tolist()))
+                S = np.array(sorted(H | set(nprng.choice(outside, size=extra,
+                                                         replace=False).tolist())))
             else:
                 size = int(nprng.integers(floor, G.phi + 1))
-                S = frozenset(nprng.choice(units, size=size, replace=False).tolist())
+                S = nprng.choice(units, size=size, replace=False)
             sets.append(S)
         out = sc.triple_conv_classify(G, *sets, eps=eps)
         assert out.verified, f"trial {trial}: no certified branch"

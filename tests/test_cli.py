@@ -74,6 +74,9 @@ DOMAIN_ERRORS = [
     ("stcompare", "--q", "35", "--a", "7"),
     # (R/e, R] = (2.39, 6.5] holds no unit mod 30
     ("densemodel", "--q", "30", "--R", "6.5"),
+    # level sets g >= eps^2 need eps > 0: eps = -1 read as threshold 1 and mass slack 2 phi
+    ("densemodel", "--q", "101", "--level-eps", "-1"),
+    ("densemodel", "--q", "101", "--level-eps", "0"),
     ("charsum", "halmon", "--q", "101", "--N", "0"),
     ("charsum", "halmon", "--q", "101", "--N", "-5"),
     ("charsum", "halmon", "--q", "1", "--N", "5"),

@@ -151,7 +151,7 @@ def test_fourier_transforms_match_dense_sums(q, data):
 
 
 def loop_conv(G, f, h):
-    out = np.zeros(len(G.units), dtype=np.int64)
+    out = np.zeros(len(G.units), dtype=np.result_type(f, h))
     for i, a in enumerate(G.units):
         for j, b in enumerate(G.units):
             out[G.unit_pos[int(a) * int(b) % G.q]] += f[i] * h[j]
@@ -172,13 +172,14 @@ def test_grid_convolutions_match_double_loops(case):
     G = g.build_unit_group(q)
     ind = [np.array([int(a) in S for a in G.units], dtype=np.int64) for S in (A, B, C)]
     c2 = loop_conv(G, ind[0], ind[1])
-    assert np.array_equal(sc.conv2(G, A, B), c2)
-    assert np.array_equal(sc.conv3(G, A, B, C), loop_conv(G, c2, ind[2]))
-    assert sc.product_set(G, A, B) == frozenset(a * b % q for a in A for b in B)
+    assert np.array_equal(sc.conv2(G, sorted(A), sorted(B)), c2)
+    assert np.array_equal(sc.conv3(G, sorted(A), sorted(B), sorted(C)), loop_conv(G, c2, ind[2]))
+    assert (sc.product_set(G, sorted(A), sorted(B)).tolist()
+            == sorted({a * b % q for a in A for b in B}))
     S = A | B
-    want = (frozenset(int(h) for h in G.units if {int(h) * s % q for s in S} == S)
-            if S else frozenset(int(a) for a in G.units))
-    assert sc.stabilizer(G, S) == want
+    want = ([int(h) for h in G.units if {int(h) * s % q for s in S} == S]
+            if S else G.units.tolist())
+    assert sc.stabilizer(G, sorted(S)).tolist() == want
     rng = np.random.default_rng(len(A))
     f, h = rng.integers(-5, 6, (2, G.phi))
     assert np.array_equal(g.convolve_group(G, f, h), loop_conv(G, f, h))
@@ -202,16 +203,51 @@ def test_convolution_on_both_sides_of_the_support_cut(q):
                 assert got.dtype == out_dtype and np.array_equal(got, want), (size, dtype)
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 101, 720])
+def test_convolution_dtypes_in_either_order(q):
+    # integer, float and complex factors with nonzero imaginary parts, dense
+    # and on three points, on one-axis grids (both routes) and several axes:
+    # a kernel that conjugates a complex factor fails here
+    G = g.build_unit_group(q)
+    rng = np.random.default_rng(q)
+    f, h = rng.integers(-5, 6, (2, G.phi))
+    fi, hi = rng.integers(-5, 6, (2, G.phi))
+    sparse = np.zeros(G.phi, dtype=np.int64)
+    sparse[:3] = f[:3]
+    for a, b in ((f, h), (sparse, h)):
+        for x, y in ((a, b), (a.astype(float), b.astype(float)), (a + 1j * fi, b + 1j * hi)):
+            want = loop_conv(G, x, y)
+            for got in (g.convolve_group(G, x, y), g.convolve_group(G, y, x)):
+                assert got.dtype == want.dtype and np.array_equal(got, want), (x.dtype, a is f)
+
+
+def test_integer_convolution_either_side_of_float_range():
+    # f, h within 2^b in size on all of q = 101: support |f|_inf |h|_inf is
+    # 100 2^46 < 2^53 at b = 23 (float64 correlation) and 100 2^56 at
+    # b = 28 (int64 gather, no wrap below 2^63); both exact as Python ints
+    G = g.build_unit_group(101)
+    rng = np.random.default_rng(53)
+    for b, fast in ((23, True), (28, False)):
+        f, h = rng.integers(-2**b, 2**b + 1, (2, G.phi))
+        f[0] = h[0] = 2**b
+        assert g._float_exact(f, h, G.phi) is fast
+        want = loop_conv(G, f.astype(object), h.astype(object)).tolist()
+        for got in (g.convolve_group(G, f, h), g.convolve_group(G, h, f)):
+            assert got.dtype == np.int64 and got.tolist() == want, b
+
+
 def test_convolution_peak_memory():
-    # dense 0/1 factors take the whole-grid contraction, a 600-point factor the
-    # row gather; neither builds a table of support pairs
+    # dense 0/1 factors and a 600-point factor take the float64 correlation,
+    # a 300-point factor the row gather; neither builds a table of support pairs
     G = g.build_unit_group(4001)
     rng = np.random.default_rng(4001)
     f, h = (rng.random((2, G.phi)) < 0.75).astype(np.int64)
     sparse = np.zeros(G.phi, dtype=np.int64)
     sparse[rng.choice(G.phi, 600, replace=False)] = 1
+    gather = np.zeros(G.phi, dtype=np.int64)
+    gather[rng.choice(G.phi, 300, replace=False)] = 1
     G.unit_grid  # cached before tracing
-    for a, b, bound in ((f, h, 2 * 10**6), (sparse, h, 10 * 10**6)):
+    for a, b, bound in ((f, h, 2 * 10**6), (sparse, h, 10 * 10**6), (gather, h, 10 * 10**6)):
         tracemalloc.start()
         try:
             g.convolve_group(G, a, b)
