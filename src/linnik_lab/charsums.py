@@ -377,27 +377,16 @@ def pv_max_window(chi) -> tuple[float, dict]:
 
 
 # ---------------------------------------------------------------------------
-# ladder subwindows: p in (P_j, Q_j] lies in the w-th, w = ceil(H_j log p)
+# Ramare-type decomposition (exact identity); a prime p of (P_j, Q_j] lies in
+# the w-th ladder subwindow, w = ceil(H_j log p)
 
 def _H_j(j: int, Q1: float) -> float:
     return j**4 * Q1 ** (1 / 40)
 
 
-def _w_of_p(p: int, H: float) -> int:
-    return int(math.ceil(H * math.log(p) - 1e-12))
-
-
-# ---------------------------------------------------------------------------
-# Ramare-type decomposition (exact identity)
-
-def _joined(parts: list[np.ndarray], dtype=np.int64) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
-
-
-def _psi_of(B):
-    if B is None:
-        return None, 1
-    return B.psi, B.b
+def _subwindows(ps: np.ndarray, H: float) -> np.ndarray:
+    """w = ceil(H log p) for each prime of the int64 array ps."""
+    return np.ceil(H * np.log(ps) - 1e-12).astype(np.int64)
 
 
 def ramare_decompose(G: group_mod.UnitGroup, h, B, delta: int, v: int, j: int,
@@ -409,8 +398,18 @@ def ramare_decompose(G: group_mod.UnitGroup, h, B, delta: int, v: int, j: int,
     E1 collects the squarefree-repair terms (products p^2 m), E2 the two
     edge windows created by snapping the cofactor interval.  All five arrays
     are indexed by row; the defect max_chi |M - Mt - E1 - E2| is
-    returned and must vanish to ~1e-12.  h must not vanish on a cofactor
-    candidate or a prime of (P_j, Q_j] (DomainError).
+    returned and must vanish to ~1e-12.
+
+    The primes p of (P_j, Q_j] prime to q fall into buckets by (w, sgn h(p),
+    psi(p)), w = ceil(H_j log p), visited in order of first prime; each adds
+    to Mtilde the product of its primes' character sum and that of the
+    cofactors in its window with the matching sign and coset.  E1 and E2 are
+    one class collapse each over terms listed prime-major, p increasing and m
+    ascending for each p: the order of a loop over the primes, so every float
+    is added in the same order.
+
+    h must not vanish on a cofactor candidate or a prime of (P_j, Q_j], and
+    no such prime may lie below Q1, as it divides no cofactor (DomainError).
     """
     if not M > 0:
         raise DomainError(f"M must be > 0, got {M}")
@@ -421,9 +420,8 @@ def ramare_decompose(G: group_mod.UnitGroup, h, B, delta: int, v: int, j: int,
     iv = arith.IntegerInterval.e_adic(M, v)
     n_lo, n_hi = iv.ilo, iv.ihi
     norm = M * math.exp(v)
-    psi, b = _psi_of(B)
-    psi_table = psi.real_sign_table() if psi is not None else None
-    target = psi_table[b % q] if psi is not None else 1
+    psi_table = B.psi.real_sign_table() if B is not None else None
+    target = psi_table[B.b % q] if B is not None else 1
 
     # factorization data for the master window; entry m - 1 describes m
     wf = arith.factor_window(0, n_hi)
@@ -445,68 +443,69 @@ def ramare_decompose(G: group_mod.UnitGroup, h, B, delta: int, v: int, j: int,
     m_members = ns[w0][cond[w0] & (marks[w0] > 0) & (coset[w0] == target) & (sign[w0] == delta)]
     M_direct = all_char_sums(G, m_members) / norm
 
-    # --- marked main term Mtilde ------------------------------------------
-    primes_j = [p for p in arith.primes_in(P_j, Q_j).tolist() if math.gcd(p, q) == 1]
-    # sign and coset of each prime
-    p_sign = dict(zip(primes_j, h.prime_signs(np.array(primes_j, dtype=np.int64)).tolist()))
-    p_coset = {p: int(psi_table[p % q]) if psi_table is not None else 1 for p in primes_j}
-    if 0 in p_sign.values():
+    # --- the marked primes, their signs and cosets ------------------------
+    ps = arith.primes_in(P_j, Q_j)
+    ps = ps[np.gcd(ps, q) == 1]
+    p_sign = h.prime_signs(ps)
+    if np.any(p_sign == 0):
         raise DomainError("h vanishes at a prime of the j-th ladder interval")
+    if ps.size and ps[0] < Q1:
+        raise DomainError(f"the prime {ps[0]} of the j-th ladder interval lies below "
+                          f"Q1 = {Q1:g} and divides no cofactor")
+    p_coset = psi_table[ps % q] if psi_table is not None else np.ones_like(p_sign)
+
+    # --- marked main term Mtilde, one bucket (w, sign, coset) at a time ----
+    ws = _subwindows(ps, H)
+    _, first, bucket = np.unique(4 * ws + 2 * (p_sign > 0) + (p_coset > 0),
+                                 return_index=True, return_inverse=True)
+    heads = np.sort(first)                            # each bucket's first prime
+    bucket = np.searchsorted(heads, first[bucket])    # buckets renumbered in that order
+    groups = np.split(ps[np.argsort(bucket, kind="stable")], np.cumsum(np.bincount(bucket))[:-1])
+    fixed = np.empty((len(heads), 2), dtype=np.int64)   # each bucket's cofactor window
     Mtilde = np.zeros(G.phi, dtype=complex)
-    r_cache: dict[tuple[int, int, int], np.ndarray] = {}
+    for k, (f, plist) in enumerate(zip(heads.tolist(), groups)):
+        w = int(ws[f])
+        win = arith.IntegerInterval(norm * math.exp(-w / H - 1), norm * math.exp(-w / H))
+        if win.ihi > n_hi:
+            raise AssertionError("cofactor window escaped the factor table")
+        fixed[k] = win.ilo, win.ihi
+        sl = slice(max(win.ilo, 0), win.ihi)
+        keep = cond[sl] & (sign[sl] == delta * p_sign[f]) & (coset[sl] == target * p_coset[f])
+        r = all_char_sums(G, ns[sl][keep], weight[sl][keep]) / (norm * math.exp(-w / H))
+        Mtilde += all_char_sums(G, plist) * math.exp(-w / H) * r
 
-    def r_sum(w: int, delta2: int, coset_sign: int) -> np.ndarray:
-        key = (w, delta2, coset_sign)
-        if key not in r_cache:
-            win = arith.IntegerInterval(norm * math.exp(-w / H - 1), norm * math.exp(-w / H))
-            if win.ihi > n_hi:
-                raise AssertionError("cofactor window escaped the factor table")
-            sl = slice(max(win.ilo, 0), win.ihi)
-            keep = cond[sl] & (sign[sl] == delta2) & (coset[sl] == coset_sign)
-            r_cache[key] = all_char_sums(G, ns[sl][keep], weight[sl][keep]) \
-                / (norm * math.exp(-w / H))
-        return r_cache[key]
-
-    q_buckets: dict[tuple[int, int, int], list[int]] = {}
-    for p in primes_j:
-        w = _w_of_p(p, H)
-        q_buckets.setdefault((w, p_sign[p], p_coset[p]), []).append(p)
-    for (w, s1, c1), plist in q_buckets.items():
-        qsum = all_char_sums(G, plist) * math.exp(-w / H)
-        delta2 = delta * s1
-        coset2 = target * c1  # need c1 * c2 = target
-        Mtilde += qsum * r_sum(w, delta2, coset2)
+    def qualifies(owner, m):
+        """Whether p m (p = ps[owner]) is a term: m a cofactor, sgn h(p m) =
+        delta and p m in the coset."""
+        i = m - 1
+        return cond[i] & (p_sign[owner] * sign[i] == delta) & (p_coset[owner] * coset[i] == target)
 
     # --- E1: squarefree repair (n = p^2 m0, m = p m0) ----------------------
-    e1_terms, e1_weights = [], []
-    for p in primes_j:
-        p2 = p * p
-        m = p * np.arange(n_lo // p2 + 1, n_hi // p2 + 1)
-        i = m - 1
-        keep = cond[i] & (p_sign[p] * sign[i] == delta) & (p_coset[p] * coset[i] == target)
-        e1_terms.append(p * m[keep])
-        e1_weights.append(-weight[i[keep]])
-    e1_terms, e1_weights = _joined(e1_terms), _joined(e1_weights, float)
+    p2 = ps * ps
+    counts = n_hi // p2 - n_lo // p2
+    owner = np.repeat(np.arange(len(ps)), counts)
+    m = ps[owner] * (n_lo // p2[owner] + 1 + _offsets(counts))
+    keep = qualifies(owner, m)
+    e1_terms = ps[owner[keep]] * m[keep]
+    e1_weights = -weight[m[keep] - 1]
     E1 = all_char_sums(G, e1_terms, e1_weights) / norm
 
     # --- E2: interval-snapping edge terms ----------------------------------
-    e2_terms, e2_weights = [], []
-    for p in primes_j:
-        w = _w_of_p(p, H)
-        fixed = arith.IntegerInterval(norm * math.exp(-w / H - 1), norm * math.exp(-w / H))
-        true_lo, true_hi = n_lo // p, n_hi // p
-        lo = min(fixed.ilo, true_lo)
-        hi = max(fixed.ihi, true_hi)
-        if hi > n_hi:
-            raise AssertionError("cofactor window escaped the factor table")
-        m = ns[lo:hi]
-        ind_true = (m > true_lo) & (m <= true_hi)
-        ind_fixed = (m > fixed.ilo) & (m <= fixed.ihi)
-        keep = ((ind_true != ind_fixed) & cond[lo:hi] & (p_sign[p] * sign[lo:hi] == delta)
-                & (p_coset[p] * coset[lo:hi] == target))
-        e2_terms.append(p * m[keep])
-        e2_weights.append(np.where(ind_true[keep], 1.0, -1.0) / (marks[lo:hi][keep] + 1))
-    e2_terms, e2_weights = _joined(e2_terms), _joined(e2_weights, float)
+    # m in exactly one of (n_lo/p, n_hi/p] and the bucket's window: the
+    # pieces below and above the two intervals' intersection
+    t_lo, t_hi = n_lo // ps, n_hi // ps
+    f_lo, f_hi = fixed[bucket].T
+    mid_lo, mid_hi = np.maximum(t_lo, f_lo), np.minimum(t_hi, f_hi)
+    starts = np.stack([np.minimum(t_lo, f_lo), np.maximum(mid_lo, mid_hi)], axis=1).ravel()
+    stops = np.stack([np.minimum(mid_lo, mid_hi), np.maximum(t_hi, f_hi)], axis=1).ravel()
+    counts = stops - starts
+    owner = np.repeat(np.arange(2 * len(ps)) // 2, counts)
+    m = np.repeat(starts, counts) + 1 + _offsets(counts)
+    keep = qualifies(owner, m)
+    m, owner = m[keep], owner[keep]
+    e2_terms = ps[owner] * m
+    inside = (m > t_lo[owner]) & (m <= t_hi[owner])
+    e2_weights = np.where(inside, 1.0, -1.0) / (marks[m - 1] + 1)
     E2 = all_char_sums(G, e2_terms, e2_weights) / norm
 
     defect = float(np.abs(M_direct - Mtilde - E1 - E2).max()) if len(M_direct) else 0.0

@@ -207,7 +207,7 @@ def cmd_sieve(args):
     plus, minus = sieve.build_beta_sieve(args.z, args.D, args.kappa)
     res = {
         "support_plus": plus.d.size, "support_minus": minus.d.size,
-        "s": plus.s, "lambda_1": [plus.weights[1], minus.weights[1]],
+        "s": plus.s, "lambda_1": [int(plus.mu[0]), int(minus.mu[0])],   # d[0] = 1
         "max_abs": int(max(np.abs(plus.mu).max(), np.abs(minus.mu).max())),
     }
     if args.accuracy_K is not None:

@@ -8,6 +8,7 @@ agreement, sqrt(q) log q for Polya-Vinogradov, (1 + N/q) for the mean value
 theorem, e^(9k - s) K^10 for sieve accuracy, 2 delta for coset averages.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -179,9 +180,9 @@ def test_criterion_06_dense_model():
             f"worst coset gap {max(r[3] for r in rows):.3e}, 0 failures")
 
 
-def test_criterion_07_ramare_identity():
-    worst = 0.0
-    configs = []
+def _ramare_grid():
+    """(config, decomposition) over criterion 07's grid: q = 35 and 101, one-
+    and two-interval ladders, every j, three cosets, both signs, v = -1, 0, 1."""
     for q in (35, 101):
         G = g.build_unit_group(q)
         lad1 = cs.ladder_build(10.0, q, overrides=[(10.0, 100.0)])
@@ -189,17 +190,46 @@ def test_criterion_07_ramare_identity():
         psi = [c for c in g.real_characters(q) if not c.is_principal][0]
         b_off = next(int(a) for a in G.units if psi.real_sign_table()[int(a)] == -1)
         cosets = [None, g.CosetSpec(psi, 1), g.CosetSpec(psi, b_off)]
-        for lad, M, js in ((lad1, 600.0, (2,)), (lad2, 20000.0, (2, 3))):
-            for j in js:
-                for B in cosets:
-                    for delta in (1, -1):
-                        out = cs.ramare_decompose(G, LAM, B, delta, 0, j, lad, M)
-                        assert out["defect"] <= 1e-12, (q, j, delta, out["defect"])
-                        assert out["max_coefficient"] <= 1.0 + 1e-12
-                        worst = max(worst, out["defect"])
-                        configs.append((q, j, delta))
+        for v in (-1, 0, 1):
+            for lad, M, js in ((lad1, 600.0, (2,)), (lad2, 20000.0, (2, 3))):
+                for j in js:
+                    for B in cosets:
+                        for delta in (1, -1):
+                            yield ((q, v, j, delta),
+                                   cs.ramare_decompose(G, LAM, B, delta, v, j, lad, M))
+
+
+def test_criterion_07_ramare_identity():
+    worst = 0.0
+    configs = []
+    for config, out in _ramare_grid():
+        assert out["defect"] <= 1e-12, (config, out["defect"])
+        assert out["max_coefficient"] <= 1.0 + 1e-12
+        worst = max(worst, out["defect"])
+        configs.append(config)
     _report(7, "decomposition identity to 1e-12 for every character",
             f"{len(configs)} configurations, worst defect {worst:.2e}")
+
+
+# sha256 of the M, Mtilde, E1 and E2 bytes over criterion 07's grid, per q
+# and v, recorded when the decomposition looped over the primes in Python
+RAMARE_ARRAY_DIGESTS = {
+    (35, -1): "8938aa0683b7c92c31a8c9262b8eb41d9bf1c37583ef3ede8a5acb32376f33fb",
+    (35, 0): "048aab4c7843ba142b08ebc7d243ca4a3ad252c864832c7269c7fa33586d5f06",
+    (35, 1): "cb6e38094340817533d4e8eb1f43d14c798a2d07eca2db327fae4b65e316b7b6",
+    (101, -1): "cd17e699db77a921bc04681466209d7d295b879fde344fce167972f8abe2fdb0",
+    (101, 0): "d45c6658c3e803716aa6900859ad18de49af803d480f6ead244d0877d81a721a",
+    (101, 1): "0de9c851958078d1e6f51c4f866e8dbdafb0175b0a798447cca1c6fa871a4cf6",
+}
+
+
+def test_ramare_arrays_are_unchanged():
+    digests = {}
+    for (q, v, _, _), out in _ramare_grid():
+        h = digests.setdefault((q, v), hashlib.sha256())
+        for name in ("M", "Mtilde", "E1", "E2"):
+            h.update(out[name].tobytes())
+    assert {k: h.hexdigest() for k, h in digests.items()} == RAMARE_ARRAY_DIGESTS
 
 
 def test_criterion_08_explicit_constant_checks():

@@ -302,27 +302,55 @@ def test_ladder_primes_where_h_vanishes_have_no_sign():
                             cs.ladder_build(3.0, 11, overrides=[(5.0, 60.0)]), 5.0)
 
 
-def _ramare_case(q, h, B, delta, v, j, ladder, M):
+def _ramare_case(q, h, B, delta, j, ladder, M):
+    """The decomposition at v = -1, 0, 1, each checked; {v: its output}."""
     G = g.build_unit_group(q)
-    out = cs.ramare_decompose(G, h, B, delta, v, j, ladder, M)
-    assert out["defect"] <= 1e-12, out["defect"]
-    assert out["max_coefficient"] <= 1.0 + 1e-12
-    return out
+    outs = {}
+    for v in (-1, 0, 1):
+        out = outs[v] = cs.ramare_decompose(G, h, B, delta, v, j, ladder, M)
+        assert out["defect"] <= 1e-12, (v, out["defect"])
+        assert out["max_coefficient"] <= 1.0 + 1e-12
+    return outs
 
 
 def test_ramare_identity_toy():
     lam = mf.liouville_fn()
     lad = cs.ladder_build(10.0, 35, overrides=[(10.0, 100.0)])
-    out = _ramare_case(35, lam, None, 1, 0, 2, lad, 600.0)
-    assert out["members"] > 0 and out["e1_terms"] > 0 and out["e2_terms"] > 0
+    outs = _ramare_case(35, lam, None, 1, 2, lad, 600.0)
+    assert all(out["members"] > 0 for out in outs.values())
+    assert all(outs[v]["e1_terms"] > 0 and outs[v]["e2_terms"] > 0 for v in (0, 1))
     # empty M side: identity still balances to zero
-    out = _ramare_case(35, lam, None, -1, 0, 2, lad, 600.0)
+    out = _ramare_case(35, lam, None, -1, 2, lad, 600.0)[0]
     assert out["members"] == 0
     # coset-restricted variants across all 24 characters
     psi = [c for c in g.real_characters(35) if not c.is_principal][0]
     for b in (1, next(int(a) for a in g.build_unit_group(35).units
                       if psi.real_sign_table()[int(a)] == -1)):
-        _ramare_case(35, lam, g.CosetSpec(psi, b), 1, 0, 2, lad, 600.0)
+        _ramare_case(35, lam, g.CosetSpec(psi, b), 1, 2, lad, 600.0)
+
+
+def test_ramare_refuses_marked_primes_below_Q1():
+    """m is Q1-rough, so a unit prime below Q1 in the j-th interval divides no
+    m while Mtilde still counts it; a prime that divides q is no unit."""
+    lam = mf.liouville_fn()
+    G = g.build_unit_group(101)
+    for lo, p in ((1.0, 2), (3.0, 5), (6.0, 7)):
+        with pytest.raises(DomainError, match=f"the prime {p} "):
+            cs.ramare_decompose(G, lam, None, 1, 0, 2,
+                                cs.ladder_build(10.0, 101, overrides=[(lo, 100.0)]), 2000.0)
+    _ramare_case(101, lam, None, 1, 2, cs.ladder_build(10.0, 101, overrides=[(7.0, 100.0)]), 2000.0)
+    _ramare_case(35, lam, None, 1, 2, cs.ladder_build(10.0, 35, overrides=[(6.0, 100.0)]), 2000.0)
+
+
+def test_subwindows_match_the_scalar_log():
+    """w = ceil(H log p) by np.log equals the per-prime math.log value for
+    every prime below 10^6 at the ladder scales H_j(Q1); np.log differs from
+    math.log in the last bit at a few of these primes."""
+    ps = arith.primes_upto(10**6)
+    for j, Q1 in itertools.product((2, 3, 4), (3.0, 10.0, 16.0, 100.0)):
+        H = cs._H_j(j, Q1)
+        scalar = [math.ceil(H * math.log(p) - 1e-12) for p in ps.tolist()]
+        assert cs._subwindows(ps, H).tolist() == scalar, (j, Q1)
 
 
 def test_amplify_report():

@@ -67,6 +67,10 @@ DOMAIN_ERRORS = [
     ("ladder", "--Q1", "10", "--q", "-5"),
     ("ramare", "--q", "101", "--Q1", "10", "--M", "2000", "--j", "2",
      "--overrides", "10:100,150:1500", "--psi", "0", "--b", "0"),
+    # a unit prime of the j-th interval below Q1 divides no Q1-rough cofactor
+    ("ramare", "--q", "101", "--Q1", "10", "--M", "2000", "--overrides", "6:100", "--j", "2"),
+    ("ramare", "--q", "101", "--Q1", "10", "--M", "2000", "--overrides", "1:100", "--j", "2"),
+    ("ramare", "--q", "101", "--Q1", "10", "--M", "2000", "--overrides", "3:100", "--j", "2"),
     ("pretend", "--q", "5", "--cutoff", "10", "--chi", "-1"),
     ("ladder", "--Q1", "10", "--q", "101", "--overrides", "10-100"),
     ("batch", "--qmin", "0", "--qmax", "3"),
@@ -290,7 +294,8 @@ BATCH_DIGESTS = [
 # of the Halasz-Montgomery report, recorded with the per-character convex-hull
 # sweep and the report that built every character before drawing ten; then of
 # the reports that read their coefficients, densities and terms as arrays,
-# recorded when they were dicts, scalar callbacks and per-term draws
+# recorded when they were dicts, scalar callbacks and per-term draws; then of
+# the Ramare decomposition reports, recorded when it looped over the primes
 CHARSUM_DIGESTS = [
     (("charsum", "pv", "--q", "101"),
      "fe52e208ba851524d73ea5c82da31a4ec5545daa881fea435d829ec9bbe49a1a"),
@@ -312,6 +317,21 @@ CHARSUM_DIGESTS = [
      "be3d139b1af4362b509c90fd4d947ee6f0a1af40d9e92a670750eae48aec4eaf"),
     (("sieve", "--z", "10", "--D", "1e12", "--accuracy-K", "2"),
      "e9204d5855545058b69d5d9585f47895bf9b8623dbd7d677c52bd1faf9500eae"),
+    (("ramare", "--q", "1009", "--Q1", "10", "--M", "60000", "--j", "3",
+      "--overrides", "10:100,150:1500"),
+     "9c7ff9380409cf5089372c7b86b4dc2e15c77fcbf3b4d681170fe5fa827f992a"),
+    (("ramare", "--q", "1009", "--Q1", "10", "--M", "60000", "--j", "3",
+      "--overrides", "10:100,150:1500", "--delta", "minus"),
+     "98c71426e8b254c8e4f357b7b96a9244f4392a1eb020f4e0bc70573ab896079a"),
+    (("ramare", "--q", "35", "--Q1", "10", "--M", "600", "--overrides", "10:100",
+      "--psi", "0", "--b", "2"),
+     "4d858739b4677ffa2267606154a4eca177514086b4f08b428416ac1874a15852"),
+    # v = 2: 6 E1 and 17 E2 terms
+    (("ramare", "--q", "35", "--Q1", "10", "--M", "600", "--overrides", "10:100", "--v", "2"),
+     "a2cbbdb674f54c1977cf0ef487715a21bad69db7f8a31a60b00dda34763bac83"),
+    (("ramare", "--q", "35", "--Q1", "10", "--M", "600", "--overrides", "10:100",
+      "--h", "character:7:1"),
+     "23e501f3350da7f0e7b42300a6515d88d4989e3e7e399f37bd3350b12dfd7f66"),
 ]
 
 
